@@ -37,9 +37,8 @@
 //! which is exactly the work the batch engine deduplicates across the
 //! burst and fans out across the execution pool.  Batching pays where
 //! re-estimation is expensive; keep the baseline rows in
-//! `BENCH_batch.json` / `BENCH_parallel.json` as the control that shows
-//! the speedup comes from deduplicated estimation, not from measurement
-//! artefacts.
+//! `BENCH_batch.json` as the control that shows the speedup comes from
+//! deduplicated estimation, not from measurement artefacts.
 //!
 //! Both dynamic baselines implement the object-safe
 //! [`dynscan_core::Clusterer`] trait, so the `Session` facade can drive

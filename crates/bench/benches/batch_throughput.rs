@@ -1,14 +1,15 @@
 //! The batch update engine's throughput benchmark: replay one bursty
 //! stream per-update and batched, verify byte-identity of the clusterings,
-//! print the comparison table and export `BENCH_batch.json` at the
-//! workspace root.
+//! print the comparison table and, on full-scale runs, export
+//! `BENCH_batch.json` at the workspace root.
 //!
 //! ```text
 //! cargo bench -p dynscan-bench --bench batch_throughput
 //! ```
 
-use dynscan_bench::{rows_to_json, rows_to_table, run_batch_throughput, BatchBenchConfig};
-use std::path::PathBuf;
+use dynscan_bench::{
+    rows_to_json, rows_to_table, run_batch_throughput, write_bench_record, BatchBenchConfig,
+};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -36,10 +37,5 @@ fn main() {
         }
     }
 
-    let json = rows_to_json(&config, &rows);
-    let out_path: PathBuf = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_batch.json");
-    std::fs::write(&out_path, json).expect("write BENCH_batch.json");
-    eprintln!("wrote {}", out_path.display());
+    write_bench_record("BENCH_batch.json", &rows_to_json(&config, &rows), quick);
 }

@@ -3,8 +3,8 @@
 //! resume, measure **differential vs full** checkpoint cost, compare the
 //! **v2-vs-v3 codec** (size, encode, decode — the ≥ 3× compression
 //! gates), replay under **tiered-memory budgets** (residency ceiling +
-//! hot-path regression gates), print the comparison tables and export
-//! `BENCH_checkpoint.json` at the workspace root.
+//! hot-path regression gates), print the comparison tables and, on
+//! full-scale runs, export `BENCH_checkpoint.json` at the workspace root.
 //!
 //! ```text
 //! cargo bench -p dynscan-bench --bench checkpoint_restore
@@ -13,9 +13,8 @@
 use dynscan_bench::{
     checkpoint_rows_to_json, checkpoint_rows_to_table, codec_rows_to_table, delta_rows_to_table,
     run_checkpoint_vs_rebuild, run_codec_comparison, run_delta_vs_full, run_tiered_memory,
-    tiered_rows_to_table, CheckpointBenchConfig,
+    tiered_rows_to_table, write_bench_record, CheckpointBenchConfig,
 };
-use std::path::PathBuf;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -175,9 +174,5 @@ fn main() {
     }
 
     let json = checkpoint_rows_to_json(&config, &rows, &delta_rows, &codec_rows, &tiered_rows);
-    let out_path: PathBuf = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_checkpoint.json");
-    std::fs::write(&out_path, json).expect("write BENCH_checkpoint.json");
-    eprintln!("wrote {}", out_path.display());
+    write_bench_record("BENCH_checkpoint.json", &json, quick);
 }

@@ -1,16 +1,17 @@
 //! Service-layer throughput benchmark: concurrent clients over real TCP
 //! against one shared engine, in-memory vs durable (background
 //! checkpoints + final drain checkpoint).  Prints the comparison table
-//! and exports `BENCH_serve.json` at the workspace root.
+//! and, on full-scale runs, exports `BENCH_serve.json` at the workspace
+//! root.
 //!
 //! ```text
 //! cargo bench -p dynscan-bench --bench serve_throughput
 //! ```
 
 use dynscan_bench::{
-    run_serve_throughput, serve_rows_to_json, serve_rows_to_table, ServeBenchConfig,
+    run_serve_throughput, serve_rows_to_json, serve_rows_to_table, write_bench_record,
+    ServeBenchConfig,
 };
-use std::path::PathBuf;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -40,10 +41,9 @@ fn main() {
         );
     }
 
-    let json = serve_rows_to_json(&config, &rows);
-    let out_path: PathBuf = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serve.json");
-    std::fs::write(&out_path, json).expect("write BENCH_serve.json");
-    eprintln!("wrote {}", out_path.display());
+    write_bench_record(
+        "BENCH_serve.json",
+        &serve_rows_to_json(&config, &rows),
+        quick,
+    );
 }

@@ -1,21 +1,13 @@
-//! Parallel-scaling experiment for the execution layer: the persistent
-//! work-stealing pool + pipelined batch engine + sharded aux maintenance
-//! against the PR 1 executor (scoped threads spawned per batch, no
-//! pipeline, no shards), across threads × batch size × backend.
+//! Parallel-scaling experiment for the execution layer: the batch
+//! engine (`apply_batch` loop) on the persistent work-stealing pool,
+//! with sharded aux maintenance, across threads × batch size × labelling
+//! mode.
 //!
-//! Three engines replay the *same* bursty stream with the same batch
-//! boundaries:
-//!
-//! * `pr1-spawn` — [`ExecPool::spawn_per_batch_reference`] +
-//!   `apply_batch` loop: the PR 1 batch engine's execution model.
-//! * `pooled` — persistent pool + `apply_batch` loop (no pipelining).
-//! * `pipelined` — persistent pool + `apply_batches`: topology of batch
-//!   k + 1 overlapped with re-estimation of batch k, sharded vAuxInfo
-//!   maintenance enabled.
-//!
-//! Every run's final clustering must serialise to identical bytes — the
-//! engines and thread counts are performance choices, never semantic
-//! ones — and the run panics if that ever fails.
+//! Every thread count replays the *same* bursty stream with the same
+//! batch boundaries, and each row's throughput is reported relative to
+//! the cell's first (1-thread) row.  Every run's final clustering must
+//! serialise to identical bytes — the thread count is a performance
+//! choice, never a semantic one — and the run panics if that ever fails.
 
 use crate::batch::clustering_fingerprint;
 use dynscan_core::{Backend, DynStrClu, ExecPool, Params, Session};
@@ -72,8 +64,8 @@ impl ParallelBenchConfig {
     }
 }
 
-/// One measured row: a (backend, labelling mode, batch size, threads,
-/// engine) cell.
+/// One measured row: a (backend, labelling mode, batch size, threads)
+/// cell.
 #[derive(Clone, Debug)]
 pub struct ParallelBenchRow {
     /// Algorithm name.
@@ -84,24 +76,16 @@ pub struct ParallelBenchRow {
     pub batch_size: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Engine: `"pr1-spawn"`, `"pooled"` or `"pipelined"`.
-    pub engine: &'static str,
-    /// Per-worker pool-deque implementation the row ran on:
-    /// `"chase-lev"` ([`rayon::deque::IMPL_NAME`], the lock-free
-    /// default), `"mutex"` (the pre-swap implementation, kept selectable
-    /// so the swap stays measurable same-run on the same host), or
-    /// `"none"` for `pr1-spawn`, which spawns scoped threads and never
-    /// touches a deque.
-    pub deque: &'static str,
     /// Total timed updates.
     pub updates: usize,
     /// Wall-clock seconds of the timed replay (best of two).
     pub secs: f64,
     /// Updates per second.
     pub ops: f64,
-    /// Throughput relative to `pr1-spawn` at the same (backend, mode,
-    /// batch size, threads) — 1.0 for the reference rows themselves.
-    pub speedup_vs_pr1: f64,
+    /// Throughput relative to the first thread count of the same
+    /// (backend, mode, batch size) cell — 1 thread in both shipped
+    /// configs, so 1.0 for the 1-thread rows themselves.
+    pub speedup_vs_one_thread: f64,
     /// Whether the final clustering matched the group's reference
     /// fingerprint (must always be true).
     pub identical_clustering: bool,
@@ -127,64 +111,22 @@ fn initial_pairs(config: &ParallelBenchConfig) -> Vec<(u32, u32)> {
         .collect()
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Engine {
-    Pr1Spawn,
-    Pooled,
-    Pipelined,
-}
-
-impl Engine {
-    fn name(self) -> &'static str {
-        match self {
-            Engine::Pr1Spawn => "pr1-spawn",
-            Engine::Pooled => "pooled",
-            Engine::Pipelined => "pipelined",
-        }
-    }
-}
-
-fn deque_name(deque: rayon::DequeImpl) -> &'static str {
-    match deque {
-        rayon::DequeImpl::LockFree => rayon::deque::IMPL_NAME,
-        rayon::DequeImpl::Mutex => "mutex",
-    }
-}
-
-/// Replay `batches` on a fresh DynStrClu with the given engine; returns
-/// (timed seconds, final state fingerprint).
+/// Replay `batches` on a fresh DynStrClu with a dedicated pool of
+/// `threads` workers; returns (timed seconds, final state fingerprint).
 fn run_once(
     params: Params,
     initial: &[(u32, u32)],
     batches: &[Vec<GraphUpdate>],
-    engine: Engine,
-    deque: rayon::DequeImpl,
     threads: usize,
 ) -> (f64, String) {
     let mut algo = DynStrClu::new(params);
-    match engine {
-        Engine::Pr1Spawn => {
-            algo.set_exec_pool(ExecPool::spawn_per_batch_reference(threads));
-            // PR 1 had no sharded aux maintenance.
-            algo.set_shard_flip_cutoff(usize::MAX);
-        }
-        Engine::Pooled | Engine::Pipelined => {
-            algo.set_exec_pool(ExecPool::with_threads_and_deque(threads, deque));
-        }
-    }
+    algo.set_exec_pool(ExecPool::with_threads(threads));
     for &(u, v) in initial {
         let _ = algo.insert_edge(u.into(), v.into());
     }
     let start = Instant::now();
-    match engine {
-        Engine::Pipelined => {
-            algo.apply_batches(batches);
-        }
-        _ => {
-            for batch in batches {
-                algo.apply_batch(batch);
-            }
-        }
+    for batch in batches {
+        algo.apply_batch(batch);
     }
     let secs = start.elapsed().as_secs_f64();
     (secs, clustering_fingerprint(&algo.clustering()))
@@ -201,8 +143,7 @@ fn exact_params(seed: u64) -> Params {
         .with_seed(seed)
 }
 
-/// Run the sweep: threads × batch size × {sampled, exact} DynStrClu, all
-/// three engines per cell.
+/// Run the sweep: threads × batch size × {sampled, exact} DynStrClu.
 pub fn run_parallel_scaling(config: &ParallelBenchConfig) -> Vec<ParallelBenchRow> {
     let initial = initial_pairs(config);
     let mut rows = Vec::new();
@@ -213,70 +154,32 @@ pub fn run_parallel_scaling(config: &ParallelBenchConfig) -> Vec<ParallelBenchRo
         for &batch_size in &config.batch_sizes {
             let batches = make_batches(config, batch_size);
             let updates: usize = batches.iter().map(Vec::len).sum();
-            let mut reference_fingerprint: Option<String> = None;
+            let mut reference: Option<(f64, String)> = None;
             for &threads in &config.thread_counts {
-                let mut pr1_secs = f64::NAN;
-                // `pr1-spawn` uses no pool deque and anchors the cell;
-                // the deque-exercising engines then run under both
-                // implementations, so the lock-free-vs-mutex comparison
-                // is same-run, same-host, same-build.
-                let cell_runs = [
-                    (Engine::Pr1Spawn, rayon::DequeImpl::LockFree, "none"),
-                    (
-                        Engine::Pooled,
-                        rayon::DequeImpl::Mutex,
-                        deque_name(rayon::DequeImpl::Mutex),
-                    ),
-                    (
-                        Engine::Pooled,
-                        rayon::DequeImpl::LockFree,
-                        deque_name(rayon::DequeImpl::LockFree),
-                    ),
-                    (
-                        Engine::Pipelined,
-                        rayon::DequeImpl::Mutex,
-                        deque_name(rayon::DequeImpl::Mutex),
-                    ),
-                    (
-                        Engine::Pipelined,
-                        rayon::DequeImpl::LockFree,
-                        deque_name(rayon::DequeImpl::LockFree),
-                    ),
-                ];
-                for (engine, deque, deque_tag) in cell_runs {
-                    // Best of two: replays are deterministic, the spread
-                    // is machine noise.
-                    let (secs_a, fingerprint) =
-                        run_once(params, &initial, &batches, engine, deque, threads);
-                    let (secs_b, _) = run_once(params, &initial, &batches, engine, deque, threads);
-                    let secs = secs_a.min(secs_b);
-                    let reference =
-                        reference_fingerprint.get_or_insert_with(|| fingerprint.clone());
-                    let identical = *reference == fingerprint;
-                    assert!(
-                        identical,
-                        "{mode}/{batch_size}/{threads}/{}/{deque_tag} diverged from the \
-                         reference clustering — the execution layer must be semantically \
-                         inert",
-                        engine.name()
-                    );
-                    if engine == Engine::Pr1Spawn {
-                        pr1_secs = secs;
-                    }
-                    rows.push(ParallelBenchRow {
-                        algorithm: "DynStrClu",
-                        mode,
-                        batch_size,
-                        threads,
-                        engine: engine.name(),
-                        deque: deque_tag,
-                        updates,
-                        secs,
-                        ops: updates as f64 / secs.max(f64::EPSILON),
-                        speedup_vs_pr1: pr1_secs / secs.max(f64::EPSILON),
-                        identical_clustering: identical,
-                    });
-                }
+                // Best of two: replays are deterministic, the spread is
+                // machine noise.
+                let (secs_a, fingerprint) = run_once(params, &initial, &batches, threads);
+                let (secs_b, _) = run_once(params, &initial, &batches, threads);
+                let secs = secs_a.min(secs_b);
+                let (base_secs, base_fingerprint) =
+                    reference.get_or_insert_with(|| (secs, fingerprint.clone()));
+                let identical = *base_fingerprint == fingerprint;
+                assert!(
+                    identical,
+                    "{mode}/{batch_size}/{threads} diverged from the reference clustering — \
+                     the execution layer must be semantically inert"
+                );
+                rows.push(ParallelBenchRow {
+                    algorithm: "DynStrClu",
+                    mode,
+                    batch_size,
+                    threads,
+                    updates,
+                    secs,
+                    ops: updates as f64 / secs.max(f64::EPSILON),
+                    speedup_vs_one_thread: *base_secs / secs.max(f64::EPSILON),
+                    identical_clustering: identical,
+                });
             }
         }
     }
@@ -565,32 +468,6 @@ pub fn run_concurrent_reads(config: &ParallelBenchConfig, readers: usize) -> Con
     }
 }
 
-/// The deque-swap guard: the geometric mean, over every (mode, batch,
-/// threads, engine) cell measured under both deque implementations, of
-/// lock-free ops over mutex ops.  `None` when no cell has both rows.
-/// Same-run and same-host by construction, so the ratio isolates the
-/// deque's own effect from machine drift.
-pub fn lock_free_vs_mutex_geomean(rows: &[ParallelBenchRow]) -> Option<f64> {
-    let mut log_sum = 0.0;
-    let mut cells = 0usize;
-    for lf in rows.iter().filter(|r| r.deque == rayon::deque::IMPL_NAME) {
-        let Some(mx) = rows.iter().find(|r| {
-            r.deque == "mutex"
-                && r.engine == lf.engine
-                && r.mode == lf.mode
-                && r.batch_size == lf.batch_size
-                && r.threads == lf.threads
-        }) else {
-            continue;
-        };
-        if lf.ops > 0.0 && mx.ops > 0.0 {
-            log_sum += (lf.ops / mx.ops).ln();
-            cells += 1;
-        }
-    }
-    (cells > 0).then(|| (log_sum / cells as f64).exp())
-}
-
 /// Render rows as the `BENCH_parallel.json` document (hand-rolled JSON —
 /// the vendored serde is a marker stub).
 pub fn parallel_rows_to_json(config: &ParallelBenchConfig, rows: &[ParallelBenchRow]) -> String {
@@ -622,9 +499,6 @@ pub fn parallel_report_json(
              host; ratios near parity are expected where the win needs parallel hardware \
              or low scheduler noise\","
         );
-    }
-    if let Some(geomean) = lock_free_vs_mutex_geomean(rows) {
-        let _ = writeln!(out, "  \"lock_free_vs_mutex_geomean\": {geomean:.3},");
     }
     if let Some(geomean) = kernel_vs_scalar_geomean(kernel_rows) {
         let _ = writeln!(out, "  \"kernel_vs_scalar_geomean\": {geomean:.3},");
@@ -679,19 +553,16 @@ pub fn parallel_report_json(
         let _ = write!(
             out,
             "    {{\"algorithm\": \"{}\", \"mode\": \"{}\", \"batch_size\": {}, \
-             \"threads\": {}, \"engine\": \"{}\", \"deque\": \"{}\", \"updates\": {}, \
-             \"secs\": {:.6}, \"ops\": {:.1}, \"speedup_vs_pr1\": {:.3}, \
-             \"identical_clustering\": {}}}",
+             \"threads\": {}, \"updates\": {}, \"secs\": {:.6}, \"ops\": {:.1}, \
+             \"speedup_vs_one_thread\": {:.3}, \"identical_clustering\": {}}}",
             row.algorithm,
             row.mode,
             row.batch_size,
             row.threads,
-            row.engine,
-            row.deque,
             row.updates,
             row.secs,
             row.ops,
-            row.speedup_vs_pr1,
+            row.speedup_vs_one_thread,
             row.identical_clustering,
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
@@ -705,21 +576,19 @@ pub fn parallel_rows_to_table(rows: &[ParallelBenchRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<11} {:<10} {:>6} {:>8} {:<10} {:<10} {:>12} {:>9} {:>10}",
-        "algorithm", "mode", "batch", "threads", "engine", "deque", "ops/s", "vs pr1", "identical"
+        "{:<11} {:<10} {:>6} {:>8} {:>12} {:>9} {:>10}",
+        "algorithm", "mode", "batch", "threads", "ops/s", "vs 1 thr", "identical"
     );
     for row in rows {
         let _ = writeln!(
             out,
-            "{:<11} {:<10} {:>6} {:>8} {:<10} {:<10} {:>12.0} {:>8.2}x {:>10}",
+            "{:<11} {:<10} {:>6} {:>8} {:>12.0} {:>8.2}x {:>10}",
             row.algorithm,
             row.mode,
             row.batch_size,
             row.threads,
-            row.engine,
-            row.deque,
             row.ops,
-            row.speedup_vs_pr1,
+            row.speedup_vs_one_thread,
             row.identical_clustering,
         );
     }
@@ -731,55 +600,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_sweep_is_identical_across_engines_threads_and_deques() {
+    fn quick_sweep_is_identical_across_thread_counts() {
         let config = ParallelBenchConfig::quick();
         let rows = run_parallel_scaling(&config);
-        // 2 modes × 1 batch size × 2 thread counts × (pr1 + 2 engines ×
-        // 2 deque implementations).
-        assert_eq!(rows.len(), 20);
+        // 2 modes × 1 batch size × 2 thread counts.
+        assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|r| r.identical_clustering));
         assert!(rows.iter().all(|r| r.updates > 0 && r.secs > 0.0));
-        // The pr1 reference rows carry speedup 1.0 by construction.
-        for row in rows.iter().filter(|r| r.engine == "pr1-spawn") {
-            assert!((row.speedup_vs_pr1 - 1.0).abs() < 1e-9);
-            assert_eq!(row.deque, "none");
+        // The 1-thread rows anchor their cell at speedup 1.0.
+        for row in rows.iter().filter(|r| r.threads == 1) {
+            assert!((row.speedup_vs_one_thread - 1.0).abs() < 1e-9);
         }
-        // Every deque-exercising cell was measured under both
-        // implementations, so the swap guard has data.
-        let geomean = lock_free_vs_mutex_geomean(&rows).expect("paired deque rows");
-        assert!(geomean.is_finite() && geomean > 0.0);
     }
 
     #[test]
     fn json_and_table_shapes() {
         let config = ParallelBenchConfig::quick();
-        let mut rows = vec![ParallelBenchRow {
+        let rows = vec![ParallelBenchRow {
             algorithm: "DynStrClu",
             mode: "sampled",
             batch_size: 128,
             threads: 4,
-            engine: "pipelined",
-            deque: "chase-lev",
             updates: 1024,
             secs: 0.5,
             ops: 2048.0,
-            speedup_vs_pr1: 1.7,
+            speedup_vs_one_thread: 1.7,
             identical_clustering: true,
         }];
-        let mut mutex_row = rows[0].clone();
-        mutex_row.deque = "mutex";
-        mutex_row.ops = 1024.0;
-        rows.push(mutex_row);
         let json = parallel_rows_to_json(&config, &rows);
         assert!(json.contains("\"benchmark\": \"parallel_scaling\""));
-        assert!(json.contains("\"engine\": \"pipelined\""));
-        assert!(json.contains("\"deque\": \"chase-lev\""));
-        assert!(json.contains("\"deque\": \"mutex\""));
-        // 2048 lock-free ops vs 1024 mutex ops in the one paired cell.
-        assert!(json.contains("\"lock_free_vs_mutex_geomean\": 2.000"));
+        assert!(json.contains("\"speedup_vs_one_thread\": 1.700"));
+        assert!(!json.contains("engine") && !json.contains("deque"));
         assert!(json.trim_end().ends_with('}'));
         let table = parallel_rows_to_table(&rows);
-        assert!(table.contains("pipelined"));
+        assert!(table.contains("1.70x"));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! | `decode-no-panic` | no `unwrap`/`expect`/slice-indexing in decode modules     |
 //! | `facade-sync`     | no direct `std::sync`/`std::thread` in facaded modules    |
 //! | `no-raw-clock`    | no `Instant::now`/`SystemTime` outside the Clock module   |
-//! | `deprecated-api`  | no calls to internally deprecated APIs (`apply_update`)   |
 //!
 //! Every finding is an **error** unless a matching entry in
 //! `crates/check/lint-allow.txt` suppresses it with a one-line
@@ -56,14 +55,6 @@ const FACADED_MODULES: &[&str] = &[
 /// The one sanctioned wall-clock read (everything else goes through the
 /// `Clock` abstraction so tests and replay stay deterministic).
 const CLOCK_MODULE: &str = "crates/core/src/clock.rs";
-
-/// Internally deprecated APIs (marked `#[deprecated]` in the source)
-/// whose *call sites* are denied, with the replacement to name in the
-/// report.  Definitions (`fn <name>`) are exempt.
-const DEPRECATED_APIS: &[(&str, &str)] = &[(
-    "apply_update",
-    "use `try_apply`, which reports the rejection cause",
-)];
 
 /// One lint violation.
 #[derive(Debug, Clone)]
@@ -611,38 +602,6 @@ fn rule_no_raw_clock(ctx: &FileCtx) -> Vec<Finding> {
     out
 }
 
-/// `deprecated-api`: call sites of internally deprecated APIs are
-/// denied outright (the `#[deprecated]` attribute only warns, and
-/// warnings rot).  Definitions (`fn <name>`) are exempt; compat tests
-/// carrying `#[allow(deprecated)]` live in `#[cfg(test)]` regions,
-/// which are exempt too.
-fn rule_deprecated_api(ctx: &FileCtx) -> Vec<Finding> {
-    let mut out = Vec::new();
-    if !(ctx.rel.starts_with("crates/") || ctx.rel.starts_with("vendor/rayon/")) {
-        return out;
-    }
-    for (i, code) in ctx.code_lines.iter().enumerate() {
-        if ctx.in_test.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        for (name, instead) in DEPRECATED_APIS {
-            for at in word_positions(code, name) {
-                let before = code[..at].trim_end();
-                if before.ends_with("fn") {
-                    continue; // the deprecated definition itself
-                }
-                out.push(finding(
-                    ctx,
-                    "deprecated-api",
-                    i,
-                    format!("`{name}` is deprecated — {instead}"),
-                ));
-            }
-        }
-    }
-    out
-}
-
 // --------------------------------------------------------------------- //
 // Allowlist
 // --------------------------------------------------------------------- //
@@ -758,7 +717,6 @@ pub fn run(root: &Path) -> std::io::Result<Outcome> {
         findings.extend(rule_decode_no_panic(&ctx));
         findings.extend(rule_facade_sync(&ctx));
         findings.extend(rule_no_raw_clock(&ctx));
-        findings.extend(rule_deprecated_api(&ctx));
         for f in findings {
             match allows.iter().position(|a| allow_matches(a, &f)) {
                 Some(idx) => {
@@ -811,7 +769,6 @@ mod tests {
         out.extend(rule_decode_no_panic(&ctx));
         out.extend(rule_facade_sync(&ctx));
         out.extend(rule_no_raw_clock(&ctx));
-        out.extend(rule_deprecated_api(&ctx));
         out
     }
 
@@ -893,16 +850,6 @@ let raw = r#"raw [0] "inner" end"#;
         assert!(found.iter().all(|f| f.rule == "no-raw-clock"));
         assert!(check("crates/core/src/clock.rs", bad).is_empty());
         assert!(check("crates/bench/src/lib.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn deprecated_rule_flags_call_sites_not_definitions() {
-        let call = "fn go(g: &mut G) { g.apply_update(u); }\n";
-        let found = check("crates/sim/src/lib.rs", call);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, "deprecated-api");
-        let def = "    fn apply_update(&mut self, update: GraphUpdate) -> bool {\n";
-        assert!(check("crates/core/src/traits.rs", def).is_empty());
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub struct ElmStats {
     pub batches: u64,
 }
 
-/// Reusable buffers of the batch pipeline, kept on the instance so steady
+/// Reusable buffers of the batch engine, kept on the instance so steady
 /// state batches — including the batch-size-1 single-update path —
 /// allocate almost nothing.
 #[derive(Clone, Debug, Default)]
@@ -230,11 +230,9 @@ impl DynElm {
     /// Drain the DT maturities pending at `touched`, feeding the dirty
     /// tracker while marks are being collected: the tracked drain also
     /// reports every signalled edge and the round restarts that moved
-    /// heap entries at the *far* endpoint.  The single source of the
-    /// drain/mark protocol for both the monolithic and the pipelined
-    /// batch engine — the untracked path stays log-free (all-dirty
-    /// instances pay nothing).
-    pub(crate) fn drain_touched_tracked(&mut self, touched: &[VertexId]) -> Vec<EdgeKey> {
+    /// heap entries at the *far* endpoint.  The untracked path stays
+    /// log-free (all-dirty instances pay nothing).
+    fn drain_touched_tracked(&mut self, touched: &[VertexId]) -> Vec<EdgeKey> {
         if self.dirty.is_tracking() {
             let mut drain_log = (Vec::new(), Vec::new());
             let matured = self
@@ -398,12 +396,11 @@ impl DynElm {
         let run_job = |&(key, invocation): &(EdgeKey, u64)| {
             strategy.label_deterministic(graph, key, invocation, seed)
         };
-        let outcomes: Vec<LabelOutcome> =
-            if updates.len() > 1 && jobs.len() >= self.pool.parallel_cutoff() {
-                self.pool.map(&jobs, run_job)
-            } else {
-                jobs.iter().map(run_job).collect()
-            };
+        let outcomes: Vec<LabelOutcome> = if updates.len() > 1 {
+            self.pool.map(&jobs, run_job)
+        } else {
+            jobs.iter().map(run_job).collect()
+        };
 
         // Phase 4 — commit labels, restart DT instances at post-batch
         // degrees, fold the work counters back in.

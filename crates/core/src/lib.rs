@@ -81,7 +81,6 @@ pub mod epoch;
 pub mod fixtures;
 pub mod gate;
 pub mod params;
-pub mod pipeline;
 pub mod pool;
 pub mod session;
 pub mod snapshot;

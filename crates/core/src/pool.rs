@@ -1,21 +1,18 @@
 //! The execution-pool handle the parallel batch engine runs on.
 //!
 //! [`ExecPool`] abstracts **where** the engine's data-parallel work
-//! (re-estimation fan-out, shard-partitioned aux maintenance, pipeline
-//! overlap) executes:
+//! (re-estimation fan-out, shard-partitioned aux maintenance, background
+//! checkpoint encoding) executes:
 //!
 //! * [`ExecPool::global`] — the lazily initialised process-wide
 //!   work-stealing pool (`RAYON_NUM_THREADS` sized), the default.
 //! * [`ExecPool::with_threads`] — a dedicated pool of exactly `n` workers,
 //!   shared by clones of the handle.  `Session::builder().threads(n)` ends
 //!   up here.
-//! * [`ExecPool::spawn_per_batch_reference`] — the PR 1 executor
-//!   (std-scoped threads spawned per call, higher dispatch cutoff), kept
-//!   as the measurable reference point for the `parallel_scaling` bench.
 //!
 //! Determinism does not depend on the choice: every parallel operation
 //! scatters results by input index and every job's outcome is a pure
-//! function of its inputs, so all pools — at any thread count — produce
+//! function of its inputs, so both pools — at any thread count — produce
 //! identical results, only at different speeds.
 
 use crate::sync::Arc;
@@ -26,18 +23,11 @@ enum PoolKind {
     Global,
     /// A dedicated work-stealing pool with a fixed worker count.
     Dedicated(Arc<rayon::ThreadPool>),
-    /// PR 1 reference executor: spawn scoped threads per call.
-    SpawnPerBatch { threads: usize },
 }
 
-/// Below this many jobs a *pooled* parallel map runs inline: dispatching
-/// onto resident workers is cheap, but not free.
-const POOLED_PARALLEL_CUTOFF: usize = 32;
-
-/// Below this many jobs the spawn-per-batch reference executor runs
-/// inline (thread spawn latency only amortises on sizeable batches; this
-/// is the PR 1 value).
-const SPAWN_PARALLEL_CUTOFF: usize = 128;
+/// Below this many jobs a parallel map runs inline: dispatching onto
+/// resident workers is cheap, but not free.
+const PARALLEL_CUTOFF: usize = 32;
 
 /// Handle to an execution pool; see the [module docs](self).
 #[derive(Clone, Debug)]
@@ -84,97 +74,29 @@ impl ExecPool {
         }
     }
 
-    /// Like [`ExecPool::with_threads`], but pinning the per-worker deque
-    /// implementation instead of taking the build default.  Exists so
-    /// the `parallel_scaling` bench can measure the lock-free deque
-    /// against the mutex one in the same process on the same host;
-    /// production callers should let the default stand.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`ExecPool::with_threads`].
-    pub fn with_threads_and_deque(threads: usize, deque: rayon::DequeImpl) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .deque_impl(deque)
-            .build()
-            .expect("spawning dedicated pool workers");
-        ExecPool {
-            kind: PoolKind::Dedicated(Arc::new(pool)),
-        }
-    }
-
-    /// The PR 1 reference executor: `threads` scoped threads spawned per
-    /// parallel call, sequential below the old 128-job cutoff, no
-    /// pipeline overlap.  Exists so the `parallel_scaling` bench can
-    /// measure the persistent pool against its predecessor honestly.
-    pub fn spawn_per_batch_reference(threads: usize) -> Self {
-        ExecPool {
-            kind: PoolKind::SpawnPerBatch {
-                threads: threads.max(1),
-            },
-        }
-    }
-
     /// Worker threads parallel operations on this handle use.
     pub fn num_threads(&self) -> usize {
         match &self.kind {
             PoolKind::Global => rayon::current_num_threads(),
             PoolKind::Dedicated(pool) => pool.num_threads(),
-            PoolKind::SpawnPerBatch { threads } => *threads,
         }
     }
 
-    /// The job count below which [`ExecPool::map`] runs inline.
-    pub fn parallel_cutoff(&self) -> usize {
-        match &self.kind {
-            PoolKind::Global | PoolKind::Dedicated(_) => POOLED_PARALLEL_CUTOFF,
-            PoolKind::SpawnPerBatch { .. } => SPAWN_PARALLEL_CUTOFF,
-        }
-    }
-
-    /// Map `f` over `items` in parallel, results in input order.  Inputs
-    /// below [`ExecPool::parallel_cutoff`] (or a single-thread pool) run
-    /// on the calling thread.
+    /// Map `f` over `items` in parallel, results in input order.  Short
+    /// inputs (below an internal 32-job cutoff) and single-thread pools
+    /// run on the calling thread.
     pub fn map<'a, T, R, F>(&self, items: &'a [T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&'a T) -> R + Sync,
     {
-        if items.len() < self.parallel_cutoff() || self.num_threads() <= 1 {
+        if items.len() < PARALLEL_CUTOFF || self.num_threads() <= 1 {
             return items.iter().map(&f).collect();
         }
         match &self.kind {
             PoolKind::Global => rayon::global().map_slice(items, f),
             PoolKind::Dedicated(pool) => pool.map_slice(items, f),
-            PoolKind::SpawnPerBatch { threads } => spawn_map(items, &f, *threads),
-        }
-    }
-
-    /// Run `background` on the pool while `foreground` runs on the
-    /// calling thread; returns `foreground`'s result once **both** have
-    /// finished.  This is the pipeline-overlap primitive: re-estimation
-    /// of batch *k* rides in `background` while the caller stages batch
-    /// *k + 1*'s topology in `foreground`.
-    pub fn overlap<'a, BG, FG, R>(&self, background: BG, foreground: FG) -> R
-    where
-        BG: FnOnce() + Send + 'a,
-        FG: FnOnce() -> R,
-    {
-        match &self.kind {
-            PoolKind::Global => rayon::global().scope(|s| {
-                s.spawn(|_| background());
-                foreground()
-            }),
-            PoolKind::Dedicated(pool) => pool.scope(|s| {
-                s.spawn(|_| background());
-                foreground()
-            }),
-            PoolKind::SpawnPerBatch { .. } => std::thread::scope(|s| {
-                s.spawn(background);
-                foreground()
-            }),
         }
     }
 
@@ -183,15 +105,11 @@ impl ExecPool {
     /// a capture's document and streams it into the sink off the update
     /// thread).  The task owns its data and must synchronise completion
     /// itself (the session uses a mutex/condvar slot); a panic inside it
-    /// is contained to the task.  On the spawn-per-batch reference
-    /// executor the task gets a plain detached thread.
+    /// is contained to the task.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
         match &self.kind {
             PoolKind::Global => rayon::global().spawn_detached(task),
             PoolKind::Dedicated(pool) => pool.spawn_detached(task),
-            PoolKind::SpawnPerBatch { .. } => {
-                std::thread::spawn(task);
-            }
         }
     }
 
@@ -218,44 +136,8 @@ impl ExecPool {
                     s.spawn(move |_| task());
                 }
             }),
-            PoolKind::SpawnPerBatch { .. } => std::thread::scope(|s| {
-                for task in tasks {
-                    s.spawn(task);
-                }
-            }),
         }
     }
-}
-
-/// The PR 1 parallel map: spawn `threads` scoped threads, one contiguous
-/// chunk each, concatenate in chunk order.
-fn spawn_map<'a, T, R, F>(items: &'a [T], f: &F, threads: usize) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> R + Sync,
-{
-    let n = items.len();
-    let threads = threads.min(n.max(1));
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk_len = n.div_ceil(threads);
-    let mut chunk_results: Vec<Vec<R>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        for handle in handles {
-            chunk_results.push(handle.join().expect("parallel map worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for chunk in chunk_results {
-        out.extend(chunk);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -268,7 +150,6 @@ mod tests {
             ExecPool::global(),
             ExecPool::with_threads(1),
             ExecPool::with_threads(3),
-            ExecPool::spawn_per_batch_reference(2),
         ]
     }
 
@@ -281,21 +162,6 @@ mod tests {
             for (i, &r) in out.iter().enumerate() {
                 assert_eq!(r, i as u64 * 7, "{pool:?}");
             }
-        }
-    }
-
-    #[test]
-    fn overlap_runs_both_halves() {
-        for pool in pools() {
-            let background_done = AtomicU64::new(0);
-            let fg = pool.overlap(
-                || {
-                    background_done.store(1, Ordering::SeqCst);
-                },
-                || 42u32,
-            );
-            assert_eq!(fg, 42);
-            assert_eq!(background_done.load(Ordering::SeqCst), 1, "{pool:?}");
         }
     }
 
@@ -320,10 +186,5 @@ mod tests {
     fn with_threads_zero_is_the_global_pool() {
         let pool = ExecPool::with_threads(0);
         assert_eq!(pool.num_threads(), rayon::current_num_threads());
-        assert_eq!(
-            ExecPool::spawn_per_batch_reference(4).parallel_cutoff(),
-            SPAWN_PARALLEL_CUTOFF
-        );
-        assert_eq!(ExecPool::global().parallel_cutoff(), POOLED_PARALLEL_CUTOFF);
     }
 }

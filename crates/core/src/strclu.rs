@@ -9,7 +9,6 @@ use crate::pool::ExecPool;
 use dynscan_conn::{DynamicConnectivity, HdtConnectivity};
 use dynscan_graph::{DynGraph, EdgeKey, GraphError, GraphUpdate, MemoryFootprint, VertexId};
 use dynscan_sim::EdgeLabel;
-use std::collections::HashMap;
 
 /// Flip sets at least this large fan their vAuxInfo maintenance out
 /// across vertex-range shards on the execution pool; smaller sets run
@@ -122,67 +121,38 @@ impl DynStrClu {
         self.core_graph.num_edges()
     }
 
-    pub(crate) fn ensure_aux(&mut self, v: VertexId) {
+    fn ensure_aux(&mut self, v: VertexId) {
         if v.index() >= self.aux.len() {
             self.aux.resize_with(v.index() + 1, VertexAux::default);
         }
     }
 
-    /// Whether `key` is present in the graph **as of the batch the
-    /// current flip set belongs to**.  The pipelined engine may already
-    /// have applied the *next* batch's topology when this runs; `overlay`
-    /// then maps every key that batch touched back to its prior
-    /// presence, keeping the maintenance observationally identical to
-    /// sequential execution.
-    fn edge_present(&self, key: EdgeKey, overlay: Option<&HashMap<EdgeKey, bool>>) -> bool {
-        if let Some(&present) = overlay.and_then(|o| o.get(&key)) {
-            return present;
-        }
+    /// Whether the edge is a sim-core edge under the maintained state
+    /// (exists, labelled similar, both endpoints core).
+    fn is_sim_core_edge(&self, key: EdgeKey) -> bool {
         let (a, b) = key.endpoints();
         self.elm.graph().has_edge(a, b)
-    }
-
-    /// Whether the edge is a sim-core edge under the maintained state
-    /// (exists at the flip set's batch, labelled similar, both endpoints
-    /// core).
-    fn is_sim_core_edge_at(&self, key: EdgeKey, overlay: Option<&HashMap<EdgeKey, bool>>) -> bool {
-        let (a, b) = key.endpoints();
-        self.edge_present(key, overlay)
             && self.elm.label(key).is_some_and(|l| l.is_similar())
             && self.aux[a.index()].is_core()
             && self.aux[b.index()].is_core()
     }
 
     /// Maintain vAuxInfo and `G_core` given the flipped-edge set `F`
-    /// returned by the ELM module for one update or batch.
+    /// returned by the ELM module for one update or batch.  Dispatches to
+    /// the shard-partitioned path for large flip sets on a multi-threaded
+    /// pool; the two paths produce identical observable state.
     fn apply_flips(&mut self, flipped: &[FlippedEdge]) {
-        self.apply_flips_at(flipped, None);
-    }
-
-    /// [`Self::apply_flips`] with an optional edge-presence overlay (see
-    /// [`Self::edge_present`]).  Dispatches to the shard-partitioned path
-    /// for large flip sets on a multi-threaded pool; the two paths
-    /// produce identical observable state.
-    pub(crate) fn apply_flips_at(
-        &mut self,
-        flipped: &[FlippedEdge],
-        overlay: Option<&HashMap<EdgeKey, bool>>,
-    ) {
         if flipped.is_empty() {
             return;
         }
         if flipped.len() >= self.shard_flip_cutoff && self.elm.exec_pool().num_threads() > 1 {
-            self.apply_flips_sharded(flipped, overlay);
+            self.apply_flips_sharded(flipped);
         } else {
-            self.apply_flips_sequential(flipped, overlay);
+            self.apply_flips_sequential(flipped);
         }
     }
 
-    fn apply_flips_sequential(
-        &mut self,
-        flipped: &[FlippedEdge],
-        overlay: Option<&HashMap<EdgeKey, bool>>,
-    ) {
+    fn apply_flips_sequential(&mut self, flipped: &[FlippedEdge]) {
         // Phase A: similar-neighbour sets and SimCnt.
         for &(key, new_label) in flipped {
             let (a, b) = key.endpoints();
@@ -233,7 +203,7 @@ impl DynStrClu {
                 self.aux[y.index()].set_neighbour_core(x, x_core);
             }
         }
-        self.maintain_core_graph(flipped, &core_flips, overlay);
+        self.maintain_core_graph(flipped, &core_flips);
     }
 
     /// Shard-partitioned vAuxInfo maintenance: per-vertex aux state is
@@ -244,11 +214,7 @@ impl DynStrClu {
     /// boundaries only reorder work between vertices, never within one.
     /// `G_core` maintenance (phase D) stays sequential: it is O(|F′| log²n)
     /// on one shared structure and is not the bottleneck.
-    fn apply_flips_sharded(
-        &mut self,
-        flipped: &[FlippedEdge],
-        overlay: Option<&HashMap<EdgeKey, bool>>,
-    ) {
+    fn apply_flips_sharded(&mut self, flipped: &[FlippedEdge]) {
         // Fixed shard geometry needs the aux vector at its full, final
         // size up front (every flip endpoint and every similar neighbour
         // lives inside the graph's vertex space).
@@ -343,18 +309,13 @@ impl DynStrClu {
             }
             pool.fan_out(tasks);
         }
-        self.maintain_core_graph(flipped, &core_flips, overlay);
+        self.maintain_core_graph(flipped, &core_flips);
     }
 
     /// Phase D: sim-core edge flips (the set F′) applied to `G_core`.
     /// Candidates: edges of F plus, for every vertex with a core flip,
     /// its (at most μ) persistently similar edges.
-    fn maintain_core_graph(
-        &mut self,
-        flipped: &[FlippedEdge],
-        core_flips: &[VertexId],
-        overlay: Option<&HashMap<EdgeKey, bool>>,
-    ) {
+    fn maintain_core_graph(&mut self, flipped: &[FlippedEdge], core_flips: &[VertexId]) {
         let mut candidates: Vec<EdgeKey> = flipped.iter().map(|&(k, _)| k).collect();
         for &x in core_flips {
             for y in self.aux[x.index()].similar_neighbours() {
@@ -363,7 +324,7 @@ impl DynStrClu {
         }
         for key in candidates {
             let (a, b) = key.endpoints();
-            let desired = self.is_sim_core_edge_at(key, overlay);
+            let desired = self.is_sim_core_edge(key);
             let present = self.core_graph.has_edge(a, b);
             if desired && !present {
                 self.core_graph.insert_edge(a, b);

@@ -14,8 +14,7 @@ use dynscan_graph::{
 };
 use std::fmt;
 
-/// Why a single update was rejected, with its cause — the typed
-/// replacement for the old cause-swallowing `apply_update -> bool`.
+/// Why a single update was rejected, with its cause.
 ///
 /// All three causes leave the structure completely unchanged; callers are
 /// free to treat them as recoverable (a stream replay simply skips them)
@@ -90,16 +89,6 @@ pub trait DynamicClustering {
     /// an [`UpdateError`].
     fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError>;
 
-    /// Apply one update.  Invalid updates (duplicate insertions, deletions
-    /// of missing edges) are ignored and reported as `false`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_apply`, which reports the rejection cause instead of swallowing it"
-    )]
-    fn apply_update(&mut self, update: GraphUpdate) -> bool {
-        self.try_apply(update).is_ok()
-    }
-
     /// Extract the current clustering (O(n + m)).
     fn current_clustering(&self) -> StrCluResult;
 
@@ -141,20 +130,6 @@ pub trait DynamicClustering {
 pub trait BatchUpdate: DynamicClustering {
     /// Apply a batch of updates; returns the coalesced net flip set.
     fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge>;
-
-    /// Apply a *sequence* of batches, returning one net flip set per
-    /// batch — semantically identical to calling
-    /// [`BatchUpdate::apply_batch`] in a loop (the default does exactly
-    /// that), but overridable with a pipelined execution: [`DynElm`] and
-    /// [`DynStrClu`] overlap batch *k + 1*'s topology-apply with batch
-    /// *k*'s re-estimation on the execution pool, with byte-identical
-    /// results (see [`crate::pipeline`]).
-    fn apply_batches(&mut self, batches: &[Vec<GraphUpdate>]) -> Vec<Vec<FlippedEdge>> {
-        batches
-            .iter()
-            .map(|batch| self.apply_batch(batch))
-            .collect()
-    }
 }
 
 /// Checkpoint/restore of a dynamic clustering algorithm's full live state.
@@ -450,19 +425,11 @@ impl BatchUpdate for DynElm {
     fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
         DynElm::apply_batch(self, updates)
     }
-
-    fn apply_batches(&mut self, batches: &[Vec<GraphUpdate>]) -> Vec<Vec<FlippedEdge>> {
-        DynElm::apply_batches(self, batches)
-    }
 }
 
 impl BatchUpdate for DynStrClu {
     fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
         DynStrClu::apply_batch(self, updates)
-    }
-
-    fn apply_batches(&mut self, batches: &[Vec<GraphUpdate>]) -> Vec<Vec<FlippedEdge>> {
-        DynStrClu::apply_batches(self, batches)
     }
 }
 
@@ -605,16 +572,6 @@ mod tests {
             assert_eq!(algo.num_vertices(), g.num_vertices());
             assert!(algo.elm_stats().is_some());
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_bool_path_still_works() {
-        let params = two_cliques_params().with_exact_labels();
-        let mut algo: Box<dyn DynamicClustering> = Box::new(DynStrClu::new(params));
-        assert!(algo.apply_update(GraphUpdate::Insert(VertexId(0), VertexId(1))));
-        assert!(!algo.apply_update(GraphUpdate::Insert(VertexId(0), VertexId(1))));
-        assert!(!algo.apply_update(GraphUpdate::Delete(VertexId(4), VertexId(5))));
     }
 
     #[test]

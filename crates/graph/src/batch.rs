@@ -72,15 +72,6 @@ impl DynGraph {
         }
     }
 
-    /// Apply one update, dispatching on its kind.
-    #[deprecated(
-        since = "0.2.0",
-        note = "renamed to `try_apply` for naming consistency"
-    )]
-    pub fn apply_update(&mut self, update: GraphUpdate) -> Result<(), GraphError> {
-        self.try_apply(update)
-    }
-
     /// Apply a batch of updates in stream order, skipping invalid ones.
     ///
     /// The final topology is identical to applying the batch one update at

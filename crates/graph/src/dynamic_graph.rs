@@ -185,16 +185,6 @@ impl Deref for NeighbourhoodRef<'_> {
     }
 }
 
-impl NeighbourhoodRef<'_> {
-    /// An owned copy of the neighbourhood (clone for hot, move for cold).
-    pub fn to_set(self) -> IndexedSet {
-        match self {
-            NeighbourhoodRef::Hot(s) => s.clone(),
-            NeighbourhoodRef::Cold(s) => s,
-        }
-    }
-}
-
 /// Iterator over one vertex's neighbours in slot order, from either tier.
 #[derive(Debug)]
 pub struct NeighbourIter<'a>(NeighbourIterInner<'a>);

@@ -61,4 +61,4 @@ pub use snapshot::{
 };
 pub use update::GraphUpdate;
 pub use vertex::VertexId;
-pub use view::{FrozenNeighbourhoods, NeighbourhoodView};
+pub use view::NeighbourhoodView;

@@ -4,26 +4,14 @@
 //! primitives about a vertex neighbourhood: its size, positional access
 //! (for O(1) uniform sampling), closed-neighbourhood membership, and the
 //! exact closed intersection for the low-degree shortcut.  [`NeighbourhoodView`]
-//! captures those, so the estimation code can run against
-//!
-//! * the live [`DynGraph`] (the ordinary path), or
-//! * a [`FrozenNeighbourhoods`] capture — cloned adjacency sets of just the
-//!   vertices a batch's re-estimation jobs touch.  The pipelined batch
-//!   engine evaluates batch *k*'s jobs against such a capture **while the
-//!   caller thread already applies batch *k + 1*'s topology** to the live
-//!   graph; because the capture preserves every adjacency set's internal
-//!   slot order, positional sampling consumes random bits identically to
-//!   a direct read of the (pre-mutation) graph, keeping results
-//!   bit-identical to sequential execution.
+//! captures those, so the estimation code can run against the live
+//! [`DynGraph`] (the batch engine's path) or an immutable [`CsrGraph`]
+//! snapshot, with one sampling contract for both.
 
 use crate::csr::CsrGraph;
 use crate::dynamic_graph::DynGraph;
-use crate::footprint::{hashmap_bytes, MemoryFootprint};
-use crate::indexed_set::IndexedSet;
-use crate::kernel;
 use crate::vertex::VertexId;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Read-only view of vertex neighbourhoods; see the [module docs](self).
 ///
@@ -74,7 +62,7 @@ pub trait NeighbourhoodView {
     /// [`DynGraph::closed_intersection_size`]).
     ///
     /// This default is the scalar reference; implementations backed by
-    /// [`IndexedSet`]s or sorted slices override it with
+    /// [`IndexedSet`](crate::IndexedSet)s or sorted slices override it with
     /// [`crate::kernel`]'s adaptive paths, which return the same exact
     /// count (pinned by the kernel's differential proptests).
     fn closed_intersection_size(&self, u: VertexId, v: VertexId) -> usize {
@@ -148,177 +136,9 @@ impl NeighbourhoodView for CsrGraph {
     }
 }
 
-/// Cloned adjacency sets of a chosen vertex set, preserving each set's
-/// internal slot order (see the [module docs](self)).
-///
-/// The capture answers neighbourhood queries **only about captured
-/// vertices** (edge membership may name one arbitrary endpoint as long as
-/// the other is captured — exactly the access pattern of the similarity
-/// estimator, which only ever probes the two endpoints of the edge it is
-/// labelling).  Queries entirely outside the capture panic: silently
-/// answering them would let a batch read state the pipeline may already
-/// have mutated.
-#[derive(Clone, Debug, Default)]
-pub struct FrozenNeighbourhoods {
-    sets: HashMap<VertexId, IndexedSet>,
-}
-
-impl FrozenNeighbourhoods {
-    /// Capture the adjacency sets of `vertices` from `graph` (duplicates
-    /// are captured once).
-    pub fn capture<I>(graph: &DynGraph, vertices: I) -> Self
-    where
-        I: IntoIterator<Item = VertexId>,
-    {
-        let mut sets = HashMap::new();
-        for v in vertices {
-            sets.entry(v)
-                .or_insert_with(|| graph.neighbours(v).to_set());
-        }
-        FrozenNeighbourhoods { sets }
-    }
-
-    /// Whether `v`'s neighbourhood was captured.
-    pub fn covers(&self, v: VertexId) -> bool {
-        self.sets.contains_key(&v)
-    }
-
-    /// Number of captured neighbourhoods.
-    pub fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// Whether nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-
-    fn set(&self, v: VertexId) -> &IndexedSet {
-        self.sets
-            .get(&v)
-            .expect("frozen view queried for a vertex outside the capture")
-    }
-
-    /// A two-endpoint view for labelling the edge `(u, v)`: resolves the
-    /// two captured sets **once** so every subsequent probe is a pointer
-    /// compare instead of a map lookup — the hot-path shape the batch
-    /// engine uses per relabel job.
-    pub fn pair(&self, u: VertexId, v: VertexId) -> PairNeighbourhoods<'_> {
-        PairNeighbourhoods {
-            u,
-            v,
-            adj_u: self.set(u),
-            adj_v: self.set(v),
-        }
-    }
-}
-
-/// The frozen neighbourhoods of one edge's two endpoints (see
-/// [`FrozenNeighbourhoods::pair`]).  Queries about any other vertex
-/// panic, mirroring the parent capture's contract.
-#[derive(Clone, Copy, Debug)]
-pub struct PairNeighbourhoods<'a> {
-    u: VertexId,
-    v: VertexId,
-    adj_u: &'a IndexedSet,
-    adj_v: &'a IndexedSet,
-}
-
-impl PairNeighbourhoods<'_> {
-    #[inline]
-    fn adj(&self, x: VertexId) -> &IndexedSet {
-        if x == self.u {
-            self.adj_u
-        } else if x == self.v {
-            self.adj_v
-        } else {
-            panic!("pair view queried for a vertex outside the pair")
-        }
-    }
-}
-
-impl NeighbourhoodView for PairNeighbourhoods<'_> {
-    #[inline]
-    fn degree(&self, x: VertexId) -> usize {
-        self.adj(x).len()
-    }
-
-    #[inline]
-    fn neighbour_at(&self, x: VertexId, i: usize) -> Option<VertexId> {
-        self.adj(x).get(i)
-    }
-
-    #[inline]
-    fn has_edge(&self, a: VertexId, b: VertexId) -> bool {
-        // At least one side of every probe is an endpoint.
-        if b == self.u {
-            self.adj_u.contains(a)
-        } else if b == self.v {
-            self.adj_v.contains(a)
-        } else {
-            self.adj(a).contains(b)
-        }
-    }
-
-    #[inline]
-    fn closed_intersection_size(&self, a: VertexId, b: VertexId) -> usize {
-        kernel::closed_intersection_sets(a, b, self.adj(a), self.adj(b))
-    }
-
-    #[inline]
-    fn closed_union_size(&self, a: VertexId, b: VertexId) -> usize {
-        kernel::closed_union_sets(a, b, self.adj(a), self.adj(b))
-    }
-}
-
-impl NeighbourhoodView for FrozenNeighbourhoods {
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        self.set(v).len()
-    }
-
-    #[inline]
-    fn neighbour_at(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        self.set(v).get(i)
-    }
-
-    #[inline]
-    fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        // Either endpoint's captured set decides; the estimator always has
-        // at least one of the two in the capture.
-        if let Some(s) = self.sets.get(&v) {
-            return s.contains(u);
-        }
-        self.set(u).contains(v)
-    }
-
-    #[inline]
-    fn closed_intersection_size(&self, u: VertexId, v: VertexId) -> usize {
-        kernel::closed_intersection_sets(u, v, self.set(u), self.set(v))
-    }
-
-    #[inline]
-    fn closed_union_size(&self, u: VertexId, v: VertexId) -> usize {
-        kernel::closed_union_sets(u, v, self.set(u), self.set(v))
-    }
-}
-
-impl MemoryFootprint for FrozenNeighbourhoods {
-    fn memory_bytes(&self) -> usize {
-        hashmap_bytes(&self.sets)
-            + self
-                .sets
-                .values()
-                .map(MemoryFootprint::memory_bytes)
-                .sum::<usize>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -359,94 +179,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn frozen_capture_answers_like_the_graph() {
-        let g = fixture();
-        let frozen = FrozenNeighbourhoods::capture(&g, [v(0), v(2), v(3)]);
-        assert_eq!(frozen.len(), 3);
-        assert!(frozen.covers(v(0)) && !frozen.covers(v(4)));
-        for x in [v(0), v(2), v(3)] {
-            assert_eq!(frozen.degree(x), g.degree(x));
-            for i in 0..frozen.degree(x) {
-                assert_eq!(frozen.neighbour_at(x, i), g.neighbours(x).get(i));
-            }
-        }
-        // Edge queries where at least one endpoint is captured.
-        assert_eq!(frozen.has_edge(v(0), v(1)), g.has_edge(v(0), v(1)));
-        assert_eq!(frozen.has_edge(v(4), v(3)), g.has_edge(v(4), v(3)));
-        assert_eq!(
-            frozen.closed_intersection_size(v(0), v(2)),
-            g.closed_intersection_size(v(0), v(2))
-        );
-    }
-
-    #[test]
-    fn frozen_sampling_consumes_identical_random_bits() {
-        let g = fixture();
-        let frozen = FrozenNeighbourhoods::capture(&g, [v(0), v(3)]);
-        for seed in 0..20u64 {
-            let mut r1 = SmallRng::seed_from_u64(seed);
-            let mut r2 = SmallRng::seed_from_u64(seed);
-            for _ in 0..50 {
-                let a = g.sample_closed_neighbourhood(v(0), &mut r1);
-                let b = NeighbourhoodView::sample_closed_neighbourhood(&frozen, v(0), &mut r2);
-                assert_eq!(a, b);
-                let a = g.sample_closed_neighbourhood(v(3), &mut r1);
-                let b = NeighbourhoodView::sample_closed_neighbourhood(&frozen, v(3), &mut r2);
-                assert_eq!(a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn pair_view_matches_the_parent_capture() {
-        let g = fixture();
-        let frozen = FrozenNeighbourhoods::capture(&g, [v(0), v(2)]);
-        let pair = frozen.pair(v(0), v(2));
-        for x in [v(0), v(2)] {
-            assert_eq!(pair.degree(x), g.degree(x));
-            for i in 0..pair.degree(x) {
-                assert_eq!(pair.neighbour_at(x, i), g.neighbours(x).get(i));
-            }
-        }
-        assert_eq!(pair.has_edge(v(0), v(2)), g.has_edge(v(0), v(2)));
-        assert_eq!(pair.has_edge(v(1), v(0)), g.has_edge(v(1), v(0)));
-        assert_eq!(pair.has_edge(v(4), v(2)), g.has_edge(v(4), v(2)));
-        assert_eq!(
-            pair.closed_intersection_size(v(0), v(2)),
-            g.closed_intersection_size(v(0), v(2))
-        );
-        let mut r1 = SmallRng::seed_from_u64(3);
-        let mut r2 = SmallRng::seed_from_u64(3);
-        for _ in 0..40 {
-            assert_eq!(
-                g.sample_closed_neighbourhood(v(0), &mut r1),
-                NeighbourhoodView::sample_closed_neighbourhood(&pair, v(0), &mut r2)
-            );
-        }
-    }
-
-    #[test]
-    fn frozen_is_immune_to_later_graph_mutation() {
-        let mut g = fixture();
-        let frozen = FrozenNeighbourhoods::capture(&g, [v(0), v(1)]);
-        let degree_before = frozen.degree(v(0));
-        g.delete_edge(v(0), v(1)).unwrap();
-        g.insert_edge(v(1), v(4)).unwrap();
-        assert_eq!(frozen.degree(v(0)), degree_before);
-        assert!(
-            frozen.has_edge(v(0), v(1)),
-            "capture reflects the old state"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the capture")]
-    fn queries_fully_outside_the_capture_panic() {
-        let g = fixture();
-        let frozen = FrozenNeighbourhoods::capture(&g, [v(0)]);
-        let _ = frozen.degree(v(4));
     }
 }

@@ -1,9 +1,8 @@
 //! Whole-stack differential test of the adaptive intersection kernel:
-//! for the same topology, every backend of [`NeighbourhoodView`]
-//! (live [`DynGraph`], [`FrozenNeighbourhoods`] capture, its
-//! [`pair`](FrozenNeighbourhoods::pair) view, and the [`CsrGraph`]
-//! snapshot) must report byte-identical closed intersection and union
-//! sizes under `KernelMode::Scalar` and `KernelMode::Adaptive` — the
+//! for the same topology, both backends of [`NeighbourhoodView`] (the
+//! live [`DynGraph`] and the [`CsrGraph`] snapshot) must report
+//! byte-identical closed intersection and union sizes under
+//! `KernelMode::Scalar` and `KernelMode::Adaptive` — the
 //! kernel is a pure performance knob, never an observable one.
 //!
 //! The kernel's unit proptests pin each code path (merge, gallop,
@@ -17,7 +16,7 @@
 //! that also flips the mode.
 
 use dynscan_graph::kernel::{self, KernelMode};
-use dynscan_graph::{CsrGraph, DynGraph, FrozenNeighbourhoods, NeighbourhoodView, VertexId};
+use dynscan_graph::{CsrGraph, DynGraph, NeighbourhoodView, VertexId};
 
 fn v(i: u32) -> VertexId {
     VertexId(i)
@@ -64,24 +63,13 @@ fn build_graph(edges: &[(VertexId, VertexId)], n: u32) -> DynGraph {
     g
 }
 
-/// All four backends' answers for `(u, v)`, in a fixed order.
-fn answers(
-    g: &DynGraph,
-    csr: &CsrGraph,
-    frozen: &FrozenNeighbourhoods,
-    u: VertexId,
-    w: VertexId,
-) -> [usize; 8] {
-    let pair = frozen.pair(u, w);
+/// Both backends' answers for `(u, v)`, in a fixed order.
+fn answers(g: &DynGraph, csr: &CsrGraph, u: VertexId, w: VertexId) -> [usize; 4] {
     [
         g.closed_intersection_size(u, w),
         NeighbourhoodView::closed_union_size(g, u, w),
         csr.closed_intersection_size(u, w),
         csr.closed_union_size(u, w),
-        frozen.closed_intersection_size(u, w),
-        frozen.closed_union_size(u, w),
-        pair.closed_intersection_size(u, w),
-        pair.closed_union_size(u, w),
     ]
 }
 
@@ -104,10 +92,9 @@ fn all_backends_agree_across_kernel_modes() {
         // its absence (scalar) are both part of what is being compared.
         let g = build_graph(&edges, N);
         let csr = CsrGraph::from_dyn(&g);
-        let frozen = FrozenNeighbourhoods::capture(&g, (0..N).map(v));
         let mut all = Vec::with_capacity(probes.len());
         for &(a, b) in &probes {
-            let got = answers(&g, &csr, &frozen, a, b);
+            let got = answers(&g, &csr, a, b);
             // Within one mode, every backend agrees with the first.
             assert!(
                 got.iter().step_by(2).all(|&x| x == got[0]),

@@ -6,11 +6,12 @@
 //! inside the harness — a divergent replica fails the bench, it does not
 //! produce a number.
 //!
-//! Run with `--quick` for the CI smoke scale.  Writes `BENCH_replica.json`
-//! at the workspace root.
+//! Run with `--quick` for the CI smoke scale.  Full-scale runs write
+//! `BENCH_replica.json` at the workspace root; quick runs leave it alone.
 
 use dynscan_bench::{
-    replica_rows_to_json, replica_rows_to_table, run_replica_scaling, ReplicaBenchConfig,
+    replica_rows_to_json, replica_rows_to_table, run_replica_scaling, write_bench_record,
+    ReplicaBenchConfig,
 };
 use std::path::PathBuf;
 
@@ -56,10 +57,9 @@ fn main() {
         }
     }
 
-    let json = replica_rows_to_json(&config, &rows);
-    let out = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_replica.json");
-    std::fs::write(&out, json).expect("write BENCH_replica.json");
-    eprintln!("replica_scaling: wrote {}", out.display());
+    write_bench_record(
+        "BENCH_replica.json",
+        &replica_rows_to_json(&config, &rows),
+        quick,
+    );
 }

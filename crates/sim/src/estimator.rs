@@ -44,8 +44,8 @@ pub fn sample_size(measure: SimilarityMeasure, eps: f64, delta_cap: f64, delta: 
 /// mean `X̄` (an unbiased estimate of `2a / (a + b)`).
 ///
 /// Generic over [`NeighbourhoodView`], so the same code runs against the
-/// live graph or a frozen per-batch capture (pipelined batch engine);
-/// both consume identical random bits for identical slot orders.
+/// live graph or a CSR snapshot; views with identical slot orders
+/// consume identical random bits.
 pub fn intersection_fraction_estimate<G: NeighbourhoodView, R: Rng + ?Sized>(
     graph: &G,
     u: VertexId,

@@ -18,8 +18,8 @@ use dynscan_graph::{CsrGraph, NeighbourhoodView, VertexId};
 ///
 /// Cost: O(min(d\[u\], d\[v\])) membership probes.
 ///
-/// Generic over [`NeighbourhoodView`]: the live `DynGraph` and the batch
-/// engine's frozen per-batch captures compute identical values.
+/// Generic over [`NeighbourhoodView`]: the live `DynGraph` and a
+/// `CsrGraph` snapshot compute identical values.
 pub fn exact_similarity<G: NeighbourhoodView>(
     graph: &G,
     u: VertexId,

@@ -82,22 +82,4 @@ fn main() {
         a.num_hubs(),
         a.num_noise()
     );
-
-    // The pipelined multi-batch path on a dedicated 2-worker pool:
-    // topology of burst k+1 overlaps re-estimation of burst k, and the
-    // result is still byte-identical to everything above.
-    let mut pipelined = build_session(AutoBatchPolicy::Manual, &initial).into_inner();
-    pipelined.set_threads(2);
-    let flip_sets = pipelined.apply_batches(&batches);
-    let c = pipelined.current_clustering();
-    assert_eq!(a.num_clusters(), c.num_clusters());
-    for v in 0..a.num_vertices() as u32 {
-        let v = dynscan::graph::VertexId(v);
-        assert_eq!(a.role(v), c.role(v), "pipelined role mismatch at {v}");
-    }
-    println!(
-        "pipelined (2 threads, {} bursts overlapped): {} net flips — identical again",
-        flip_sets.len(),
-        flip_sets.iter().map(Vec::len).sum::<usize>(),
-    );
 }

@@ -1,13 +1,10 @@
-//! The parallel execution layer is semantically inert: pipelined
-//! (`apply_batches`) and sharded execution on any pool at any thread
-//! count produces **byte-identical** state to a plain sequential
+//! The parallel execution layer is semantically inert: pooled
+//! re-estimation and sharded aux maintenance on any pool at any thread
+//! count produce **byte-identical** state to a single-worker
 //! `apply_batch` loop over the same batch boundaries — for all four
 //! backends, in exact and sampled mode.
 //!
-//! This is the contract the whole refactor rests on (the same invariant
-//! read-committed-style reenactment gives a concurrent history: the
-//! concurrent execution must be observationally identical to the
-//! sequential one).  Byte-identity is checked on three observables:
+//! Byte-identity is checked on three observables:
 //!
 //! * the coalesced net flip set of every batch,
 //! * the erased checkpoint bytes (canonical encoding: equal state ⇔
@@ -19,8 +16,8 @@
 //! have fewer cores — oversubscription must not change results either).
 
 use dynscan_core::{
-    restore_any, AutoBatchPolicy, Backend, Clusterer, DynStrClu, ExecPool, GraphUpdate, Params,
-    Session, VertexId,
+    restore_any, AutoBatchPolicy, Backend, Clusterer, DynStrClu, ExecPool, FlippedEdge,
+    GraphUpdate, Params, Session, VertexId,
 };
 use proptest::prelude::*;
 
@@ -68,6 +65,15 @@ fn sampled_params() -> Params {
     Params::jaccard(0.4, 3).with_rho(0.3).with_seed(0xabc)
 }
 
+/// The batch engine over a whole batch sequence: one net flip set per
+/// batch.
+fn apply_all(engine: &mut dyn Clusterer, batches: &[Vec<GraphUpdate>]) -> Vec<Vec<FlippedEdge>> {
+    batches
+        .iter()
+        .map(|batch| engine.apply_batch(batch))
+        .collect()
+}
+
 fn build(backend: Backend, params: Params) -> Box<dyn Clusterer> {
     dynscan_baseline::install();
     Session::builder()
@@ -78,8 +84,8 @@ fn build(backend: Backend, params: Params) -> Box<dyn Clusterer> {
         .into_inner()
 }
 
-/// Replay `batches` sequentially (apply_batch loop, single-worker pool)
-/// and pipelined at `threads`; every observable must match byte for byte.
+/// Replay `batches` on a single-worker pool and on a pool of every
+/// thread count; every observable must match byte for byte.
 fn assert_equivalent(
     backend: Backend,
     params: Params,
@@ -88,17 +94,14 @@ fn assert_equivalent(
 ) {
     let mut reference = build(backend, params);
     reference.set_threads(1);
-    let mut reference_flips = Vec::new();
-    for batch in batches {
-        reference_flips.push(reference.apply_batch(batch));
-    }
+    let reference_flips = apply_all(reference.as_mut(), batches);
     let reference_bytes = reference.checkpoint_bytes();
     let reference_groups = reference.cluster_group_by(query);
 
     for &threads in &THREAD_COUNTS {
         let mut candidate = build(backend, params);
         candidate.set_threads(threads);
-        let flips = candidate.apply_batches(batches);
+        let flips = apply_all(candidate.as_mut(), batches);
         assert_eq!(
             reference_flips, flips,
             "{backend}: flip sets diverged at {threads} threads"
@@ -123,11 +126,11 @@ fn assert_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Pipelined + sharded execution at {1, 2, 4, 8} threads is
-    /// byte-identical to sequential batch application, across all four
-    /// backends, exact and sampled.
+    /// Pooled + sharded execution at {1, 2, 4, 8} threads is
+    /// byte-identical to single-worker batch application, across all
+    /// four backends, exact and sampled.
     #[test]
-    fn pipelined_equals_sequential_across_backends(
+    fn pooled_batches_equal_sequential_across_backends(
         ops in prop::collection::vec((any::<bool>(), 0u32..28, 0u32..28), 40..160),
         sizes in prop::collection::vec(1usize..48, 1..4),
     ) {
@@ -185,7 +188,9 @@ fn forced_sharding_is_byte_identical_across_thread_counts() {
         let mut sharded = DynStrClu::new(params);
         sharded.set_exec_pool(ExecPool::with_threads(threads));
         sharded.set_shard_flip_cutoff(1);
-        sharded.apply_batches(&batches);
+        for batch in &batches {
+            sharded.apply_batch(batch);
+        }
         assert_eq!(
             reference_bytes,
             Snapshot::checkpoint_bytes(&sharded),
@@ -247,7 +252,7 @@ fn kernel_modes_are_byte_identical_end_to_end() {
                 for threads in THREAD_COUNTS {
                     let mut engine = build(backend, params);
                     engine.set_threads(threads);
-                    let flips = engine.apply_batches(&batches);
+                    let flips = apply_all(engine.as_mut(), &batches);
                     runs.push((
                         backend,
                         params.rho.to_bits(),

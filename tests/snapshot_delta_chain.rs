@@ -155,30 +155,31 @@ proptest! {
     }
 }
 
-/// The **pipelined** multi-batch engine (`apply_batches` with a
-/// multi-worker pool — stage A1/A2/B/C in `dynscan_core::pipeline`) must
-/// feed the dirty tracker exactly like the monolithic engine: a delta
-/// captured after pipelined batches replays to the live state byte for
-/// byte.  A missed mark in the pipeline would not error — it would
-/// silently omit touched state — so this is pinned separately from the
-/// apply_batch-driven proptests above.
+/// The batch engine on a multi-worker pool must feed the dirty tracker
+/// exactly like the single-worker one: a delta chain captured after
+/// pooled batches replays to the live state byte for byte, and the chain
+/// documents themselves are identical at every thread count.  A missed
+/// mark would not error — it would silently omit touched state — so this
+/// is pinned separately from the single-threaded proptests above.
 #[test]
-fn pipelined_batches_chain_replays_to_full() {
+fn pooled_batches_chain_replays_to_full() {
     use dynscan_core::ExecPool;
     for params in [exact_params(), sampled_params()] {
-        let mut rng_state = 0x9e37u64;
-        let mut next = move |m: u32| {
-            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((rng_state >> 33) as u32) % m
-        };
-        let mut live = DynStrClu::new(params);
-        live.set_exec_pool(ExecPool::with_threads(3));
-        // Warm up through the pipeline, then capture the chain base.
-        let mut present: Vec<(u32, u32)> = Vec::new();
-        let mut make_group = |present: &mut Vec<(u32, u32)>| -> Vec<Vec<GraphUpdate>> {
-            (0..3)
-                .map(|_| {
-                    (0..24)
+        let mut reference_docs: Option<Vec<Vec<u8>>> = None;
+        for threads in [1usize, 2, 4, 8] {
+            let mut rng_state = 0x9e37u64;
+            let mut next = move |m: u32| {
+                rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                ((rng_state >> 33) as u32) % m
+            };
+            let mut live = DynStrClu::new(params);
+            live.set_exec_pool(ExecPool::with_threads(threads));
+            let mut present: Vec<(u32, u32)> = Vec::new();
+            // Three batches of 24 updates per call, mixing inserts and
+            // deletes of present edges.
+            let mut apply_group = |live: &mut DynStrClu, present: &mut Vec<(u32, u32)>| {
+                for _ in 0..3 {
+                    let batch: Vec<GraphUpdate> = (0..24)
                         .map(|_| {
                             if !present.is_empty() && next(3) == 0 {
                                 let idx = next(present.len() as u32) as usize;
@@ -193,26 +194,33 @@ fn pipelined_batches_chain_replays_to_full() {
                                 GraphUpdate::Insert(v(a), v(b))
                             }
                         })
-                        .collect()
-                })
-                .collect()
-        };
-        live.apply_batches(&make_group(&mut present));
-        let mut docs = vec![live.capture(false, 0).to_bytes()];
-        // Three delta captures, each after a pipelined multi-batch run.
-        for _ in 0..3 {
-            live.apply_batches(&make_group(&mut present));
-            let capture = live.capture(true, 0);
-            assert_eq!(capture.kind(), SnapshotKind::Delta);
-            docs.push(capture.to_bytes());
+                        .collect();
+                    live.apply_batch(&batch);
+                }
+            };
+            // Warm up, then capture the chain base.
+            apply_group(&mut live, &mut present);
+            let mut docs = vec![live.capture(false, 0).to_bytes()];
+            // Three delta captures, each after a run of pooled batches.
+            for _ in 0..3 {
+                apply_group(&mut live, &mut present);
+                let capture = live.capture(true, 0);
+                assert_eq!(capture.kind(), SnapshotKind::Delta);
+                docs.push(capture.to_bytes());
+            }
+            let restored = restore_any_chain(&docs).expect("pooled chain restores");
+            assert_eq!(
+                restored.checkpoint_bytes(),
+                Snapshot::checkpoint_bytes(&live),
+                "delta captured after pooled batches at {threads} threads must replay to \
+                 the live state byte for byte"
+            );
+            let reference = reference_docs.get_or_insert_with(|| docs.clone());
+            assert_eq!(
+                *reference, docs,
+                "chain documents diverged at {threads} threads"
+            );
         }
-        let restored = restore_any_chain(&docs).expect("pipelined chain restores");
-        assert_eq!(
-            restored.checkpoint_bytes(),
-            Snapshot::checkpoint_bytes(&live),
-            "delta captured after pipelined batches must replay to the live \
-             state byte for byte"
-        );
     }
 }
 

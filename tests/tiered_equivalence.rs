@@ -115,7 +115,7 @@ fn tiered_backends_are_byte_identical_to_untiered() {
                 for &threads in &THREAD_COUNTS {
                     let mut tiered = build(backend, params, Some(TINY_BUDGET));
                     tiered.set_threads(threads);
-                    let flips = tiered.apply_batches(&batches);
+                    let flips: Vec<_> = batches.iter().map(|b| tiered.apply_batch(b)).collect();
                     assert_eq!(
                         reference_flips, flips,
                         "{backend} ({mode:?}): flips diverged under budget at {threads} threads"
