@@ -155,8 +155,9 @@ impl HdtConnectivity {
         self.levels[0].forest.tree_vertex_count(u)
     }
 
-    /// Vertices of the connected component containing `u`
-    /// (O(component size); used by tests and result extraction helpers).
+    /// Vertices of the connected component containing `u`, in no
+    /// particular order (O(component size); the clustering refresh reads
+    /// `G_core` components through this).
     pub fn component_vertices(&self, u: VertexId) -> Vec<VertexId> {
         self.levels[0].forest.tree_vertices(u)
     }

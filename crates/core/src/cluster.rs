@@ -1,8 +1,34 @@
-//! StrClu result extraction (Fact 1) and the result representation.
+//! The StrClu result: its O(n + m) extraction (Fact 1), its structurally
+//! shared representation, and its incremental refresh.
+//!
+//! A [`StrCluResult`] stores one entry per vertex (core flag, the keys of
+//! the clusters containing it, its primary cluster) in fixed-size
+//! copy-on-write chunks of 64 vertices.  A cluster is keyed by its
+//! smallest core vertex, and its sorted member list lives in that
+//! vertex's entry.  Cloning a result copies chunk pointers, never
+//! entries, so a new version shares every chunk a change did not touch
+//! with the version before it.
+//!
+//! Extraction numbers clusters densely in the order of their smallest
+//! core vertex, which is exactly key order.  The index-based accessors
+//! ([`StrCluResult::clusters`], [`StrCluResult::clusters_of`], …) read a
+//! dense view built on first use; the keyed accessor
+//! [`StrCluResult::clusters_containing`] and [`group_by_from_clustering`]
+//! read the chunks directly, so answering one query stays O(answer).
+//!
+//! The chunks and the dense view's `OnceLock` come from `std::sync`, not
+//! the crate's `sync` facade: once shared they are immutable data (the
+//! view is a cache of them), not a protocol the model checker explores.
 
 use dynscan_conn::UnionFind;
 use dynscan_graph::{DynGraph, EdgeKey, VertexId};
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+
+/// Vertices per copy-on-write chunk.  A cluster of nearby ids spans one
+/// or two chunks, and a new version costs n / 64 pointer copies on top
+/// of the chunks it rewrites.
+const CHUNK: usize = 64;
 
 /// The role a vertex plays in a structural clustering (Section 1 / 2.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -18,33 +44,133 @@ pub enum VertexRole {
     Noise,
 }
 
+/// The keys of the clusters containing one vertex, ascending.  Only hubs
+/// need an allocation.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+enum Keys {
+    #[default]
+    Zero,
+    One(VertexId),
+    Many(Arc<[VertexId]>),
+}
+
+impl Keys {
+    fn from_sorted(mut keys: impl ExactSizeIterator<Item = VertexId>) -> Keys {
+        match keys.len() {
+            0 => Keys::Zero,
+            1 => Keys::One(keys.next().expect("one key")),
+            _ => Keys::Many(keys.collect()),
+        }
+    }
+
+    fn as_slice(&self) -> &[VertexId] {
+        match self {
+            Keys::Zero => &[],
+            Keys::One(key) => std::slice::from_ref(key),
+            Keys::Many(keys) => keys,
+        }
+    }
+}
+
+/// One vertex's entry.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Entry {
+    core: bool,
+    keys: Keys,
+    /// Key of the primary-assignment cluster.
+    primary: Option<VertexId>,
+    /// The sorted members of the cluster this vertex keys, if it is the
+    /// smallest core vertex of one.
+    members: Option<Arc<[VertexId]>>,
+}
+
+impl Entry {
+    fn role(&self) -> VertexRole {
+        match (self.core, self.keys.as_slice().len()) {
+            (true, _) => VertexRole::Core,
+            (false, 0) => VertexRole::Noise,
+            (false, 1) => VertexRole::Member,
+            (false, _) => VertexRole::Hub,
+        }
+    }
+}
+
+/// The index-based view: clusters numbered densely in key order.
+#[derive(Debug)]
+struct Dense {
+    /// Cluster keys, ascending; a cluster's index is its position here.
+    keys: Vec<VertexId>,
+    clusters: Vec<Vec<VertexId>>,
+    /// `membership[offsets[v]..offsets[v + 1]]` lists v's cluster indices.
+    offsets: Vec<usize>,
+    membership: Vec<u32>,
+}
+
+impl Dense {
+    fn index(&self, key: VertexId) -> u32 {
+        self.keys
+            .binary_search(&key)
+            .expect("every cluster key names a cluster") as u32
+    }
+}
+
 /// The StrClu clustering result `C(L(G), μ)`: the set of all StrClu
 /// clusters, plus per-vertex role and membership information.
 ///
-/// Clusters are identified by dense indices `0..num_clusters()`.
-#[derive(Clone, Debug, Default)]
+/// Clusters are identified two ways.  The index-based API numbers them
+/// densely, `0..num_clusters()`, in the order of their smallest core
+/// vertex.  The keyed API names each cluster by that smallest core
+/// vertex (its *key*).  See the [module docs](self) for the
+/// representation; `clone` copies n / 64 chunk pointers.
+#[derive(Debug, Default)]
 pub struct StrCluResult {
-    clusters: Vec<Vec<VertexId>>,
-    /// Cluster indices each vertex belongs to (sorted, deduplicated).
-    membership: Vec<Vec<u32>>,
-    roles: Vec<VertexRole>,
-    /// The paper's ARI convention: a core vertex maps to its own cluster; a
-    /// non-core vertex maps to the cluster of its smallest-id similar core
-    /// neighbour; noise maps to `None`.
-    primary: Vec<Option<u32>>,
+    chunks: Vec<Arc<Vec<Entry>>>,
+    num_vertices: usize,
+    num_clusters: usize,
     num_core: usize,
+    /// Built on first use of an index-based accessor; never cloned.
+    dense: OnceLock<Dense>,
 }
+
+impl Clone for StrCluResult {
+    fn clone(&self) -> Self {
+        StrCluResult {
+            chunks: self.chunks.clone(),
+            num_vertices: self.num_vertices,
+            num_clusters: self.num_clusters,
+            num_core: self.num_core,
+            dense: OnceLock::new(),
+        }
+    }
+}
+
+/// Equal results answer every accessor identically.
+impl PartialEq for StrCluResult {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_vertices == other.num_vertices
+            && self.num_clusters == other.num_clusters
+            && self.num_core == other.num_core
+            && self.chunks.len() == other.chunks.len()
+            && self
+                .chunks
+                .iter()
+                .zip(&other.chunks)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+    }
+}
+
+impl Eq for StrCluResult {}
 
 impl StrCluResult {
     /// Number of clusters.
     pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
+        self.num_clusters
     }
 
     /// Number of vertices covered by the result (the graph's vertex count at
     /// extraction time).
     pub fn num_vertices(&self) -> usize {
-        self.roles.len()
+        self.num_vertices
     }
 
     /// Number of core vertices.
@@ -52,74 +178,283 @@ impl StrCluResult {
         self.num_core
     }
 
+    fn entry(&self, v: VertexId) -> Option<&Entry> {
+        self.chunks.get(v.index() / CHUNK)?.get(v.index() % CHUNK)
+    }
+
+    fn entry_mut(&mut self, v: VertexId) -> &mut Entry {
+        &mut Arc::make_mut(&mut self.chunks[v.index() / CHUNK])[v.index() % CHUNK]
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &Entry> + '_ {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+
+    fn dense(&self) -> &Dense {
+        self.dense.get_or_init(|| {
+            let mut keys = Vec::with_capacity(self.num_clusters);
+            let mut clusters = Vec::with_capacity(self.num_clusters);
+            for (v, entry) in self.entries().enumerate() {
+                if let Some(members) = &entry.members {
+                    keys.push(VertexId::from(v));
+                    clusters.push(members.to_vec());
+                }
+            }
+            let mut dense = Dense {
+                keys,
+                clusters,
+                offsets: Vec::with_capacity(self.num_vertices + 1),
+                membership: Vec::new(),
+            };
+            dense.offsets.push(0);
+            for entry in self.entries() {
+                for &key in entry.keys.as_slice() {
+                    let index = dense.index(key);
+                    dense.membership.push(index);
+                }
+                dense.offsets.push(dense.membership.len());
+            }
+            dense
+        })
+    }
+
     /// The members of cluster `i` (sorted by vertex id).
     pub fn cluster(&self, i: usize) -> &[VertexId] {
-        &self.clusters[i]
+        &self.dense().clusters[i]
     }
 
     /// All clusters.
     pub fn clusters(&self) -> &[Vec<VertexId>] {
-        &self.clusters
+        &self.dense().clusters
     }
 
     /// The role of vertex `v`.
     pub fn role(&self, v: VertexId) -> VertexRole {
-        self.roles
-            .get(v.index())
-            .copied()
-            .unwrap_or(VertexRole::Noise)
+        self.entry(v).map_or(VertexRole::Noise, Entry::role)
     }
 
     /// The clusters `v` belongs to (possibly empty, possibly several for a
     /// hub).
     pub fn clusters_of(&self, v: VertexId) -> &[u32] {
-        self.membership
-            .get(v.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        if v.index() >= self.num_vertices {
+            return &[];
+        }
+        let dense = self.dense();
+        &dense.membership[dense.offsets[v.index()]..dense.offsets[v.index() + 1]]
+    }
+
+    /// The keys (smallest core vertices) of the clusters `v` belongs to,
+    /// ascending: the order of [`StrCluResult::clusters_of`].
+    fn cluster_keys(&self, v: VertexId) -> &[VertexId] {
+        self.entry(v).map_or(&[], |entry| entry.keys.as_slice())
+    }
+
+    /// The sorted members of the cluster keyed by `key`, if `key` is the
+    /// smallest core vertex of a cluster.
+    fn cluster_members(&self, key: VertexId) -> Option<&[VertexId]> {
+        self.entry(key)?.members.as_deref()
+    }
+
+    /// The member lists of the clusters containing `v`, in smallest-core
+    /// order (the order of [`StrCluResult::clusters_of`]), without
+    /// building the dense view.
+    pub fn clusters_containing(&self, v: VertexId) -> impl Iterator<Item = &[VertexId]> + '_ {
+        self.cluster_keys(v).iter().map(|&key| {
+            self.cluster_members(key)
+                .expect("every cluster key names a cluster")
+        })
     }
 
     /// The paper's single-assignment convention used for ARI: core vertices
     /// map to their cluster, non-core vertices to the cluster of their
     /// smallest-id similar core neighbour, noise to `None`.
     pub fn primary_assignment(&self, v: VertexId) -> Option<u32> {
-        self.primary.get(v.index()).copied().flatten()
+        let key = self.entry(v)?.primary?;
+        Some(self.dense().index(key))
     }
 
     /// Iterator over `(vertex, role)` pairs.
     pub fn roles(&self) -> impl Iterator<Item = (VertexId, VertexRole)> + '_ {
-        self.roles
-            .iter()
+        self.entries()
             .enumerate()
-            .map(|(i, &r)| (VertexId::from(i), r))
+            .map(|(i, entry)| (VertexId::from(i), entry.role()))
     }
 
     /// Number of noise vertices.
     pub fn num_noise(&self) -> usize {
-        self.roles
-            .iter()
-            .filter(|r| **r == VertexRole::Noise)
+        self.roles()
+            .filter(|&(_, r)| r == VertexRole::Noise)
             .count()
     }
 
     /// Number of hub vertices.
     pub fn num_hubs(&self) -> usize {
-        self.roles.iter().filter(|r| **r == VertexRole::Hub).count()
+        self.roles().filter(|&(_, r)| r == VertexRole::Hub).count()
     }
 
     /// Cluster indices ordered by decreasing size (the paper's "top-k
     /// clusters" convention used throughout Section 9).
     pub fn clusters_by_size(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.clusters.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.clusters[i].len()));
+        let clusters = self.clusters();
+        let mut order: Vec<usize> = (0..clusters.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(clusters[i].len()));
         order
     }
+
+    /// Extend the vertex space to `n` vertices, new ones as noise.
+    fn grow(&mut self, n: usize) {
+        while self.num_vertices < n {
+            if self.num_vertices.is_multiple_of(CHUNK) {
+                self.chunks.push(Arc::new(Vec::with_capacity(CHUNK)));
+            }
+            let last = self.chunks.last_mut().expect("a chunk with room");
+            let fill = (n - self.num_vertices).min(CHUNK - last.len());
+            Arc::make_mut(last).extend(std::iter::repeat_n(Entry::default(), fill));
+            self.num_vertices += fill;
+        }
+    }
+
+    /// Bring the result up to date with `view`, given every endpoint of
+    /// an edge whose label flipped since the result was current (any
+    /// order, duplicates allowed).  Afterwards the result equals a full
+    /// extraction from the live state, accessor for accessor.
+    ///
+    /// Call those endpoints *touched*.  Labels and core flags change only
+    /// at touched vertices, so every cluster that contains no touched
+    /// vertex, before or after, keeps its core component, its members
+    /// and its key.  The refresh therefore drops the clusters that
+    /// contained a touched vertex, rebuilds the current clusters that
+    /// contain one (the `G_core` components of the touched cores and of
+    /// the touched non-cores' similar core neighbours), and rewrites the
+    /// entries of the touched vertices and of every member of a dropped
+    /// or rebuilt cluster.  A dropped cluster's surviving cores always
+    /// land in a rebuilt one: their current cluster still contains a
+    /// touched vertex, either the one whose flip or core change split
+    /// them off or the touched member that got the old cluster dropped.
+    /// Cost: O(volume of the dropped and rebuilt clusters) view reads
+    /// plus one copy of each chunk written.
+    pub(crate) fn refresh<V: ClusterView>(&mut self, flip_endpoints: &[VertexId], view: &V) {
+        self.dense = OnceLock::new();
+        self.grow(view.num_vertices());
+        let mut touched = flip_endpoints.to_vec();
+        touched.sort_unstable();
+        touched.dedup();
+
+        let mut old_keys: Vec<VertexId> = touched
+            .iter()
+            .flat_map(|&t| self.cluster_keys(t).iter().copied())
+            .collect();
+        old_keys.sort_unstable();
+        old_keys.dedup();
+
+        let mut key_of: HashMap<VertexId, VertexId> = HashMap::new();
+        let mut new_clusters: Vec<(VertexId, Vec<VertexId>)> = Vec::new();
+        for &t in &touched {
+            let seeds: Vec<VertexId> = if view.is_core(t) {
+                vec![t]
+            } else {
+                view.similar_core_neighbours(t).collect()
+            };
+            for seed in seeds {
+                if key_of.contains_key(&seed) {
+                    continue;
+                }
+                let component = view.core_component(seed);
+                let key = *component.iter().min().expect("a component holds its seed");
+                let mut members = component.clone();
+                for &core in &component {
+                    key_of.insert(core, key);
+                    members.extend(view.similar_neighbours(core));
+                }
+                members.sort_unstable();
+                members.dedup();
+                new_clusters.push((key, members));
+            }
+        }
+
+        let mut rewrite: Vec<VertexId> = touched;
+        for &key in &old_keys {
+            rewrite.extend_from_slice(
+                self.cluster_members(key)
+                    .expect("every cluster key names a cluster"),
+            );
+        }
+        for (_, members) in &new_clusters {
+            rewrite.extend_from_slice(members);
+        }
+        rewrite.sort_unstable();
+        rewrite.dedup();
+        // A core outside every rebuilt component sits in an unchanged
+        // cluster, whose key its old entry still holds.
+        let key_of_core = |core: VertexId| {
+            key_of
+                .get(&core)
+                .copied()
+                .unwrap_or_else(|| self.cluster_keys(core)[0])
+        };
+        let mut entries: Vec<(VertexId, bool, Keys, Option<VertexId>)> =
+            Vec::with_capacity(rewrite.len());
+        let mut keys: Vec<VertexId> = Vec::new();
+        for &v in &rewrite {
+            if view.is_core(v) {
+                let key = key_of[&v];
+                entries.push((v, true, Keys::One(key), Some(key)));
+                continue;
+            }
+            keys.clear();
+            let mut smallest: Option<VertexId> = None;
+            for core in view.similar_core_neighbours(v) {
+                keys.push(key_of_core(core));
+                smallest = Some(smallest.map_or(core, |s| s.min(core)));
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            entries.push((
+                v,
+                false,
+                Keys::from_sorted(keys.iter().copied()),
+                smallest.map(key_of_core),
+            ));
+        }
+
+        for &key in &old_keys {
+            self.entry_mut(key).members = None;
+        }
+        self.num_clusters = self.num_clusters - old_keys.len() + new_clusters.len();
+        for (v, core, keys, primary) in entries {
+            let entry = self.entry_mut(v);
+            let was_core = std::mem::replace(&mut entry.core, core);
+            entry.keys = keys;
+            entry.primary = primary;
+            self.num_core = self.num_core + usize::from(core) - usize::from(was_core);
+        }
+        for (key, members) in new_clusters {
+            self.entry_mut(key).members = Some(members.into());
+        }
+    }
+}
+
+/// The live state [`StrCluResult::refresh`] reads: core flags and
+/// similar-neighbour sets (vAuxInfo) and the components of `G_core`.
+pub(crate) trait ClusterView {
+    /// The current vertex count.
+    fn num_vertices(&self) -> usize;
+    /// Whether `v` is a core vertex.
+    fn is_core(&self, v: VertexId) -> bool;
+    /// The similar neighbours of `v`, in any order.
+    fn similar_neighbours(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_;
+    /// The similar neighbours of `v` that are core, in any order.
+    fn similar_core_neighbours(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_;
+    /// The vertices of the `G_core` component of the core vertex `v`, in
+    /// any order.
+    fn core_component(&self, v: VertexId) -> Vec<VertexId>;
 }
 
 /// Answer a cluster-group-by query (Definition 3.2) from a materialised
 /// clustering: group the vertices of `q` by the clusters containing them,
 /// in canonical form — members of each group sorted ascending and
 /// deduplicated, groups in lexicographic order of their member lists.
+/// O(|Q| log |Q|) through the keyed accessor; the dense view is not built.
 ///
 /// This is the reference path shared by every backend without a dynamic
 /// connectivity structure (DynELM and the exact baselines implement
@@ -127,10 +462,10 @@ impl StrCluResult {
 /// calling this); DynStrClu's O(|Q| · log n) connectivity path must return
 /// exactly the same groups, which the cross-backend equivalence tests pin.
 pub fn group_by_from_clustering(result: &StrCluResult, q: &[VertexId]) -> Vec<Vec<VertexId>> {
-    let mut pairs: Vec<(u32, VertexId)> = Vec::with_capacity(q.len());
+    let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(q.len());
     for &v in q {
-        for &cluster in result.clusters_of(v) {
-            pairs.push((cluster, v));
+        for &key in result.cluster_keys(v) {
+            pairs.push((key, v));
         }
     }
     canonical_groups(pairs)
@@ -141,11 +476,11 @@ pub fn group_by_from_clustering(result: &StrCluResult, q: &[VertexId]) -> Vec<Ve
 /// ascending, groups in lexicographic order of their member lists (i.e.
 /// by smallest member, ties broken by the remaining members).  The
 /// single source of truth for the canonical form —
-/// [`group_by_from_clustering`] feeds it cluster ids, DynStrClu's
+/// [`group_by_from_clustering`] feeds it cluster keys, DynStrClu's
 /// connectivity path feeds it `G_core` component ids, and both must come
 /// out identical.  The full lexicographic sort matters: a hub that is
 /// the smallest queried member of *several* groups would otherwise leave
-/// the tie to backend-internal key order (cluster index vs. `G_core`
+/// the tie to backend-internal key order (cluster key vs. `G_core`
 /// component id), which differs across backends and across restore.
 pub(crate) fn canonical_groups<K: Ord>(mut pairs: Vec<(K, VertexId)>) -> Vec<Vec<VertexId>> {
     pairs.sort_unstable();
@@ -196,8 +531,10 @@ where
         }
     }
 
-    // Pass 3: assign cluster ids to components that contain a core vertex.
+    // Pass 3: assign cluster ids to components that contain a core vertex,
+    // in order of their smallest core vertex (the cluster's key).
     let mut cluster_of_root: HashMap<usize, u32> = HashMap::new();
+    let mut keys: Vec<VertexId> = Vec::new();
     let mut clusters: Vec<Vec<VertexId>> = Vec::new();
     let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
     for v in 0..n {
@@ -205,6 +542,7 @@ where
             let root = uf.find(v);
             let next_id = clusters.len() as u32;
             let id = *cluster_of_root.entry(root).or_insert_with(|| {
+                keys.push(VertexId::from(v));
                 clusters.push(Vec::new());
                 next_id
             });
@@ -245,30 +583,37 @@ where
         }
     }
 
-    // Pass 5: roles.
-    let mut roles = vec![VertexRole::Noise; n];
-    for v in 0..n {
-        roles[v] = if core[v] {
-            VertexRole::Core
-        } else {
-            match membership[v].len() {
-                0 => VertexRole::Noise,
-                1 => VertexRole::Member,
-                _ => VertexRole::Hub,
-            }
-        };
-        membership[v].sort_unstable();
-    }
+    // Pass 5: the entries, chunk by chunk.  Cluster ids were assigned
+    // in key order, so sorted ids give sorted keys.
     for cluster in &mut clusters {
         cluster.sort_unstable();
     }
-
+    let mut chunks = Vec::with_capacity(n.div_ceil(CHUNK));
+    for start in (0..n).step_by(CHUNK) {
+        let mut chunk = Vec::with_capacity(CHUNK.min(n - start));
+        for v in start..(start + CHUNK).min(n) {
+            membership[v].sort_unstable();
+            let members = match membership[v].first() {
+                Some(&id) if core[v] && keys[id as usize].index() == v => {
+                    Some(Arc::from(clusters[id as usize].as_slice()))
+                }
+                _ => None,
+            };
+            chunk.push(Entry {
+                core: core[v],
+                keys: Keys::from_sorted(membership[v].iter().map(|&id| keys[id as usize])),
+                primary: primary[v].map(|id| keys[id as usize]),
+                members,
+            });
+        }
+        chunks.push(Arc::new(chunk));
+    }
     StrCluResult {
-        clusters,
-        membership,
-        roles,
-        primary,
+        chunks,
+        num_vertices: n,
+        num_clusters: clusters.len(),
         num_core,
+        dense: OnceLock::new(),
     }
 }
 
@@ -481,6 +826,157 @@ mod tests {
             .map(|c| c.iter().map(|x| x.raw()).collect())
             .collect();
         assert_eq!(actual, expected.into_iter().collect());
+    }
+
+    /// A graph under the exact Jaccard labelling as a [`ClusterView`].
+    struct ExactView {
+        mu: usize,
+        similar: Vec<BTreeSet<u32>>,
+    }
+
+    impl ExactView {
+        fn new(graph: &DynGraph, mu: usize, eps: f64) -> Self {
+            let mut similar = vec![BTreeSet::new(); graph.num_vertices()];
+            for e in graph.edges() {
+                if exact_similarity(graph, e.lo(), e.hi(), SimilarityMeasure::Jaccard) >= eps {
+                    similar[e.lo().index()].insert(e.hi().raw());
+                    similar[e.hi().index()].insert(e.lo().raw());
+                }
+            }
+            ExactView { mu, similar }
+        }
+
+        /// Endpoints of every edge labelled differently in `self` and
+        /// `other`.
+        fn flip_endpoints(&self, other: &ExactView) -> Vec<VertexId> {
+            let empty = BTreeSet::new();
+            let mut out = Vec::new();
+            for x in 0..self.similar.len().max(other.similar.len()) {
+                let a = self.similar.get(x).unwrap_or(&empty);
+                let b = other.similar.get(x).unwrap_or(&empty);
+                for &y in a.symmetric_difference(b) {
+                    out.extend([v(x as u32), v(y)]);
+                }
+            }
+            out
+        }
+    }
+
+    impl ClusterView for ExactView {
+        fn num_vertices(&self) -> usize {
+            self.similar.len()
+        }
+
+        fn is_core(&self, x: VertexId) -> bool {
+            self.similar
+                .get(x.index())
+                .is_some_and(|s| s.len() >= self.mu)
+        }
+
+        fn similar_neighbours(&self, x: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+            self.similar
+                .get(x.index())
+                .into_iter()
+                .flatten()
+                .map(|&y| v(y))
+        }
+
+        fn similar_core_neighbours(&self, x: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+            self.similar_neighbours(x).filter(|&y| self.is_core(y))
+        }
+
+        fn core_component(&self, x: VertexId) -> Vec<VertexId> {
+            let mut seen = BTreeSet::from([x.raw()]);
+            let mut stack = vec![x];
+            while let Some(y) = stack.pop() {
+                for z in self.similar_neighbours(y) {
+                    if self.is_core(z) && seen.insert(z.raw()) {
+                        stack.push(z);
+                    }
+                }
+            }
+            seen.into_iter().map(v).collect()
+        }
+    }
+
+    /// Every accessor of `a` answers like `b`'s.
+    fn assert_same_answers(a: &StrCluResult, b: &StrCluResult) {
+        assert_eq!(a, b);
+        assert_eq!(a.clusters(), b.clusters());
+        assert_eq!(a.num_clusters(), b.num_clusters());
+        assert_eq!(a.num_core(), b.num_core());
+        assert_eq!(a.num_vertices(), b.num_vertices());
+        for x in 0..a.num_vertices().max(b.num_vertices()) as u32 + 1 {
+            assert_eq!(a.role(v(x)), b.role(v(x)), "role of {x}");
+            assert_eq!(a.clusters_of(v(x)), b.clusters_of(v(x)), "clusters of {x}");
+            assert_eq!(a.primary_assignment(v(x)), b.primary_assignment(v(x)));
+            let listed: Vec<&[VertexId]> = a.clusters_containing(v(x)).collect();
+            let indexed: Vec<&[VertexId]> = b
+                .clusters_of(v(x))
+                .iter()
+                .map(|&i| b.cluster(i as usize))
+                .collect();
+            assert_eq!(listed, indexed, "keyed and dense views disagree on {x}");
+        }
+    }
+
+    #[test]
+    fn refresh_with_nothing_touched_only_grows() {
+        let g = two_cliques_with_hub();
+        let before = extract_clustering(&g, 5, jaccard_labelling(&g, 0.29));
+        let mut grown = g.clone();
+        grown.insert_edge(v(13), v(30)).unwrap();
+        let mut patched = before.clone();
+        patched.refresh(&[], &ExactView::new(&grown, 5, 0.29));
+        assert_eq!(patched.num_vertices(), 31);
+        assert_same_answers(
+            &patched,
+            &extract_clustering(&grown, 5, jaccard_labelling(&grown, 0.29)),
+        );
+        // The clone shared its chunks copy-on-write: the original is intact.
+        assert_eq!(before.num_vertices(), 14);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Patching the clustering of a graph with the flip set of a
+        /// random batch of edits reproduces the extraction of the edited
+        /// graph, and leaves the patched-from version unchanged.
+        #[test]
+        fn refresh_matches_extraction_after_random_edits(
+            edges in prop::collection::hash_set((0u32..18, 0u32..18), 1..100),
+            edits in prop::collection::vec((any::<bool>(), 0u32..22, 0u32..22), 1..24),
+            mu in 2usize..5,
+            eps_permille in 150u32..600,
+        ) {
+            let eps = eps_permille as f64 / 1000.0;
+            let edges: Vec<_> = edges.into_iter().filter(|(a, b)| a != b)
+                .map(|(a, b)| (v(a), v(b))).collect();
+            let (before, _) = DynGraph::from_edges(edges);
+            let mut after = before.clone();
+            for (insert, a, b) in edits {
+                if a != b {
+                    let _ = if insert {
+                        after.insert_edge(v(a), v(b))
+                    } else {
+                        after.delete_edge(v(a), v(b))
+                    };
+                }
+            }
+            let prev = extract_clustering(&before, mu, jaccard_labelling(&before, eps));
+            let view = ExactView::new(&after, mu, eps);
+            let touched = ExactView::new(&before, mu, eps).flip_endpoints(&view);
+            let mut patched = prev.clone();
+            patched.refresh(&touched, &view);
+            assert_same_answers(
+                &patched,
+                &extract_clustering(&after, mu, jaccard_labelling(&after, eps)),
+            );
+            prop_assert_eq!(
+                prev,
+                extract_clustering(&before, mu, jaccard_labelling(&before, eps))
+            );
+        }
     }
 
     proptest! {

@@ -9,6 +9,19 @@
 //! taking the engine lock** while the writer applies the next batch —
 //! the read-side discipline of snapshot-isolation systems.
 //!
+//! ## Cost of a version
+//!
+//! Each published clustering is an immutable version that shares every
+//! copy-on-write chunk the write did not touch with the version before
+//! it (see [`crate::cluster`]).  Publication patches the previous
+//! version from the write's flipped edges, so the engine lock is held
+//! for O(volume of the rebuilt clusters) plus n / 64 chunk-pointer
+//! copies, not for an O(n + m) re-extraction; only the large flip sets
+//! of bulk loads fall back to extraction.  Reads go through the keyed
+//! accessors and never build the clustering's dense view, so
+//! [`EpochSnapshot::group_by`] is O(|Q| log |Q|) and
+//! [`EpochSnapshot::clusters_of`] is O(size of the answer).
+//!
 //! ## Consistency model
 //!
 //! * **Epoch-atomic:** a reader sees one fully-published snapshot or
@@ -70,7 +83,8 @@ pub struct EpochSnapshot {
     pub checkpoint_seq: Option<u64>,
     /// Checkpoints the session had completed at publication.
     pub checkpoints_written: u64,
-    /// The full clustering extraction this epoch serves queries from.
+    /// The clustering this epoch serves queries from: an immutable
+    /// version that shares its untouched chunks with earlier epochs.
     pub clustering: Arc<StrCluResult>,
     /// Labelling work counters, if the backend keeps them.
     pub stats: Option<ElmStats>,
@@ -85,13 +99,12 @@ impl EpochSnapshot {
         group_by_from_clustering(&self.clustering, q)
     }
 
-    /// The clusters containing `v`, as whole member lists (the serve
-    /// layer's `ClusterOf` shape).
+    /// The clusters containing `v`, as whole member lists in
+    /// smallest-core order (the serve layer's `ClusterOf` shape).
     pub fn clusters_of(&self, v: VertexId) -> Vec<Vec<VertexId>> {
         self.clustering
-            .clusters_of(v)
-            .iter()
-            .map(|&i| self.clustering.cluster(i as usize).to_vec())
+            .clusters_containing(v)
+            .map(<[VertexId]>::to_vec)
             .collect()
     }
 }

@@ -20,7 +20,10 @@
 //!
 //! * [`StrCluResult`] / [`extract_clustering`] implement the O(n + m)
 //!   StrClu-result extraction of Fact 1, shared by the dynamic algorithms
-//!   and the baselines.
+//!   and the baselines.  The result is a structurally shared value, so
+//!   DynStrClu's [`DynamicClustering::refresh_clustering`] can bring an
+//!   earlier result up to date in proportion to the clusters a flip set
+//!   touched.
 //!
 //! * [`BatchUpdate`] is the batch update engine's API: `apply_batch` takes
 //!   a whole burst of updates, applies the topology in stream order, drains

@@ -2,7 +2,7 @@
 //! (Section 7 of the paper).
 
 use crate::aux::VertexAux;
-use crate::cluster::StrCluResult;
+use crate::cluster::{ClusterView, StrCluResult};
 use crate::elm::{DynElm, ElmStats, FlippedEdge};
 use crate::params::Params;
 use crate::pool::ExecPool;
@@ -30,8 +30,10 @@ pub(crate) const DEFAULT_SHARD_FLIP_CUTOFF: usize = 192;
 ///    O(|F|) sim-core status flips in O(|F| · log² n) amortized time.
 ///
 /// On top of those, [`DynStrClu::cluster_group_by`] answers group-by queries
-/// in O(|Q| · log n) and [`DynStrClu::clustering`] extracts the full result
-/// in O(n + m).
+/// in O(|Q| · log n), [`DynStrClu::clustering`] extracts the full result
+/// in O(n + m), and its [`crate::DynamicClustering::refresh_clustering`]
+/// brings an earlier result up to date in O(volume of the clusters a
+/// flip set touched).
 #[derive(Clone, Debug)]
 pub struct DynStrClu {
     pub(crate) elm: DynElm,
@@ -418,6 +420,41 @@ impl DynStrClu {
     /// Extract the full StrClu clustering in O(n + m).
     pub fn clustering(&self) -> StrCluResult {
         self.elm.clustering()
+    }
+}
+
+/// vAuxInfo and `CC-Str(G_core)` as the live state a clustering is
+/// refreshed from.
+pub(crate) struct LiveView<'a>(pub(crate) &'a DynStrClu);
+
+impl ClusterView for LiveView<'_> {
+    fn num_vertices(&self) -> usize {
+        self.0.graph().num_vertices()
+    }
+
+    fn is_core(&self, v: VertexId) -> bool {
+        self.0.is_core(v)
+    }
+
+    fn similar_neighbours(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        self.0
+            .aux
+            .get(v.index())
+            .into_iter()
+            .flat_map(|aux| aux.similar_neighbours())
+    }
+
+    fn similar_core_neighbours(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        self.0
+            .aux
+            .get(v.index())
+            .into_iter()
+            .flat_map(|aux| aux.similar_core_neighbours())
+    }
+
+    /// O(component) through the level-0 spanning forest.
+    fn core_component(&self, v: VertexId) -> Vec<VertexId> {
+        self.0.core_graph.component_vertices(v)
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::cluster::{group_by_from_clustering, StrCluResult};
 use crate::elm::{DynElm, ElmStats, FlippedEdge};
 use crate::snapshot::CheckpointCapture;
-use crate::strclu::DynStrClu;
+use crate::strclu::{DynStrClu, LiveView};
 use dynscan_graph::{
     GraphError, GraphUpdate, MemoryFootprint, SnapshotError, SnapshotKind, VertexId,
 };
@@ -91,6 +91,20 @@ pub trait DynamicClustering {
 
     /// Extract the current clustering (O(n + m)).
     fn current_clustering(&self) -> StrCluResult;
+
+    /// Bring `prev`, this structure's clustering at an earlier state, up
+    /// to date, given the endpoints of every edge whose label flipped
+    /// since (any order, duplicates allowed).  The result must equal
+    /// [`DynamicClustering::current_clustering`].  `None`, the default,
+    /// means the structure has no incremental path: extract instead.
+    fn refresh_clustering(
+        &self,
+        prev: &StrCluResult,
+        flip_endpoints: &[VertexId],
+    ) -> Option<StrCluResult> {
+        let _ = (prev, flip_endpoints);
+        None
+    }
 
     /// Approximate memory footprint in bytes (Table 1).
     fn memory_bytes(&self) -> usize;
@@ -398,6 +412,20 @@ impl DynamicClustering for DynStrClu {
 
     fn current_clustering(&self) -> StrCluResult {
         self.clustering()
+    }
+
+    /// Patches a clone of `prev` from vAuxInfo and `CC-Str(G_core)`:
+    /// O(volume of the clusters the flips touched) plus the chunks it
+    /// rewrites, instead of O(n + m).  `prev` keeps every chunk it shares
+    /// with the result.
+    fn refresh_clustering(
+        &self,
+        prev: &StrCluResult,
+        flip_endpoints: &[VertexId],
+    ) -> Option<StrCluResult> {
+        let mut next = prev.clone();
+        next.refresh(flip_endpoints, &LiveView(self));
+        Some(next)
     }
 
     fn memory_bytes(&self) -> usize {

@@ -2,7 +2,8 @@
 //! rebuilt from the primary's checkpoint documents, plus the replication
 //! position that every query reply is tagged with.
 
-use dynscan_core::{restore_any, Clusterer, SnapshotError, SnapshotKind};
+use dynscan_core::sync::Arc;
+use dynscan_core::{restore_any, Clusterer, SnapshotError, SnapshotKind, StrCluResult};
 
 /// A replica's engine and replication bookkeeping.  Not synchronised
 /// itself — the serving layer holds it behind a mutex; this type only
@@ -20,6 +21,10 @@ pub struct ReplicaState {
     full_resyncs: u64,
     /// Whether the ingest source has reported catch-up at least once.
     caught_up: bool,
+    /// The applied state's clustering, extracted by the first read that
+    /// needs it and shared by every read until the next applied
+    /// document.
+    clustering: Option<Arc<StrCluResult>>,
 }
 
 /// Why a document could not be applied.
@@ -71,6 +76,7 @@ impl ReplicaState {
         if self.applied_seq.is_some_and(|applied| seq <= applied) {
             return Ok(());
         }
+        self.clustering = None;
         match kind {
             SnapshotKind::Full => {
                 self.engine = Some(restore_any(bytes)?);
@@ -125,6 +131,18 @@ impl ReplicaState {
     pub fn reset_for_resync(&mut self) {
         self.engine = None;
         self.applied_seq = None;
+        self.clustering = None;
+    }
+
+    /// The clustering of the applied state: one O(n + m) extraction per
+    /// applied document, shared by every read at that epoch; `None`
+    /// until the first full snapshot.
+    pub fn clustering(&mut self) -> Option<Arc<StrCluResult>> {
+        let engine = self.engine.as_ref()?;
+        let clustering = self
+            .clustering
+            .get_or_insert_with(|| Arc::new(engine.current_clustering()));
+        Some(Arc::clone(clustering))
     }
 
     /// Borrow the replayed engine mutably (queries need `&mut` for the
@@ -179,6 +197,28 @@ mod tests {
         let (seq, kind, bytes) = &docs[0];
         replica.apply_doc(*seq, *kind, bytes).unwrap();
         assert_eq!(replica.docs_applied(), docs.len() as u64);
+    }
+
+    #[test]
+    fn reads_at_one_epoch_share_one_extraction() {
+        let docs = primary_docs(10);
+        let mut replica = ReplicaState::new();
+        assert!(replica.clustering().is_none());
+        let (seq, kind, bytes) = &docs[0];
+        replica.apply_doc(*seq, *kind, bytes).unwrap();
+        let first = replica.clustering().expect("a full snapshot landed");
+        let second = replica.clustering().expect("still there");
+        assert!(Arc::ptr_eq(&first, &second), "one extraction per epoch");
+        for (seq, kind, bytes) in &docs[1..] {
+            replica.apply_doc(*seq, *kind, bytes).unwrap();
+        }
+        let after = replica.clustering().expect("engine present");
+        assert!(!Arc::ptr_eq(&first, &after));
+        assert_ne!(*first, *after, "the path grew between the two epochs");
+        let engine = replica.engine().expect("engine present");
+        assert_eq!(*after, engine.current_clustering());
+        replica.reset_for_resync();
+        assert!(replica.clustering().is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::engine::ReplicaState;
 use crate::ingest;
 use dynscan_core::sync::atomic::{AtomicU64, Ordering};
 use dynscan_core::sync::{thread, Arc, Mutex};
-use dynscan_core::DirCheckpointStore;
+use dynscan_core::{DirCheckpointStore, VertexId};
 use dynscan_serve::{
     read_frame_polling, DrainFlag, FrameRead, Request, RequestBody, Response, ResponseBody,
     StatsReply,
@@ -272,14 +272,16 @@ fn execute(body: &RequestBody, shared: &Arc<Shared>) -> ResponseBody {
             }
         }
         RequestBody::ClusterOf(v) => {
-            let mut state = shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            let (epoch, checkpoint_seq) = (state.epoch(), state.applied_seq());
-            let groups = state.engine_mut().map_or_else(Vec::new, |engine| {
-                let clustering = engine.current_clustering();
+            // One extraction per applied document, shared by every read
+            // at that epoch; the reply is built outside the state lock.
+            let (epoch, checkpoint_seq, clustering) = {
+                let mut state = shared.state.lock().unwrap_or_else(|p| p.into_inner());
+                (state.epoch(), state.applied_seq(), state.clustering())
+            };
+            let groups = clustering.map_or_else(Vec::new, |clustering| {
                 clustering
-                    .clusters_of(*v)
-                    .iter()
-                    .map(|&c| clustering.cluster(c as usize).to_vec())
+                    .clusters_containing(*v)
+                    .map(<[VertexId]>::to_vec)
                     .collect()
             });
             ResponseBody::Groups {

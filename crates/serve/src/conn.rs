@@ -27,7 +27,7 @@ use crate::proto::{Request, RequestBody, Response, ResponseBody, StatsReply, UNS
 use crate::server::Shared;
 use dynscan_core::sync::atomic::{AtomicU64, Ordering};
 use dynscan_core::sync::{Arc, Mutex};
-use dynscan_core::Session;
+use dynscan_core::{Session, VertexId};
 use dynscan_graph::snapshot::fnv1a;
 use std::io::Read;
 use std::net::{Shutdown, TcpStream};
@@ -582,11 +582,10 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
                 };
             }
             let mut engine = lock_engine(shared);
-            let clustering = engine.clustering();
-            let groups = clustering
-                .clusters_of(v)
-                .iter()
-                .map(|&i| clustering.cluster(i as usize).to_vec())
+            let groups = engine
+                .clustering()
+                .clusters_containing(v)
+                .map(<[VertexId]>::to_vec)
                 .collect();
             ResponseBody::Groups {
                 epoch: engine.updates_applied(),

@@ -312,6 +312,21 @@ fn epoch_reads_match_locked_queries_at_all_thread_counts() {
                 assert_eq!(snapshot.label_epoch, session.label_epoch());
                 assert_eq!(snapshot.num_vertices, session.num_vertices() as u64);
                 assert_eq!(snapshot.num_edges, session.num_edges() as u64);
+                // `ClusterOf` replies, hub ordering included, are the
+                // extracted clustering's, index by index.
+                let extracted = session.as_clusterer().current_clustering();
+                for x in 0..session.num_vertices() as u32 {
+                    let expected: Vec<Vec<VertexId>> = extracted
+                        .clusters_of(v(x))
+                        .iter()
+                        .map(|&i| extracted.cluster(i as usize).to_vec())
+                        .collect();
+                    assert_eq!(
+                        snapshot.clusters_of(v(x)),
+                        expected,
+                        "{backend} at {threads} threads: cluster-of {x} diverged"
+                    );
+                }
             }
         }
     }
