@@ -1,10 +1,14 @@
 //! pSCAN-style exact dynamic baseline.
 
+use crate::snapshot::write_exact_payload;
+use dynscan_core::snapshot::{finish_full_capture, CheckpointCapture};
 use dynscan_core::{
-    extract_clustering, group_by_from_clustering, BatchUpdate, Clusterer, DynamicClustering,
-    FlippedEdge, Snapshot, StrCluResult, UpdateError,
+    extract_clustering, group_by_from_clustering, Clusterer, FlippedEdge, StrCluResult, UpdateError,
 };
-use dynscan_graph::{DynGraph, EdgeKey, GraphUpdate, MemoryFootprint, SnapshotError, VertexId};
+use dynscan_graph::snapshot::write_document;
+use dynscan_graph::{
+    DynGraph, EdgeKey, GraphUpdate, MemoryFootprint, SnapWriter, SnapshotError, VertexId,
+};
 use dynscan_sim::{EdgeLabel, SimilarityMeasure};
 use std::collections::HashMap;
 
@@ -315,13 +319,7 @@ impl ExactDynScan {
     }
 }
 
-impl BatchUpdate for ExactDynScan {
-    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
-        self.apply_batch_tracked(updates).0
-    }
-}
-
-impl DynamicClustering for ExactDynScan {
+impl Clusterer for ExactDynScan {
     fn algorithm_name(&self) -> &'static str {
         "pSCAN-like"
     }
@@ -334,6 +332,10 @@ impl DynamicClustering for ExactDynScan {
         // A valid single update is the batch-size-1 case of the shared
         // batch path (identical relabelling against the final counts).
         Ok(self.apply_batch_tracked(&[update]).0)
+    }
+
+    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
+        self.apply_batch_tracked(updates).0
     }
 
     fn current_clustering(&self) -> StrCluResult {
@@ -357,11 +359,9 @@ impl DynamicClustering for ExactDynScan {
     fn num_edges(&self) -> usize {
         self.graph.num_edges()
     }
-}
 
-impl Clusterer for ExactDynScan {
     fn algo_tag(&self) -> u32 {
-        <ExactDynScan as Snapshot>::ALGO_TAG
+        ExactDynScan::ALGO_TAG
     }
 
     fn set_memory_budget(&mut self, bytes: Option<usize>) {
@@ -375,23 +375,35 @@ impl Clusterer for ExactDynScan {
     }
 
     fn checkpoint_to(&self, w: &mut dyn std::io::Write) -> Result<(), SnapshotError> {
-        Snapshot::checkpoint(self, w)
-    }
-
-    fn checkpoint_v2_bytes(&self) -> Vec<u8> {
-        Snapshot::checkpoint_v2_bytes(self)
+        let mut payload = SnapWriter::new();
+        write_exact_payload(self, &mut payload);
+        write_document(w, ExactDynScan::ALGO_TAG, &payload.into_bytes())
     }
 
     fn capture_checkpoint(
         &mut self,
         prefer_delta: bool,
         wall_time_millis: u64,
-    ) -> dynscan_core::snapshot::CheckpointCapture {
-        Snapshot::capture(self, prefer_delta, wall_time_millis)
+    ) -> CheckpointCapture {
+        if prefer_delta {
+            if let Some(capture) =
+                self.try_capture_delta_as(ExactDynScan::ALGO_TAG, wall_time_millis)
+            {
+                return capture;
+            }
+        }
+        let mut w = SnapWriter::new();
+        write_exact_payload(self, &mut w);
+        finish_full_capture(
+            ExactDynScan::ALGO_TAG,
+            &mut self.dirty,
+            w.into_bytes(),
+            wall_time_millis,
+        )
     }
 
     fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        Snapshot::apply_delta(self, bytes)
+        self.apply_delta_as(ExactDynScan::ALGO_TAG, bytes)
     }
 }
 

@@ -1,11 +1,13 @@
 //! hSCAN-style index-based dynamic baseline.
 
 use crate::exact_dyn::ExactDynScan;
+use crate::snapshot::{rebuild_index, write_indexed_payload};
+use dynscan_core::snapshot::{finish_full_capture, CheckpointCapture};
 use dynscan_core::{
-    extract_clustering, group_by_from_clustering, BatchUpdate, Clusterer, DynamicClustering,
-    FlippedEdge, Snapshot, StrCluResult, UpdateError,
+    extract_clustering, group_by_from_clustering, Clusterer, FlippedEdge, StrCluResult, UpdateError,
 };
-use dynscan_graph::{DynGraph, EdgeKey, GraphUpdate, SnapshotError, VertexId};
+use dynscan_graph::snapshot::write_document;
+use dynscan_graph::{DynGraph, EdgeKey, GraphUpdate, SnapWriter, SnapshotError, VertexId};
 use dynscan_sim::SimilarityMeasure;
 use std::collections::{BTreeSet, HashMap};
 
@@ -36,7 +38,7 @@ pub struct IndexedDynScan {
 
 impl IndexedDynScan {
     /// Create an empty instance; `eps` / `mu` are the defaults used by
-    /// [`DynamicClustering::current_clustering`], but any pair can be given
+    /// [`Clusterer::current_clustering`], but any pair can be given
     /// at query time through [`IndexedDynScan::cluster_with`].
     pub fn new(eps: f64, mu: usize, measure: SimilarityMeasure) -> Self {
         IndexedDynScan {
@@ -181,13 +183,7 @@ impl IndexedDynScan {
     }
 }
 
-impl BatchUpdate for IndexedDynScan {
-    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
-        IndexedDynScan::apply_batch(self, updates)
-    }
-}
-
-impl DynamicClustering for IndexedDynScan {
+impl Clusterer for IndexedDynScan {
     fn algorithm_name(&self) -> &'static str {
         "hSCAN-like"
     }
@@ -197,6 +193,10 @@ impl DynamicClustering for IndexedDynScan {
     fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError> {
         crate::exact_dyn::validate_update(self.graph(), update)?;
         Ok(IndexedDynScan::apply_batch(self, &[update]))
+    }
+
+    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
+        IndexedDynScan::apply_batch(self, updates)
     }
 
     fn current_clustering(&self) -> StrCluResult {
@@ -225,11 +225,9 @@ impl DynamicClustering for IndexedDynScan {
     fn num_edges(&self) -> usize {
         self.graph().num_edges()
     }
-}
 
-impl Clusterer for IndexedDynScan {
     fn algo_tag(&self) -> u32 {
-        <IndexedDynScan as Snapshot>::ALGO_TAG
+        IndexedDynScan::ALGO_TAG
     }
 
     fn set_memory_budget(&mut self, bytes: Option<usize>) {
@@ -242,29 +240,55 @@ impl Clusterer for IndexedDynScan {
     }
 
     fn checkpoint_to(&self, w: &mut dyn std::io::Write) -> Result<(), SnapshotError> {
-        Snapshot::checkpoint(self, w)
+        let mut payload = SnapWriter::new();
+        write_indexed_payload(self, &mut payload);
+        write_document(w, IndexedDynScan::ALGO_TAG, &payload.into_bytes())
     }
 
-    fn checkpoint_v2_bytes(&self) -> Vec<u8> {
-        Snapshot::checkpoint_v2_bytes(self)
-    }
-
+    /// The delta path reuses the inner encoding under this tag (the index
+    /// and the default (ε, μ) are derivable / immutable).
     fn capture_checkpoint(
         &mut self,
         prefer_delta: bool,
         wall_time_millis: u64,
-    ) -> dynscan_core::snapshot::CheckpointCapture {
-        Snapshot::capture(self, prefer_delta, wall_time_millis)
+    ) -> CheckpointCapture {
+        if prefer_delta {
+            if let Some(capture) = self
+                .inner
+                .try_capture_delta_as(IndexedDynScan::ALGO_TAG, wall_time_millis)
+            {
+                return capture;
+            }
+        }
+        let mut w = SnapWriter::new();
+        write_indexed_payload(self, &mut w);
+        finish_full_capture(
+            IndexedDynScan::ALGO_TAG,
+            &mut self.inner.dirty,
+            w.into_bytes(),
+            wall_time_millis,
+        )
     }
 
     fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        Snapshot::apply_delta(self, bytes)
+        self.apply_delta_chain(&[bytes])
     }
 
     /// Merge every delta into the exact counts first, then rebuild the
-    /// similarity-ordered index once for the whole run.
+    /// similarity-ordered index **once** — the index is a pure function
+    /// of the final counts, so per-delta rebuilds are dead work (same
+    /// reasoning as `DynStrClu`'s chain replay of vAuxInfo / `G_core`).
     fn apply_delta_chain(&mut self, docs: &[&[u8]]) -> Result<(), SnapshotError> {
-        self.apply_delta_chain_impl(docs)
+        if docs.is_empty() {
+            return Ok(());
+        }
+        for bytes in docs {
+            self.inner.apply_delta_as(IndexedDynScan::ALGO_TAG, bytes)?;
+        }
+        let (order, current) = rebuild_index(&self.inner);
+        self.order = order;
+        self.current = current;
+        Ok(())
     }
 }
 

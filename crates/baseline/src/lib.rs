@@ -61,7 +61,7 @@ pub use indexed_dyn::IndexedDynScan;
 pub use static_scan::StaticScan;
 
 use dynscan_core::session::{register_backend, Backend};
-use dynscan_core::{Clusterer, Params, Snapshot, SnapshotError};
+use dynscan_core::{Clusterer, Params, SnapshotError};
 
 fn construct_exact(p: Params) -> Box<dyn Clusterer> {
     Box::new(ExactDynScan::new(p.eps, p.mu, p.measure))
@@ -86,14 +86,77 @@ fn restore_indexed(bytes: &[u8]) -> Result<Box<dyn Clusterer>, SnapshotError> {
 pub fn install() {
     register_backend(
         Backend::ExactDynScan,
-        <ExactDynScan as Snapshot>::ALGO_TAG,
+        ExactDynScan::ALGO_TAG,
         construct_exact,
         restore_exact,
     );
     register_backend(
         Backend::IndexedDynScan,
-        <IndexedDynScan as Snapshot>::ALGO_TAG,
+        IndexedDynScan::ALGO_TAG,
         construct_indexed,
         restore_indexed,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dynscan_core::fixtures::{two_cliques_params, two_cliques_with_hub};
+    use dynscan_core::{restore_any, DynElm, DynStrClu, GraphUpdate, UpdateError, VertexId};
+
+    /// One engine trait covers every backend: the same `Box<dyn
+    /// Clusterer>` code drives typed and batched updates, extraction,
+    /// group-by and the full + delta checkpoint round trip for all four.
+    #[test]
+    fn all_four_backends_behind_one_trait_object() {
+        install();
+        let params = two_cliques_params().with_exact_labels();
+        let mut algos: Vec<Box<dyn Clusterer>> = vec![
+            Box::new(DynElm::new(params)),
+            Box::new(DynStrClu::new(params)),
+            construct_exact(params),
+            construct_indexed(params),
+        ];
+        let g = two_cliques_with_hub();
+        let inserts: Vec<GraphUpdate> = g
+            .edges()
+            .map(|e| GraphUpdate::Insert(e.lo(), e.hi()))
+            .collect();
+        let (singles, batch) = inserts.split_at(10);
+        let q = [VertexId(0), VertexId(6), VertexId(12), VertexId(13)];
+        let mut answers = Vec::new();
+        for algo in &mut algos {
+            let name = algo.algorithm_name();
+            for &update in singles {
+                algo.try_apply(update).expect("fresh edge inserts");
+            }
+            algo.apply_batch(batch);
+            assert_eq!(
+                algo.try_apply(GraphUpdate::Insert(VertexId(3), VertexId(3))),
+                Err(UpdateError::InvalidVertex { v: VertexId(3) }),
+                "{name}"
+            );
+            assert_eq!(algo.updates_applied() as usize, g.num_edges(), "{name}");
+            assert_eq!(algo.num_edges(), g.num_edges(), "{name}");
+            assert_eq!(algo.current_clustering().num_clusters(), 2, "{name}");
+            answers.push(algo.cluster_group_by(&q));
+
+            let bytes = algo.checkpoint_bytes();
+            let restored = restore_any(&bytes).expect("registry restores");
+            assert_eq!(restored.algo_tag(), algo.algo_tag(), "{name}");
+            assert_eq!(restored.checkpoint_bytes(), bytes, "{name}");
+
+            let base = algo.capture_checkpoint(false, 0).to_bytes();
+            algo.apply_batch(&[GraphUpdate::Delete(VertexId(4), VertexId(5))]);
+            let delta = algo.capture_checkpoint(true, 0).to_bytes();
+            let mut replayed = restore_any(&base).expect("base restores");
+            replayed.apply_delta_bytes(&delta).expect("delta applies");
+            assert_eq!(
+                replayed.checkpoint_bytes(),
+                algo.checkpoint_bytes(),
+                "{name}"
+            );
+        }
+        assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
+    }
 }

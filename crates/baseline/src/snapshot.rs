@@ -1,4 +1,6 @@
-//! Checkpoint/restore ([`Snapshot`]) for the exact dynamic baselines, so
+//! Checkpoint/restore for the exact dynamic baselines — their inherent
+//! `ALGO_TAG` / `restore` and the payload codecs their
+//! [`Clusterer`](dynscan_core::Clusterer) checkpoint methods write — so
 //! the restart experiments can compare all four algorithms on the same
 //! footing.
 //!
@@ -12,14 +14,8 @@
 
 use crate::exact_dyn::ExactDynScan;
 use crate::indexed_dyn::{quantise, IndexedDynScan};
-use dynscan_core::snapshot::{
-    check_delta_applicable, finish_delta_capture, finish_full_capture, CheckpointCapture,
-};
-use dynscan_core::Snapshot;
-use dynscan_graph::snapshot::{
-    read_document_meta, split_document, write_document, write_document_meta_v2, write_document_v2,
-    DocumentMeta, SnapshotKind,
-};
+use dynscan_core::snapshot::{check_delta_applicable, finish_delta_capture, CheckpointCapture};
+use dynscan_graph::snapshot::{read_document_meta, split_document, SnapshotKind};
 use dynscan_graph::{DynGraph, EdgeKey, SnapReader, SnapWriter, SnapshotError, VertexId};
 use dynscan_sim::{EdgeLabel, SimilarityMeasure};
 use std::collections::{BTreeSet, HashMap};
@@ -36,7 +32,7 @@ mod section {
     pub const DELTA_EDGES: u32 = 0x6264_4501; // baseline "dE."
 }
 
-fn write_exact_payload(algo: &ExactDynScan, w: &mut SnapWriter) {
+pub(crate) fn write_exact_payload(algo: &ExactDynScan, w: &mut SnapWriter) {
     w.section(section::PARAMS, |s| {
         s.f64(algo.eps);
         s.u64(algo.mu as u64);
@@ -56,24 +52,25 @@ fn write_exact_payload(algo: &ExactDynScan, w: &mut SnapWriter) {
             .collect();
         edges.sort_unstable_by_key(|&(k, _, _)| k);
         s.len_prefix(edges.len());
+        // Delta-encoded sorted keys with varint counts, then the
+        // similarity flags bit-packed at the end — the per-edge label
+        // costs ~1 bit.
         let mut prev: Option<EdgeKey> = None;
-        if s.compact() {
-            // v3 layout: delta-encoded sorted keys with varint counts,
-            // then the similarity flags bit-packed at the end — the
-            // per-edge label costs ~1 bit instead of a byte.
-            for &(key, a, _) in &edges {
-                s.edge_key_seq(&mut prev, key);
-                s.u32(a);
-            }
-            s.packed_bools(edges.iter().map(|&(_, _, l)| l.is_similar()));
-        } else {
-            // v2 layout: interleaved (edge, count, bool) triples.
-            for (key, a, label) in edges {
-                s.edge_key_seq(&mut prev, key);
-                s.u32(a);
-                s.bool(label.is_similar());
-            }
+        for &(key, a, _) in &edges {
+            s.edge_key_seq(&mut prev, key);
+            s.u32(a);
         }
+        s.packed_bools(edges.iter().map(|&(_, _, l)| l.is_similar()));
+    });
+}
+
+/// The indexed baseline's full payload: the inner exact payload plus its
+/// default (ε, μ); the index itself is rebuilt on restore.
+pub(crate) fn write_indexed_payload(algo: &IndexedDynScan, w: &mut SnapWriter) {
+    write_exact_payload(&algo.inner, w);
+    w.section(section::INDEX, |s| {
+        s.f64(algo.default_eps);
+        s.u64(algo.default_mu as u64);
     });
 }
 
@@ -288,37 +285,22 @@ fn apply_exact_delta_payload(
 }
 
 impl ExactDynScan {
-    /// The pending delta as a legacy v2 document — **non-consuming**
-    /// (dirty marks and chain position untouched), so the codec bench
-    /// can size the same churn under both formats before the real v3
-    /// `capture` consumes it.  `None` when no delta is capturable.
-    pub fn delta_v2_bytes(&self, wall_time_millis: u64) -> Option<Vec<u8>> {
-        self.delta_v2_bytes_as(<ExactDynScan as Snapshot>::ALGO_TAG, wall_time_millis)
-    }
+    /// Algorithm tag stored in pSCAN-like snapshot headers.
+    pub const ALGO_TAG: u32 = 3;
 
-    pub(crate) fn delta_v2_bytes_as(
-        &self,
-        algo_tag: u32,
-        wall_time_millis: u64,
-    ) -> Option<Vec<u8>> {
-        if !self.dirty.can_delta() {
-            return None;
+    /// Rebuild an instance from a full snapshot document of any supported
+    /// format version; it sits at the document's chain position, so
+    /// deltas written after it apply directly.
+    pub fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError> {
+        let (header, payload) = read_document_meta(r, Self::ALGO_TAG)?;
+        if header.kind != SnapshotKind::Full {
+            return Err(SnapshotError::UnexpectedDelta);
         }
-        let chain = self.dirty.chain().expect("can_delta implies a chain");
-        let vertices = self.dirty.vertices_sorted();
-        let edges = self.dirty.edges_sorted();
-        let mut w = SnapWriter::fixed();
-        write_exact_delta_payload(self, &vertices, &edges, &mut w);
-        let meta = DocumentMeta {
-            kind: SnapshotKind::Delta,
-            sequence: chain.sequence + 1,
-            base_checksum: chain.checksum,
-            wall_time_millis,
-        };
-        let mut buf = Vec::new();
-        write_document_meta_v2(&mut buf, algo_tag, &meta, &w.into_bytes())
-            .expect("writing to a Vec cannot fail");
-        Some(buf)
+        let mut reader = SnapReader::for_version(header.format_version, &payload);
+        let mut algo = read_exact_payload(&mut reader)?;
+        reader.finish()?;
+        algo.dirty.note_restored(header.checksum, header.sequence);
+        Ok(algo)
     }
 
     /// Try to capture a delta under the given algorithm tag (the indexed
@@ -360,63 +342,14 @@ impl ExactDynScan {
     }
 }
 
-impl Snapshot for ExactDynScan {
-    const ALGO_TAG: u32 = 3;
-
-    fn checkpoint<W: std::io::Write>(&self, w: W) -> Result<(), SnapshotError> {
-        let mut payload = SnapWriter::new();
-        write_exact_payload(self, &mut payload);
-        write_document(w, Self::ALGO_TAG, &payload.into_bytes())
-    }
-
-    fn checkpoint_v2_bytes(&self) -> Vec<u8> {
-        let mut payload = SnapWriter::fixed();
-        write_exact_payload(self, &mut payload);
-        let mut buf = Vec::new();
-        write_document_v2(&mut buf, Self::ALGO_TAG, &payload.into_bytes())
-            .expect("writing to a Vec cannot fail");
-        buf
-    }
-
-    fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError> {
-        let (header, payload) = read_document_meta(r, Self::ALGO_TAG)?;
-        if header.kind != SnapshotKind::Full {
-            return Err(SnapshotError::UnexpectedDelta);
-        }
-        let mut reader = SnapReader::for_version(header.format_version, &payload);
-        let mut algo = read_exact_payload(&mut reader)?;
-        reader.finish()?;
-        algo.dirty.note_restored(header.checksum, header.sequence);
-        Ok(algo)
-    }
-
-    fn capture(&mut self, prefer_delta: bool, wall_time_millis: u64) -> CheckpointCapture {
-        if prefer_delta {
-            if let Some(capture) = self.try_capture_delta_as(Self::ALGO_TAG, wall_time_millis) {
-                return capture;
-            }
-        }
-        let mut w = SnapWriter::new();
-        write_exact_payload(self, &mut w);
-        finish_full_capture(
-            Self::ALGO_TAG,
-            &mut self.dirty,
-            w.into_bytes(),
-            wall_time_millis,
-        )
-    }
-
-    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        self.apply_delta_as(Self::ALGO_TAG, bytes)
-    }
-}
-
 /// Rebuild the similarity-ordered neighbour index from the inner exact
 /// counts (a pure function of them, exactly like `CC-Str(G_core)` is
 /// rebuilt from the labelling in `dynscan-core`).  Shared by the full
 /// restore and the delta apply.
 #[allow(clippy::type_complexity)]
-fn rebuild_index(inner: &ExactDynScan) -> (Vec<BTreeSet<(u64, VertexId)>>, HashMap<EdgeKey, u64>) {
+pub(crate) fn rebuild_index(
+    inner: &ExactDynScan,
+) -> (Vec<BTreeSet<(u64, VertexId)>>, HashMap<EdgeKey, u64>) {
     dynscan_core::testing::note_derived_rebuild();
     let mut order: Vec<BTreeSet<(u64, VertexId)>> = Vec::new();
     order.resize_with(inner.graph().num_vertices(), BTreeSet::new);
@@ -434,33 +367,13 @@ fn rebuild_index(inner: &ExactDynScan) -> (Vec<BTreeSet<(u64, VertexId)>>, HashM
     (order, current)
 }
 
-impl Snapshot for IndexedDynScan {
-    const ALGO_TAG: u32 = 4;
+impl IndexedDynScan {
+    /// Algorithm tag stored in hSCAN-like snapshot headers.
+    pub const ALGO_TAG: u32 = 4;
 
-    fn checkpoint<W: std::io::Write>(&self, w: W) -> Result<(), SnapshotError> {
-        let mut payload = SnapWriter::new();
-        write_exact_payload(&self.inner, &mut payload);
-        payload.section(section::INDEX, |s| {
-            s.f64(self.default_eps);
-            s.u64(self.default_mu as u64);
-        });
-        write_document(w, Self::ALGO_TAG, &payload.into_bytes())
-    }
-
-    fn checkpoint_v2_bytes(&self) -> Vec<u8> {
-        let mut payload = SnapWriter::fixed();
-        write_exact_payload(&self.inner, &mut payload);
-        payload.section(section::INDEX, |s| {
-            s.f64(self.default_eps);
-            s.u64(self.default_mu as u64);
-        });
-        let mut buf = Vec::new();
-        write_document_v2(&mut buf, Self::ALGO_TAG, &payload.into_bytes())
-            .expect("writing to a Vec cannot fail");
-        buf
-    }
-
-    fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError> {
+    /// Rebuild an instance from a full snapshot document of any supported
+    /// format version; see [`ExactDynScan::restore`].
+    pub fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError> {
         let (header, payload) = read_document_meta(r, Self::ALGO_TAG)?;
         if header.kind != SnapshotKind::Full {
             return Err(SnapshotError::UnexpectedDelta);
@@ -484,64 +397,13 @@ impl Snapshot for IndexedDynScan {
             current,
         })
     }
-
-    fn capture(&mut self, prefer_delta: bool, wall_time_millis: u64) -> CheckpointCapture {
-        // The delta path reuses the inner encoding (the index and the
-        // default (ε, μ) are derivable / immutable); the full path
-        // appends the index defaults exactly like `checkpoint`.
-        if prefer_delta {
-            if let Some(capture) = self
-                .inner
-                .try_capture_delta_as(Self::ALGO_TAG, wall_time_millis)
-            {
-                return capture;
-            }
-        }
-        let mut w = SnapWriter::new();
-        write_exact_payload(&self.inner, &mut w);
-        let default_eps = self.default_eps;
-        let default_mu = self.default_mu;
-        w.section(section::INDEX, |s| {
-            s.f64(default_eps);
-            s.u64(default_mu as u64);
-        });
-        finish_full_capture(
-            Self::ALGO_TAG,
-            &mut self.inner.dirty,
-            w.into_bytes(),
-            wall_time_millis,
-        )
-    }
-
-    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        self.apply_delta_chain_impl(&[bytes])
-    }
-}
-
-impl IndexedDynScan {
-    /// Merge every delta into the exact counts, then rebuild the
-    /// similarity-ordered index **once** — the index is a pure function
-    /// of the final counts, so per-delta rebuilds are dead work (same
-    /// reasoning as `DynStrClu`'s chain replay of vAuxInfo / `G_core`).
-    pub(crate) fn apply_delta_chain_impl(&mut self, docs: &[&[u8]]) -> Result<(), SnapshotError> {
-        if docs.is_empty() {
-            return Ok(());
-        }
-        for bytes in docs {
-            self.inner.apply_delta_as(Self::ALGO_TAG, bytes)?;
-        }
-        let (order, current) = rebuild_index(&self.inner);
-        self.order = order;
-        self.current = current;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dynscan_core::fixtures;
-    use dynscan_core::DynamicClustering;
+    use dynscan_core::Clusterer;
     use dynscan_graph::{GraphUpdate, VertexId};
 
     fn v(i: u32) -> VertexId {

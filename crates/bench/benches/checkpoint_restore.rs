@@ -1,19 +1,18 @@
 //! The checkpoint/restore benchmark: measure checkpoint, restore and
 //! rebuild-from-edge-stream for every algorithm, verify bit-identical
-//! resume, measure **differential vs full** checkpoint cost, compare the
-//! **v2-vs-v3 codec** (size, encode, decode — the ≥ 3× compression
-//! gates), replay under **tiered-memory budgets** (residency ceiling +
-//! hot-path regression gates), print the comparison tables and, on
-//! full-scale runs, export `BENCH_checkpoint.json` at the workspace root.
+//! resume, measure **differential vs full** checkpoint cost, replay under
+//! **tiered-memory budgets** (residency ceiling + hot-path regression
+//! gates), print the comparison tables and, on full-scale runs, export
+//! `BENCH_checkpoint.json` at the workspace root.
 //!
 //! ```text
 //! cargo bench -p dynscan-bench --bench checkpoint_restore
 //! ```
 
 use dynscan_bench::{
-    checkpoint_rows_to_json, checkpoint_rows_to_table, codec_rows_to_table, delta_rows_to_table,
-    run_checkpoint_vs_rebuild, run_codec_comparison, run_delta_vs_full, run_tiered_memory,
-    tiered_rows_to_table, write_bench_record, CheckpointBenchConfig,
+    checkpoint_rows_to_json, checkpoint_rows_to_table, delta_rows_to_table,
+    run_checkpoint_vs_rebuild, run_delta_vs_full, run_tiered_memory, tiered_rows_to_table,
+    write_bench_record, CheckpointBenchConfig,
 };
 
 fn main() {
@@ -83,8 +82,8 @@ fn main() {
                 );
             } else {
                 // Bars recalibrated for the v3 codec: the full document
-                // is itself delta-coded now (≥ 3× smaller than v2, see
-                // the codec gates below), so the differential snapshot's
+                // is itself delta-coded (≥ 3× smaller than v2, pinned on
+                // the golden fixtures), so the differential snapshot's
                 // *relative* advantage is structurally smaller than it
                 // was against v2 fulls — but must still be decisive.
                 assert!(
@@ -98,34 +97,6 @@ fn main() {
                     row.time_ratio
                 );
             }
-        }
-    }
-
-    // v2-vs-v3 codec comparison: every row must restore across versions
-    // to the identical state, and the headline row must clear the ≥ 3×
-    // compression floor the format migration promised — full *and*
-    // delta documents.
-    let codec_rows = run_codec_comparison(&config);
-    print!("{}", codec_rows_to_table(&codec_rows));
-    for row in &codec_rows {
-        assert!(
-            row.reencode_identical,
-            "{} ({}) v2/v3 documents disagree about the state",
-            row.algorithm, row.mode
-        );
-        assert!(
-            row.full_size_ratio >= 3.0,
-            "{} ({}) v3 full document only {:.1}x smaller than v2 (bar: >= 3x)",
-            row.algorithm,
-            row.mode,
-            row.full_size_ratio
-        );
-        if row.algorithm == "DynStrClu" && row.mode == "sampled" {
-            assert!(
-                row.delta_size_ratio >= 3.0,
-                "v3 delta document only {:.1}x smaller than v2 (bar: >= 3x)",
-                row.delta_size_ratio
-            );
         }
     }
 
@@ -173,6 +144,6 @@ fn main() {
         }
     }
 
-    let json = checkpoint_rows_to_json(&config, &rows, &delta_rows, &codec_rows, &tiered_rows);
+    let json = checkpoint_rows_to_json(&config, &rows, &delta_rows, &tiered_rows);
     write_bench_record("BENCH_checkpoint.json", &json, quick);
 }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynscan_baseline::{ExactDynScan, IndexedDynScan};
-use dynscan_core::{Clusterer, DynElm, DynStrClu, DynamicClustering, Params};
+use dynscan_core::{Clusterer, DynElm, DynStrClu, Params};
 use dynscan_graph::GraphUpdate;
 use dynscan_workload::{chung_lu_power_law, InsertionStrategy, UpdateStream, UpdateStreamConfig};
 use std::time::Duration;

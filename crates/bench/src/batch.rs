@@ -4,8 +4,8 @@
 //!
 //! This is the measurement behind the batch update engine: replay an
 //! identical bursty stream (a) one update at a time through
-//! [`dynscan_core::DynamicClustering::try_apply`] and (b) burst-by-burst
-//! through [`dynscan_core::BatchUpdate::apply_batch`], time both, compare
+//! [`dynscan_core::Clusterer::try_apply`] and (b) burst-by-burst
+//! through [`dynscan_core::Clusterer::apply_batch`], time both, compare
 //! throughput, and check
 //! that the final clusterings serialise to identical bytes.  In
 //! exact-labelling ρ = 0 mode the identity is a theorem (see the
@@ -67,7 +67,7 @@ impl BatchBenchConfig {
 /// One measured comparison row.
 #[derive(Clone, Debug)]
 pub struct BatchBenchRow {
-    /// Algorithm name (from [`dynscan_core::DynamicClustering::algorithm_name`]).
+    /// Algorithm name (from [`dynscan_core::Clusterer::algorithm_name`]).
     pub algorithm: &'static str,
     /// Labelling mode: `"exact-rho0"` or `"sampled"`.
     pub mode: &'static str,

@@ -52,10 +52,9 @@ pub use serve::{
     run_serve_throughput, serve_rows_to_json, serve_rows_to_table, ServeBenchConfig, ServeBenchRow,
 };
 pub use snapshot::{
-    checkpoint_rows_to_json, checkpoint_rows_to_table, codec_rows_to_table, delta_rows_to_table,
-    run_checkpoint_vs_rebuild, run_codec_comparison, run_delta_vs_full, run_tiered_memory,
-    tiered_rows_to_table, CheckpointBenchConfig, CheckpointBenchRow, CodecBenchRow, DeltaBenchRow,
-    TieredMemoryRow,
+    checkpoint_rows_to_json, checkpoint_rows_to_table, delta_rows_to_table,
+    run_checkpoint_vs_rebuild, run_delta_vs_full, run_tiered_memory, tiered_rows_to_table,
+    CheckpointBenchConfig, CheckpointBenchRow, DeltaBenchRow, TieredMemoryRow,
 };
 
 /// Write a bench's JSON record to `file_name` at the workspace root —

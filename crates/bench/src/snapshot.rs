@@ -20,7 +20,7 @@
 //! asserts the ≥ 5× restore-vs-rebuild bar for the DynStrClu rows.
 
 use dynscan_baseline::ExactDynScan;
-use dynscan_core::{BatchUpdate, Clusterer, DynElm, DynStrClu, Params, Snapshot};
+use dynscan_core::{restore_any, Clusterer, DynElm, DynStrClu, Params};
 use dynscan_graph::{GraphUpdate, VertexId};
 use dynscan_workload::{chung_lu_power_law, BurstyStream, BurstyStreamConfig};
 use std::fmt::Write as _;
@@ -137,9 +137,11 @@ fn compare<A, F>(
     make: F,
 ) -> CheckpointBenchRow
 where
-    A: BatchUpdate + Snapshot,
+    A: Clusterer,
     F: Fn() -> A,
 {
+    // Restores go through the registry, which needs the baselines.
+    dynscan_baseline::install();
     let (initial, warmup, continuation) = make_workload(config);
 
     // Build the live instance up to the checkpoint moment.
@@ -161,9 +163,9 @@ where
         bytes = b;
     }
     let mut restore_runs = Vec::new();
-    let mut restored: Option<A> = None;
+    let mut restored = None;
     for _ in 0..3 {
-        let (secs, r) = time(|| A::restore(&bytes[..]).expect("bench snapshot restores"));
+        let (secs, r) = time(|| restore_any(&bytes).expect("bench snapshot restores"));
         restore_runs.push(secs);
         restored = Some(r);
     }
@@ -220,8 +222,8 @@ where
     }
 }
 
-/// One measured delta-vs-full comparison row (format v2 differential
-/// snapshots): how much smaller and faster a delta capture is than a full
+/// One measured delta-vs-full comparison row (differential snapshots):
+/// how much smaller and faster a delta capture is than a full
 /// capture after one bursty batch of churn.
 #[derive(Clone, Debug)]
 pub struct DeltaBenchRow {
@@ -265,9 +267,10 @@ fn compare_delta<A, F>(
     make: F,
 ) -> DeltaBenchRow
 where
-    A: BatchUpdate + Snapshot + Clone,
+    A: Clusterer + Clone,
     F: Fn() -> A,
 {
+    dynscan_baseline::install();
     let (initial, warmup, continuation) = make_workload(config);
     let mut live = make();
     for chunk in initial
@@ -284,7 +287,9 @@ where
     // Base checkpoint: starts the delta chain.
     let base_doc = {
         let mut buf = Vec::new();
-        live.capture(false, 0).write_to(&mut buf).expect("base");
+        live.capture_checkpoint(false, 0)
+            .write_to(&mut buf)
+            .expect("base");
         buf
     };
     // One bursty batch of churn.
@@ -308,7 +313,7 @@ where
     let mut delta_runs = Vec::new();
     for _ in 0..3 {
         let mut twin = live.clone();
-        let (secs, capture) = time(|| twin.capture(true, 0));
+        let (secs, capture) = time(|| twin.capture_checkpoint(true, 0));
         assert_eq!(
             capture.kind(),
             dynscan_graph::SnapshotKind::Delta,
@@ -319,13 +324,16 @@ where
     // Chain equivalence: base + delta ≡ live, bytes and behaviour.
     let delta_doc = {
         let mut buf = Vec::new();
-        live.capture(true, 0).write_to(&mut buf).expect("delta");
+        live.capture_checkpoint(true, 0)
+            .write_to(&mut buf)
+            .expect("delta");
         buf
     };
-    let mut restored = A::restore(&base_doc[..]).expect("base restores");
-    restored.apply_delta(&delta_doc).expect("delta applies");
-    let mut chain_identical =
-        Snapshot::checkpoint_bytes(&restored) == Snapshot::checkpoint_bytes(&live);
+    let mut restored = restore_any(&base_doc).expect("base restores");
+    restored
+        .apply_delta_bytes(&delta_doc)
+        .expect("delta applies");
+    let mut chain_identical = restored.checkpoint_bytes() == live.checkpoint_bytes();
     for batch in &continuation[1..] {
         chain_identical &= live.apply_batch(batch) == restored.apply_batch(batch);
     }
@@ -437,209 +445,6 @@ pub fn run_checkpoint_vs_rebuild(config: &CheckpointBenchConfig) -> Vec<Checkpoi
     ]
 }
 
-/// One v2-vs-v3 codec comparison row: the identical state sized and
-/// timed under both wire formats, full and delta.
-#[derive(Clone, Debug)]
-pub struct CodecBenchRow {
-    /// Algorithm name.
-    pub algorithm: &'static str,
-    /// Labelling mode.
-    pub mode: &'static str,
-    /// Edges in the graph at the measurement point.
-    pub edges: usize,
-    /// Full document size under the legacy v2 writer.
-    pub v2_full_bytes: usize,
-    /// Full document size under the current v3 writer.
-    pub v3_full_bytes: usize,
-    /// `v2_full_bytes / v3_full_bytes` — the compression the codec
-    /// migration bought (gated ≥ 3× on the headline row).
-    pub full_size_ratio: f64,
-    /// Wall-clock seconds to encode the full v2 document.
-    pub v2_encode_secs: f64,
-    /// Wall-clock seconds to encode the full v3 document.
-    pub v3_encode_secs: f64,
-    /// Wall-clock seconds to decode (restore from) the v2 document.
-    pub v2_decode_secs: f64,
-    /// Wall-clock seconds to decode (restore from) the v3 document.
-    pub v3_decode_secs: f64,
-    /// Delta document size under the legacy v2 writer (same churn).
-    pub v2_delta_bytes: usize,
-    /// Delta document size under the current v3 writer.
-    pub v3_delta_bytes: usize,
-    /// `v2_delta_bytes / v3_delta_bytes`.
-    pub delta_size_ratio: f64,
-    /// Whether the v2 document restores and re-encodes to exactly the
-    /// v3 document (cross-version semantic identity), and the v3
-    /// document is a fixed point of checkpoint∘restore.
-    pub reencode_identical: bool,
-}
-
-/// Measure the v2-vs-v3 codec comparison for one algorithm: build to
-/// the warmup boundary, size/time the identical state under both full
-/// writers, verify cross-version identity, then one bursty batch of
-/// churn sized under both delta writers.
-fn compare_codec<A, F, D>(
-    config: &CheckpointBenchConfig,
-    algorithm: &'static str,
-    mode: &'static str,
-    make: F,
-    delta_v2: D,
-) -> CodecBenchRow
-where
-    A: BatchUpdate + Snapshot,
-    F: Fn() -> A,
-    D: Fn(&A, u64) -> Option<Vec<u8>>,
-{
-    let (initial, warmup, continuation) = make_workload(config);
-    let mut live = make();
-    for chunk in initial
-        .iter()
-        .map(|&(u, v)| GraphUpdate::Insert(u, v))
-        .collect::<Vec<_>>()
-        .chunks(1024)
-    {
-        live.apply_batch(chunk);
-    }
-    for batch in &warmup {
-        live.apply_batch(batch);
-    }
-    let edges = live.num_edges();
-
-    // Full documents of the identical state, both writers, timed.
-    let mut v3_encode_runs = Vec::new();
-    let mut v3_doc = Vec::new();
-    for _ in 0..3 {
-        let (secs, b) = time(|| Snapshot::checkpoint_bytes(&live));
-        v3_encode_runs.push(secs);
-        v3_doc = b;
-    }
-    let mut v2_encode_runs = Vec::new();
-    let mut v2_doc = Vec::new();
-    for _ in 0..3 {
-        let (secs, b) = time(|| live.checkpoint_v2_bytes());
-        v2_encode_runs.push(secs);
-        v2_doc = b;
-    }
-    let mut v3_decode_runs = Vec::new();
-    let mut v2_decode_runs = Vec::new();
-    let mut reencode_identical = true;
-    for _ in 0..3 {
-        let (secs, restored) = time(|| A::restore(&v3_doc[..]).expect("v3 document restores"));
-        v3_decode_runs.push(secs);
-        reencode_identical &= Snapshot::checkpoint_bytes(&restored) == v3_doc;
-        let (secs, restored) = time(|| A::restore(&v2_doc[..]).expect("v2 document restores"));
-        v2_decode_runs.push(secs);
-        reencode_identical &= Snapshot::checkpoint_bytes(&restored) == v3_doc;
-    }
-
-    // Delta documents of the identical churn, both writers.  The base
-    // capture starts the chain; `delta_v2` is non-consuming, so the v3
-    // capture afterwards describes the same dirty set.
-    live.capture(false, 0);
-    live.apply_batch(&continuation[0]);
-    let v2_delta = delta_v2(&live, 0).expect("churn produces a capturable delta");
-    let v3_delta_capture = live.capture(true, 0);
-    assert_eq!(
-        v3_delta_capture.kind(),
-        dynscan_graph::SnapshotKind::Delta,
-        "{algorithm} ({mode}): churn capture must be differential"
-    );
-    let v3_delta = v3_delta_capture.to_bytes();
-
-    CodecBenchRow {
-        algorithm,
-        mode,
-        edges,
-        v2_full_bytes: v2_doc.len(),
-        v3_full_bytes: v3_doc.len(),
-        full_size_ratio: v2_doc.len() as f64 / v3_doc.len().max(1) as f64,
-        v2_encode_secs: median_secs(v2_encode_runs),
-        v3_encode_secs: median_secs(v3_encode_runs),
-        v2_decode_secs: median_secs(v2_decode_runs),
-        v3_decode_secs: median_secs(v3_decode_runs),
-        v2_delta_bytes: v2_delta.len(),
-        v3_delta_bytes: v3_delta.len(),
-        delta_size_ratio: v2_delta.len() as f64 / v3_delta.len().max(1) as f64,
-        reencode_identical,
-    }
-}
-
-/// Run the v2-vs-v3 codec comparison for all four backends.
-pub fn run_codec_comparison(config: &CheckpointBenchConfig) -> Vec<CodecBenchRow> {
-    vec![
-        // Headline: DynStrClu in sampled mode — the ≥ 3× full and delta
-        // compression gates apply to this row.
-        compare_codec(
-            config,
-            "DynStrClu",
-            "sampled",
-            || DynStrClu::new(sampled_params(config.seed)),
-            |a, t| a.delta_v2_bytes(t),
-        ),
-        compare_codec(
-            config,
-            "DynStrClu",
-            "exact-rho0",
-            || DynStrClu::new(exact_params(config.seed)),
-            |a, t| a.delta_v2_bytes(t),
-        ),
-        compare_codec(
-            config,
-            "DynELM",
-            "sampled",
-            || DynElm::new(sampled_params(config.seed)),
-            |a, t| a.delta_v2_bytes(t),
-        ),
-        compare_codec(
-            config,
-            "pSCAN-like",
-            "exact",
-            || ExactDynScan::jaccard(0.3, 4),
-            |a, t| a.delta_v2_bytes(t),
-        ),
-    ]
-}
-
-/// Human-readable table of the codec rows.
-pub fn codec_rows_to_table(rows: &[CodecBenchRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<11} {:<10} {:>7} {:>9} {:>9} {:>6} {:>9} {:>9} {:>6} {:>8} {:>8} {:>9}",
-        "algorithm",
-        "mode",
-        "edges",
-        "v2 KiB",
-        "v3 KiB",
-        "size x",
-        "v2enc ms",
-        "v3enc ms",
-        "dec x",
-        "v2d B",
-        "v3d B",
-        "identical"
-    );
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "{:<11} {:<10} {:>7} {:>9.1} {:>9.1} {:>5.1}x {:>9.2} {:>9.2} {:>5.1}x {:>8} {:>8} {:>9}",
-            row.algorithm,
-            row.mode,
-            row.edges,
-            row.v2_full_bytes as f64 / 1024.0,
-            row.v3_full_bytes as f64 / 1024.0,
-            row.full_size_ratio,
-            row.v2_encode_secs * 1e3,
-            row.v3_encode_secs * 1e3,
-            row.v2_decode_secs / row.v3_decode_secs.max(f64::EPSILON),
-            row.v2_delta_bytes,
-            row.v3_delta_bytes,
-            row.reencode_identical,
-        );
-    }
-    out
-}
-
 /// One tiered-memory measurement: the same workload replayed at one
 /// hot-tier budget setting.
 #[derive(Clone, Debug)]
@@ -687,7 +492,7 @@ pub fn run_tiered_memory(config: &CheckpointBenchConfig) -> Vec<TieredMemoryRow>
     let mut rows = Vec::new();
     for (label, budget) in settings {
         let mut live = DynStrClu::new(sampled_params(config.seed));
-        Clusterer::set_memory_budget(&mut live, budget);
+        live.set_memory_budget(budget);
         let (replay_secs, ()) = time(|| {
             for chunk in initial_inserts.chunks(1024) {
                 live.apply_batch(chunk);
@@ -696,7 +501,7 @@ pub fn run_tiered_memory(config: &CheckpointBenchConfig) -> Vec<TieredMemoryRow>
                 live.apply_batch(batch);
             }
         });
-        let bytes = Snapshot::checkpoint_bytes(&live);
+        let bytes = live.checkpoint_bytes();
         let bytes_identical = match &reference_bytes {
             None => {
                 reference_bytes = Some(bytes);
@@ -762,7 +567,6 @@ pub fn checkpoint_rows_to_json(
     config: &CheckpointBenchConfig,
     rows: &[CheckpointBenchRow],
     delta_rows: &[DeltaBenchRow],
-    codec_rows: &[CodecBenchRow],
     tiered_rows: &[TieredMemoryRow],
 ) -> String {
     let mut out = String::new();
@@ -823,38 +627,6 @@ pub fn checkpoint_rows_to_json(
             row.chain_identical,
         );
         out.push_str(if i + 1 < delta_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"codec_rows\": [\n");
-    for (i, row) in codec_rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"algorithm\": \"{}\", \"mode\": \"{}\", \"edges\": {}, \
-             \"v2_full_bytes\": {}, \"v3_full_bytes\": {}, \"full_size_ratio\": {:.2}, \
-             \"v2_encode_secs\": {:.6}, \"v3_encode_secs\": {:.6}, \
-             \"v2_decode_secs\": {:.6}, \"v3_decode_secs\": {:.6}, \
-             \"v2_delta_bytes\": {}, \"v3_delta_bytes\": {}, \"delta_size_ratio\": {:.2}, \
-             \"reencode_identical\": {}}}",
-            row.algorithm,
-            row.mode,
-            row.edges,
-            row.v2_full_bytes,
-            row.v3_full_bytes,
-            row.full_size_ratio,
-            row.v2_encode_secs,
-            row.v3_encode_secs,
-            row.v2_decode_secs,
-            row.v3_decode_secs,
-            row.v2_delta_bytes,
-            row.v3_delta_bytes,
-            row.delta_size_ratio,
-            row.reencode_identical,
-        );
-        out.push_str(if i + 1 < codec_rows.len() {
             ",\n"
         } else {
             "\n"
@@ -967,21 +739,12 @@ mod tests {
         let delta_rows = vec![compare_delta(&config, "DynELM", "sampled", || {
             DynElm::new(sampled_params(config.seed))
         })];
-        let codec_rows = vec![compare_codec(
-            &config,
-            "DynELM",
-            "sampled",
-            || DynElm::new(sampled_params(config.seed)),
-            |a, t| a.delta_v2_bytes(t),
-        )];
         let tiered_rows = run_tiered_memory(&config);
-        let json = checkpoint_rows_to_json(&config, &rows, &delta_rows, &codec_rows, &tiered_rows);
+        let json = checkpoint_rows_to_json(&config, &rows, &delta_rows, &tiered_rows);
         assert!(json.contains("\"benchmark\": \"checkpoint_vs_rebuild\""));
         assert!(json.contains("\"restore_speedup\""));
         assert!(json.contains("\"delta_rows\""));
         assert!(json.contains("\"chain_identical\": true"));
-        assert!(json.contains("\"codec_rows\""));
-        assert!(json.contains("\"reencode_identical\": true"));
         assert!(json.contains("\"tiered_memory\""));
         assert!(json.contains("\"bytes_identical\": true"));
         assert!(json.trim_end().ends_with('}'));
@@ -989,8 +752,6 @@ mod tests {
         assert!(table.contains("DynELM"));
         let delta_table = delta_rows_to_table(&delta_rows);
         assert!(delta_table.contains("delta KiB"));
-        let codec_table = codec_rows_to_table(&codec_rows);
-        assert!(codec_table.contains("v3 KiB"));
         let tiered_table = tiered_rows_to_table(&tiered_rows);
         assert!(tiered_table.contains("cold KiB"));
     }

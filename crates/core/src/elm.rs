@@ -296,7 +296,7 @@ impl DynElm {
     ///
     /// Invalid updates within the batch — duplicate insertions, deletions
     /// of absent edges, self-loops — are skipped, matching how
-    /// [`crate::DynamicClustering::try_apply`] rejects them.  The flip
+    /// [`crate::Clusterer::try_apply`] rejects them.  The flip
     /// set is sorted by edge key and coalesced: an edge whose label ends
     /// the batch where it started does not appear.
     pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {

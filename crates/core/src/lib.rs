@@ -21,16 +21,15 @@
 //! * [`StrCluResult`] / [`extract_clustering`] implement the O(n + m)
 //!   StrClu-result extraction of Fact 1, shared by the dynamic algorithms
 //!   and the baselines.  The result is a structurally shared value, so
-//!   DynStrClu's [`DynamicClustering::refresh_clustering`] can bring an
-//!   earlier result up to date in proportion to the clusters a flip set
-//!   touched.
+//!   DynStrClu's [`Clusterer::refresh_clustering`] can bring an earlier
+//!   result up to date in proportion to the clusters a flip set touched.
 //!
-//! * [`BatchUpdate`] is the batch update engine's API: `apply_batch` takes
-//!   a whole burst of updates, applies the topology in stream order, drains
-//!   DT maturities **once per endpoint across the batch**, re-estimates the
-//!   deduplicated affected-edge set **in parallel** with deterministic
-//!   per-edge random streams, and feeds the coalesced net flip set to
-//!   vAuxInfo / `G_core` maintenance once.  Single updates are the
+//! * [`Clusterer::apply_batch`] is the batch update engine's entry point:
+//!   it takes a whole burst of updates, applies the topology in stream
+//!   order, drains DT maturities **once per endpoint across the batch**,
+//!   re-estimates the deduplicated affected-edge set **in parallel** with
+//!   deterministic per-edge random streams, and feeds the coalesced net
+//!   flip set to vAuxInfo / `G_core` maintenance once.  Single updates are the
 //!   batch-size-1 special case of the same engine (see [`elm`] for the
 //!   precise semantics).
 //!
@@ -40,10 +39,11 @@
 //! ## The `Session` facade (recommended entry point)
 //!
 //! Applications drive any backend through one handle: the object-safe
-//! [`Clusterer`] trait unifies typed update application
-//! ([`DynamicClustering::try_apply`]), batch ingestion
-//! ([`BatchUpdate::apply_batch`]), cluster-group-by queries and erased
-//! checkpointing, and [`Session`] layers streaming ingestion with
+//! [`Clusterer`] trait is the whole engine contract — typed update
+//! application ([`Clusterer::try_apply`]), batch ingestion
+//! ([`Clusterer::apply_batch`]), clustering extraction, cluster-group-by
+//! queries and checkpoint/restore — and [`Session`] layers streaming
+//! ingestion with
 //! **read-your-writes** semantics on top: pushed updates are buffered
 //! into size-bounded batches ([`AutoBatchPolicy`]), and every query
 //! flushes the buffer first, so it always observes a state valid for
@@ -74,7 +74,8 @@
 //! algorithm tag); the exact baselines in `dynscan-baseline` join the
 //! registry through that crate's `install()`.  The concrete types
 //! ([`DynElm`], [`DynStrClu`]) remain available for callers that need
-//! their full inherent APIs.
+//! their full inherent APIs, including the typed `restore` and
+//! `ALGO_TAG`.
 
 pub mod aux;
 pub mod clock;
@@ -108,7 +109,7 @@ pub use snapshot::{CheckpointCapture, DirtyTracker};
 pub use store::{CheckpointStore, DirCheckpointStore, TailError, TailedDoc};
 pub use strclu::DynStrClu;
 pub use testing::{FaultPlan, FlakySink, FlakyStore, MemCheckpointStore};
-pub use traits::{BatchUpdate, Clusterer, DynamicClustering, Snapshot, UpdateError};
+pub use traits::{Clusterer, UpdateError};
 
 // Re-export the vocabulary types users need alongside the algorithms.
 pub use dynscan_graph::{EdgeKey, GraphError, GraphUpdate, SnapshotError, SnapshotKind, VertexId};

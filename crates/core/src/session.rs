@@ -6,7 +6,7 @@
 //! # Streaming ingestion and read-your-writes
 //!
 //! [`Session::push`] does not apply an update immediately: it buffers it
-//! and flushes the whole buffer through [`crate::BatchUpdate::apply_batch`] when
+//! and flushes the whole buffer through [`Clusterer::apply_batch`] when
 //! the [`AutoBatchPolicy`] size bound is hit — the batch engine's
 //! deduplicated drain and parallel re-estimation are most effective on
 //! full batches, which is exactly the ROADMAP's "accumulate updates into
@@ -37,7 +37,7 @@
 //! observable (and testable).
 //!
 //! A stale cached clustering is *patched*, not re-extracted, when the
-//! backend can ([`crate::DynamicClustering::refresh_clustering`]): while a
+//! backend can ([`Clusterer::refresh_clustering`]): while a
 //! clustering is cached the session collects the endpoints of every
 //! flipped edge, and the refresh rebuilds only the clusters those
 //! touched.  Past [`PATCH_CROSSOVER`] endpoints it drops the list and
@@ -47,7 +47,7 @@
 //!
 //! [`Session::checkpoint_bytes`] serialises whatever backend the session
 //! wraps; the snapshot header carries the backend's
-//! [`Snapshot::ALGO_TAG`].  The reverse
+//! [`Clusterer::algo_tag`].  The reverse
 //! direction is [`restore_any`]: it peeks the tag and dispatches to the
 //! restorer registered for it, returning a `Box<dyn Clusterer>` of
 //! *whatever algorithm the snapshot contains* — a service can restart
@@ -58,9 +58,9 @@
 //!
 //! With [`SessionBuilder::checkpoint_every`] the session also checkpoints
 //! *automatically* every `n` submitted updates, writing through a
-//! [`CheckpointStore`] (or the legacy closure sink — a file per sequence
-//! number, an object store upload, …); failures are recorded on the
-//! session rather than panicking mid-stream
+//! [`CheckpointStore`] (a file per sequence number, an object store
+//! upload, …); failures are recorded on the session rather than
+//! panicking mid-stream
 //! ([`Session::last_checkpoint_error`], cleared again by the next
 //! success).
 //!
@@ -70,7 +70,7 @@
 //! low-pause durability subsystem:
 //!
 //! * **[`SessionBuilder::full_every`]`(k)`** — only every k-th document
-//!   is a full snapshot; the ones in between are format-v2
+//!   is a full snapshot; the ones in between are
 //!   **differential snapshots** encoding just the state touched since
 //!   the previous checkpoint (each backend's dirty tracking), typically
 //!   several times smaller and faster to capture on bursty streams.  A
@@ -96,10 +96,10 @@ use crate::epoch::{EpochCell, EpochReadHandle, EpochSnapshot};
 use crate::gate::{CompletionSlot, InflightGate};
 use crate::params::Params;
 use crate::snapshot::CheckpointCapture;
-use crate::store::{CheckpointStore, SinkStore};
+use crate::store::CheckpointStore;
 use crate::strclu::DynStrClu;
 use crate::sync::{Arc, Mutex, OnceLock};
-use crate::traits::{Clusterer, Snapshot, UpdateError};
+use crate::traits::{Clusterer, UpdateError};
 use dynscan_graph::snapshot::{peek_algo_tag, peek_header, SnapshotKind, FORMAT_VERSION};
 use dynscan_graph::{GraphUpdate, SnapshotError, VertexId};
 use std::fmt;
@@ -209,8 +209,8 @@ pub enum SessionError {
     InvalidBatchSize,
     /// `checkpoint_every(0)` would checkpoint before any update.
     InvalidCheckpointInterval,
-    /// `checkpoint_every` was set without a `checkpoint_sink` /
-    /// `checkpoint_store` to write to.
+    /// `checkpoint_every` was set without a `checkpoint_store` to write
+    /// to.
     MissingCheckpointSink,
     /// `full_every(0)` would never write a full snapshot.
     InvalidFullEvery,
@@ -241,8 +241,7 @@ impl fmt::Display for SessionError {
             }
             SessionError::MissingCheckpointSink => write!(
                 f,
-                "checkpoint_every was set but no checkpoint_sink/checkpoint_store \
-                 was supplied"
+                "checkpoint_every was set but no checkpoint_store was supplied"
             ),
             SessionError::InvalidFullEvery => {
                 write!(f, "full_every(0) would never write a full snapshot")
@@ -291,13 +290,13 @@ fn registry() -> &'static Mutex<Vec<Registration>> {
         Mutex::new(vec![
             Registration {
                 backend: Backend::DynElm,
-                algo_tag: <DynElm as Snapshot>::ALGO_TAG,
+                algo_tag: DynElm::ALGO_TAG,
                 construct: |p| Box::new(DynElm::new(p)),
                 restore: restore_dyn_elm,
             },
             Registration {
                 backend: Backend::DynStrClu,
-                algo_tag: <DynStrClu as Snapshot>::ALGO_TAG,
+                algo_tag: DynStrClu::ALGO_TAG,
                 construct: |p| Box::new(DynStrClu::new(p)),
                 restore: restore_dyn_str_clu,
             },
@@ -430,7 +429,7 @@ pub fn restore_any_chain<B: AsRef<[u8]>>(docs: &[B]) -> Result<Box<dyn Clusterer
 /// `dynscan_baseline::install()` first.
 ///
 /// ```
-/// use dynscan_core::{restore_any, DynStrClu, Params, Snapshot, VertexId};
+/// use dynscan_core::{restore_any, Clusterer, DynStrClu, Params, VertexId};
 ///
 /// let mut live = DynStrClu::new(Params::jaccard(0.5, 2).with_rho(0.05));
 /// live.insert_edge(VertexId(0), VertexId(1)).unwrap();
@@ -464,11 +463,6 @@ fn construct_backend(backend: Backend, params: Params) -> Result<Box<dyn Cluster
         .ok_or(SessionError::BackendUnavailable { backend })?;
     Ok(construct(params))
 }
-
-/// Factory for auto-checkpoint writers: called with the checkpoint
-/// sequence number (0, 1, …), returns the `Write` destination for that
-/// checkpoint.
-pub type CheckpointSinkFn = dyn FnMut(u64) -> std::io::Result<Box<dyn std::io::Write>> + Send;
 
 /// State shared between the session and its (possibly background)
 /// checkpoint jobs: the store and the retention ledger.
@@ -635,33 +629,17 @@ impl SessionBuilder {
     }
 
     /// Checkpoint automatically after every `n` submitted updates,
-    /// through the sink supplied with
-    /// [`SessionBuilder::checkpoint_sink`].
+    /// through the store supplied with
+    /// [`SessionBuilder::checkpoint_store`].
     pub fn checkpoint_every(mut self, n: u64) -> Self {
         self.checkpoint_every = Some(n);
         self
     }
 
-    /// Where automatic checkpoints are written: the factory is called
-    /// with the checkpoint sequence number and returns the writer for
-    /// that checkpoint.  Retention pruning cannot physically delete
-    /// through a closure sink — use
-    /// [`SessionBuilder::checkpoint_store`] with a
-    /// [`crate::store::DirCheckpointStore`] (or any
-    /// [`CheckpointStore`]) when `keep_last` matters.
-    pub fn checkpoint_sink<F>(mut self, sink: F) -> Self
-    where
-        F: FnMut(u64) -> std::io::Result<Box<dyn std::io::Write>> + Send + 'static,
-    {
-        self.checkpoint_store = Some(Box::new(SinkStore {
-            sink: Box::new(sink),
-        }));
-        self
-    }
-
     /// Where automatic checkpoints are written, with removal support for
-    /// retention pruning (e.g. [`crate::store::DirCheckpointStore`]).
-    /// Replaces any previously supplied sink/store.
+    /// retention pruning (e.g. [`crate::store::DirCheckpointStore`], or
+    /// [`crate::MemCheckpointStore`] in memory).  Replaces any previously
+    /// supplied store.
     pub fn checkpoint_store<S: CheckpointStore + 'static>(mut self, store: S) -> Self {
         self.checkpoint_store = Some(Box::new(store));
         self
@@ -708,31 +686,8 @@ impl SessionBuilder {
     /// constructor or the configuration is inconsistent; invalid
     /// [`Params`] panic exactly as the concrete constructors do.
     pub fn build(self) -> Result<Session, SessionError> {
-        if matches!(
-            self.policy,
-            AutoBatchPolicy::Size(0) | AutoBatchPolicy::SizeOrDelay { size: 0, .. }
-        ) {
-            return Err(SessionError::InvalidBatchSize);
-        }
-        if self.checkpoint_every == Some(0) {
-            return Err(SessionError::InvalidCheckpointInterval);
-        }
-        if self.checkpoint_every.is_some() && self.checkpoint_store.is_none() {
-            return Err(SessionError::MissingCheckpointSink);
-        }
-        if self.full_every == 0 {
-            return Err(SessionError::InvalidFullEvery);
-        }
-        if self.keep_last == Some(0) {
-            return Err(SessionError::InvalidRetention);
-        }
-        let mut inner = construct_backend(self.backend, self.params)?;
-        if let Some(threads) = self.threads {
-            inner.set_threads(threads);
-        }
-        if let Some(budget) = self.memory_budget {
-            inner.set_memory_budget(budget);
-        }
+        self.validate()?;
+        let inner = construct_backend(self.backend, self.params)?;
         Ok(self.wire_session(inner))
     }
 
@@ -764,6 +719,14 @@ impl SessionBuilder {
         self,
         docs: &[B],
     ) -> Result<Session, SessionError> {
+        self.validate()?;
+        let inner = restore_any_chain(docs).map_err(SessionError::RestoreFailed)?;
+        Ok(self.wire_session(inner))
+    }
+
+    /// The configuration checks shared by [`SessionBuilder::build`] and
+    /// [`SessionBuilder::build_resuming_from_chain`].
+    fn validate(&self) -> Result<(), SessionError> {
         if matches!(
             self.policy,
             AutoBatchPolicy::Size(0) | AutoBatchPolicy::SizeOrDelay { size: 0, .. }
@@ -782,20 +745,20 @@ impl SessionBuilder {
         if self.keep_last == Some(0) {
             return Err(SessionError::InvalidRetention);
         }
-        let mut inner = restore_any_chain(docs).map_err(SessionError::RestoreFailed)?;
+        Ok(())
+    }
+
+    /// Shared tail of [`SessionBuilder::build`] /
+    /// [`SessionBuilder::build_resuming_from_chain`]: configure a
+    /// constructed or restored backend and attach the policy, clock and
+    /// checkpoint runtime to it.
+    fn wire_session(self, mut inner: Box<dyn Clusterer>) -> Session {
         if let Some(threads) = self.threads {
             inner.set_threads(threads);
         }
         if let Some(budget) = self.memory_budget {
             inner.set_memory_budget(budget);
         }
-        Ok(self.wire_session(inner))
-    }
-
-    /// Shared tail of [`SessionBuilder::build`] /
-    /// [`SessionBuilder::build_resuming_from_chain`]: attach the policy,
-    /// clock and checkpoint runtime to a constructed or restored backend.
-    fn wire_session(self, inner: Box<dyn Clusterer>) -> Session {
         let mut session = Session::from_clusterer(inner);
         session.policy = self.policy;
         session.checkpoint_every = self.checkpoint_every;
@@ -962,16 +925,6 @@ impl Session {
         Ok(Session::from_clusterer(restore_any_chain(docs)?))
     }
 
-    /// Replace the auto-flush policy (builder-style).
-    pub fn with_auto_batch(mut self, policy: AutoBatchPolicy) -> Self {
-        assert!(
-            !matches!(policy, AutoBatchPolicy::Size(0)),
-            "AutoBatchPolicy::Size(0) would never flush"
-        );
-        self.policy = policy;
-        self
-    }
-
     // ----------------------------------------------------------------- //
     // Ingestion
     // ----------------------------------------------------------------- //
@@ -982,7 +935,7 @@ impl Session {
     ///
     /// Invalid updates (duplicates, missing deletions, self-loops) are
     /// skipped by the batch engine at flush time, exactly as
-    /// [`crate::BatchUpdate::apply_batch`] documents; use [`Session::apply`] for
+    /// [`Clusterer::apply_batch`] documents; use [`Session::apply`] for
     /// per-update typed errors.
     pub fn push(&mut self, update: GraphUpdate) -> Option<Vec<FlippedEdge>> {
         if self.buffer.is_empty() {
@@ -1389,15 +1342,6 @@ impl Session {
         self.inner.checkpoint_bytes()
     }
 
-    /// Like [`Session::checkpoint_bytes`], but under the legacy
-    /// format-v2 writer — same state, v2 wire bytes.  Exists for the
-    /// compat gates and the v2-vs-v3 size/speed comparison; everything
-    /// else checkpoints in the current format.
-    pub fn checkpoint_v2_bytes(&mut self) -> Vec<u8> {
-        self.flush();
-        self.inner.checkpoint_v2_bytes()
-    }
-
     /// Like [`Session::checkpoint_bytes`], but streaming into `w`.
     pub fn checkpoint_to(&mut self, w: &mut dyn std::io::Write) -> Result<(), SnapshotError> {
         self.flush();
@@ -1553,8 +1497,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::fixtures::{two_cliques_params, two_cliques_with_hub};
-    use std::io::Write;
-    use std::sync::Arc;
+    use crate::testing::{FaultPlan, FlakyStore, MemCheckpointStore};
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -1600,7 +1543,7 @@ mod tests {
         assert!(matches!(
             Session::builder()
                 .checkpoint_every(0)
-                .checkpoint_sink(|_| Ok(Box::new(Vec::new()) as Box<dyn Write>))
+                .checkpoint_store(MemCheckpointStore::new())
                 .build(),
             Err(SessionError::InvalidCheckpointInterval)
         ));
@@ -1916,49 +1859,15 @@ mod tests {
         ));
     }
 
-    /// A `Write` that buffers locally and publishes into the shared store
-    /// slot on `flush` — the in-memory stand-in for a file-per-checkpoint
-    /// sink.
-    struct Tee {
-        buf: Vec<u8>,
-        store: Arc<Mutex<Vec<Vec<u8>>>>,
-        index: usize,
-    }
-
-    impl Write for Tee {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.buf.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.store.lock().unwrap()[self.index] = self.buf.clone();
-            Ok(())
-        }
-    }
-
     #[test]
     fn auto_checkpoint_writes_through_the_sink_and_restores_erased() {
-        let store: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink_store = Arc::clone(&store);
+        let store = MemCheckpointStore::new();
         let mut session = Session::builder()
             .backend(Backend::DynStrClu)
             .params(two_cliques_params().with_seed(7))
             .auto_batch(AutoBatchPolicy::Size(8))
             .checkpoint_every(16)
-            .checkpoint_sink(move |seq| {
-                let store = Arc::clone(&sink_store);
-                let index = {
-                    let mut slots = store.lock().unwrap();
-                    assert_eq!(seq as usize, slots.len(), "sequence numbers are dense");
-                    slots.push(Vec::new());
-                    slots.len() - 1
-                };
-                Ok(Box::new(Tee {
-                    buf: Vec::new(),
-                    store,
-                    index,
-                }) as Box<dyn Write>)
-            })
+            .checkpoint_store(store.clone())
             .build()
             .unwrap();
         session.extend(fixture_inserts());
@@ -1967,19 +1876,21 @@ mod tests {
         assert_eq!(session.checkpoints_written(), 2, "35 updates / every 16");
         // The session records what it wrote: the second checkpoint covers
         // the first 32 updates and its payload length matches the bytes
-        // that reached the sink.
+        // that reached the store.
         let info = session.last_checkpoint_info().expect("checkpoints written");
         assert_eq!(info.algo_tag, session.algo_tag());
         assert_eq!(info.format_version, FORMAT_VERSION);
         assert_eq!(info.updates_applied, 32);
-        let snapshots = store.lock().unwrap();
+        let snapshots = store.documents();
+        let seqs: Vec<u64> = snapshots.iter().map(|&(seq, _, _)| seq).collect();
+        assert_eq!(seqs, vec![0, 1], "sequence numbers are dense");
         assert_eq!(
             info.payload_len as usize,
-            snapshots.last().unwrap().len() - dynscan_graph::snapshot::HEADER_LEN
+            snapshots.last().unwrap().2.len() - dynscan_graph::snapshot::HEADER_LEN
         );
         assert_eq!(info.kind, SnapshotKind::Full, "full_every defaults to 1");
         assert!(info.wall_time_millis > 0, "auto-checkpoints are stamped");
-        for bytes in snapshots.iter() {
+        for (_, _, bytes) in snapshots.iter() {
             let restored = restore_any(bytes).expect("auto-checkpoint restores erased");
             assert_eq!(restored.algorithm_name(), "DynStrClu");
         }
@@ -1992,7 +1903,6 @@ mod tests {
     /// the chain, so a delta would reference a base the store never got).
     #[test]
     fn checkpoint_error_clears_after_recovery_and_chain_restarts_full() {
-        use crate::testing::{FaultPlan, FlakyStore, MemCheckpointStore};
         let store = MemCheckpointStore::new();
         let plan = FaultPlan::new();
         // Attempts: 0 ok (full), 1 fails at open, 2+ ok.
@@ -2309,24 +2219,24 @@ mod tests {
 
     #[test]
     fn failing_sink_is_recorded_not_fatal() {
+        let plan = FaultPlan::new();
+        // Manual flushing: the 35 updates land as one batch, so exactly
+        // one checkpoint is attempted, and it fails.
+        plan.fail_open_on([0]);
         let mut session = Session::builder()
             .backend(Backend::DynElm)
             .params(two_cliques_params())
             .checkpoint_every(4)
-            .checkpoint_sink(|_| {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::PermissionDenied,
-                    "disk full",
-                ))
-            })
+            .checkpoint_store(FlakyStore::new(MemCheckpointStore::new(), plan.clone()))
             .build()
             .unwrap();
         session.extend(fixture_inserts());
         session.flush();
         assert_eq!(session.checkpoints_written(), 0);
+        assert_eq!(plan.attempts(), 1);
         assert!(session
             .last_checkpoint_error()
-            .is_some_and(|e| e.contains("disk full")));
+            .is_some_and(|e| e.contains("injected open failure")));
         // The session itself keeps working.
         assert_eq!(session.clustering().num_clusters(), 2);
     }

@@ -1,5 +1,8 @@
-//! Checkpoint/restore for [`DynElm`] and [`DynStrClu`] (the [`Snapshot`]
-//! trait; see `dynscan_graph::snapshot` for the wire format).
+//! Checkpoint/restore for [`DynElm`] and [`DynStrClu`]: their inherent
+//! `ALGO_TAG` / `restore`, the payload codecs their
+//! [`Clusterer`](crate::Clusterer) checkpoint methods write, and the
+//! dirty tracking behind differential snapshots (see
+//! `dynscan_graph::snapshot` for the wire format).
 //!
 //! # What is serialised
 //!
@@ -40,12 +43,11 @@ use crate::aux::VertexAux;
 use crate::elm::{DynElm, ElmStats};
 use crate::params::Params;
 use crate::strclu::DynStrClu;
-use crate::traits::Snapshot;
 use dynscan_conn::HdtConnectivity;
 use dynscan_dt::{CoordinatorState, DtRegistry, ParticipantEntry};
 use dynscan_graph::snapshot::{
-    fnv1a, read_document_meta, split_document, write_document, write_document_meta_v2,
-    write_document_prechecked, write_document_v2, DocumentMeta, SnapshotHeader, SnapshotKind,
+    fnv1a, read_document_meta, split_document, write_document_prechecked, DocumentMeta,
+    SnapshotHeader, SnapshotKind,
 };
 use dynscan_graph::{DynGraph, EdgeKey, SnapReader, SnapWriter, SnapshotError, VertexId};
 use dynscan_sim::{EdgeLabel, LabellingStrategy, SimilarityMeasure};
@@ -78,7 +80,7 @@ pub struct ChainPosition {
 }
 
 /// Dirty-state bookkeeping for differential snapshots — the building block
-/// every [`Snapshot`] implementor in the workspace embeds.
+/// every checkpointable backend in the workspace embeds.
 ///
 /// Between two checkpoints the owning structure marks every vertex whose
 /// per-vertex state (adjacency slots, DT counter/heap) changed and every
@@ -278,7 +280,8 @@ impl CheckpointCapture {
 }
 
 /// Finish a full-snapshot capture: frame the metadata, restart the
-/// tracker's chain.  Shared by every backend's `capture` implementation.
+/// tracker's chain.  Shared by every backend's
+/// [`Clusterer::capture_checkpoint`](crate::Clusterer::capture_checkpoint).
 pub fn finish_full_capture(
     algo_tag: u32,
     dirty: &mut DirtyTracker,
@@ -455,7 +458,7 @@ fn rebuild_strategy(params: &Params, invocations: u64, samples: u64) -> Labellin
 }
 
 /// Write every DynELM section into `w` (shared by both algorithms).
-fn write_elm_payload(elm: &DynElm, w: &mut SnapWriter) {
+pub(crate) fn write_elm_payload(elm: &DynElm, w: &mut SnapWriter) {
     write_params(w, &elm.params);
     write_stats_section(elm, w);
     w.section(section::GRAPH, |s| elm.graph.write_snapshot(s));
@@ -463,21 +466,13 @@ fn write_elm_payload(elm: &DynElm, w: &mut SnapWriter) {
         let mut labels: Vec<(EdgeKey, EdgeLabel)> = elm.labels().collect();
         labels.sort_unstable_by_key(|&(k, _)| k);
         s.len_prefix(labels.len());
-        if s.compact() {
-            // v3 layout: delta-encoded sorted keys, then the similarity
-            // flags bit-packed — ~1 bit instead of 9 bytes per label.
-            let mut prev: Option<EdgeKey> = None;
-            for &(key, _) in &labels {
-                s.edge_key_seq(&mut prev, key);
-            }
-            s.packed_bools(labels.iter().map(|&(_, l)| l.is_similar()));
-        } else {
-            // v2 layout: interleaved (edge, bool) pairs.
-            for &(key, label) in &labels {
-                s.edge(key);
-                s.bool(label.is_similar());
-            }
+        // Delta-encoded sorted keys, then the similarity flags
+        // bit-packed — ~1 bit per label.
+        let mut prev: Option<EdgeKey> = None;
+        for &(key, _) in &labels {
+            s.edge_key_seq(&mut prev, key);
         }
+        s.packed_bools(labels.iter().map(|&(_, l)| l.is_similar()));
     });
     w.section(section::RELABELS, |s| {
         let mut counts: Vec<(EdgeKey, u64)> =
@@ -797,7 +792,7 @@ fn apply_elm_delta_payload(
 /// [`DynStrClu`] (whose deltas carry the same sections under tag 2,
 /// with vAuxInfo / `G_core` re-derived on apply).  `None` when no chain
 /// base exists yet.
-fn try_capture_elm_delta(
+pub(crate) fn try_capture_elm_delta(
     elm: &mut DynElm,
     algo_tag: u32,
     wall_time_millis: u64,
@@ -817,100 +812,39 @@ fn try_capture_elm_delta(
     ))
 }
 
-/// The pending ELM-family delta under the legacy format-v2 writer —
-/// **non-consuming** (dirty marks and chain position untouched), so the
-/// codec bench can size the same churn under both formats before the
-/// real v3 `capture` consumes it.  `None` when no delta is capturable.
-fn elm_delta_v2_bytes(elm: &DynElm, algo_tag: u32, wall_time_millis: u64) -> Option<Vec<u8>> {
-    if !elm.dirty.can_delta() {
-        return None;
+/// Apply one ELM-family delta document under `algo_tag` to `elm`, which
+/// must sit exactly at the delta's base; on success `elm` sits at the
+/// delta's chain position.  Shared by [`DynElm`] and [`DynStrClu`] (whose
+/// caller re-derives vAuxInfo / `G_core` afterwards).
+pub(crate) fn apply_elm_delta(
+    elm: &mut DynElm,
+    algo_tag: u32,
+    bytes: &[u8],
+) -> Result<(), SnapshotError> {
+    let (header, payload) = split_document(bytes, algo_tag)?;
+    check_delta_applicable(&elm.dirty, &header)?;
+    if let Err(e) = apply_elm_delta_payload(elm, header.format_version, payload) {
+        // A failed apply may have merged part of the delta; the instance
+        // is no longer a valid chain base (or a valid instance at all) —
+        // poison the tracker and report.  Callers must discard the
+        // instance on error.
+        elm.dirty.mark_all();
+        return Err(e);
     }
-    let chain = elm.dirty.chain().expect("can_delta implies a chain");
-    let vertices = elm.dirty.vertices_sorted();
-    let edges = elm.dirty.edges_sorted();
-    let mut w = SnapWriter::fixed();
-    write_elm_delta_payload(elm, &vertices, &edges, &mut w);
-    let meta = DocumentMeta {
-        kind: SnapshotKind::Delta,
-        sequence: chain.sequence + 1,
-        base_checksum: chain.checksum,
-        wall_time_millis,
-    };
-    let mut buf = Vec::new();
-    write_document_meta_v2(&mut buf, algo_tag, &meta, &w.into_bytes())
-        .expect("writing to a Vec cannot fail");
-    Some(buf)
+    elm.dirty.note_restored(header.checksum, header.sequence);
+    Ok(())
 }
 
 impl DynElm {
-    /// The pending delta as a legacy v2 document (see
-    /// `elm_delta_v2_bytes` — non-consuming, bench/compat surface).
-    pub fn delta_v2_bytes(&self, wall_time_millis: u64) -> Option<Vec<u8>> {
-        elm_delta_v2_bytes(self, <DynElm as Snapshot>::ALGO_TAG, wall_time_millis)
-    }
+    /// Algorithm tag stored in DynELM snapshot headers, so a snapshot of
+    /// one structure cannot silently restore as another.
+    pub const ALGO_TAG: u32 = 1;
 
-    /// Capture a checkpoint: a delta against the last checkpoint when
-    /// `prefer_delta` holds and a base exists, a full snapshot otherwise.
-    /// Clears the dirty marks and advances the chain (see
-    /// [`DirtyTracker`]); the returned capture is encoded but not yet
-    /// framed or written, so the I/O can happen elsewhere.
-    pub(crate) fn capture_impl(
-        &mut self,
-        prefer_delta: bool,
-        wall_time_millis: u64,
-    ) -> CheckpointCapture {
-        if prefer_delta {
-            if let Some(capture) =
-                try_capture_elm_delta(self, <DynElm as Snapshot>::ALGO_TAG, wall_time_millis)
-            {
-                return capture;
-            }
-        }
-        let mut w = SnapWriter::new();
-        write_elm_payload(self, &mut w);
-        finish_full_capture(
-            <DynElm as Snapshot>::ALGO_TAG,
-            &mut self.dirty,
-            w.into_bytes(),
-            wall_time_millis,
-        )
-    }
-
-    pub(crate) fn apply_delta_impl(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let (header, payload) = split_document(bytes, <DynElm as Snapshot>::ALGO_TAG)?;
-        check_delta_applicable(&self.dirty, &header)?;
-        if let Err(e) = apply_elm_delta_payload(self, header.format_version, payload) {
-            // A failed apply may have merged part of the delta; the
-            // instance is no longer a valid chain base (or a valid
-            // instance at all) — poison the tracker and report.  Callers
-            // must discard the instance on error.
-            self.dirty.mark_all();
-            return Err(e);
-        }
-        self.dirty.note_restored(header.checksum, header.sequence);
-        Ok(())
-    }
-}
-
-impl Snapshot for DynElm {
-    const ALGO_TAG: u32 = 1;
-
-    fn checkpoint<W: std::io::Write>(&self, w: W) -> Result<(), SnapshotError> {
-        let mut payload = SnapWriter::new();
-        write_elm_payload(self, &mut payload);
-        write_document(w, Self::ALGO_TAG, &payload.into_bytes())
-    }
-
-    fn checkpoint_v2_bytes(&self) -> Vec<u8> {
-        let mut payload = SnapWriter::fixed();
-        write_elm_payload(self, &mut payload);
-        let mut buf = Vec::new();
-        write_document_v2(&mut buf, Self::ALGO_TAG, &payload.into_bytes())
-            .expect("writing to a Vec cannot fail");
-        buf
-    }
-
-    fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError> {
+    /// Rebuild an instance from a full snapshot document of any supported
+    /// format version (see [`crate::Clusterer`] for the bit-identical
+    /// resume contract).  The instance sits at the document's chain
+    /// position, so deltas written after it apply directly.
+    pub fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError> {
         let (header, payload) = read_document_meta(r, Self::ALGO_TAG)?;
         if header.kind != SnapshotKind::Full {
             return Err(SnapshotError::UnexpectedDelta);
@@ -918,22 +852,12 @@ impl Snapshot for DynElm {
         let mut reader = SnapReader::for_version(header.format_version, &payload);
         let mut elm = read_elm_payload(&mut reader)?;
         reader.finish()?;
-        // The restored instance sits exactly at this document's chain
-        // position: deltas written later may be applied directly.
         elm.dirty.note_restored(header.checksum, header.sequence);
         Ok(elm)
     }
-
-    fn capture(&mut self, prefer_delta: bool, wall_time_millis: u64) -> CheckpointCapture {
-        self.capture_impl(prefer_delta, wall_time_millis)
-    }
-
-    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        self.apply_delta_impl(bytes)
-    }
 }
 
-fn write_aux_payload(algo: &DynStrClu, w: &mut SnapWriter) {
+pub(crate) fn write_aux_payload(algo: &DynStrClu, w: &mut SnapWriter) {
     w.section(section::AUX, |s| {
         s.len_prefix(algo.aux.len());
         for aux in &algo.aux {
@@ -1040,7 +964,7 @@ fn read_aux_payload(
 /// Rebuild `CC-Str(G_core)` from a restored labelling + core flags — the
 /// fast path that keeps snapshots small (module docs).  The sim-core
 /// edges are fed in sorted order so the rebuild is reproducible.
-fn rebuild_core_graph(elm: &DynElm, aux: &[VertexAux]) -> HdtConnectivity {
+pub(crate) fn rebuild_core_graph(elm: &DynElm, aux: &[VertexAux]) -> HdtConnectivity {
     crate::testing::note_derived_rebuild();
     let mut sim_core_edges: Vec<EdgeKey> = elm
         .labels()
@@ -1065,7 +989,7 @@ fn rebuild_core_graph(elm: &DynElm, aux: &[VertexAux]) -> HdtConnectivity {
 /// pure function of (labels, μ).  Insertion happens in globally sorted
 /// edge order, which gives every vertex the same ascending per-set
 /// insertion order as the full decode's sorted aux section.
-fn derive_aux(elm: &DynElm, mu: usize) -> Vec<VertexAux> {
+pub(crate) fn derive_aux(elm: &DynElm, mu: usize) -> Vec<VertexAux> {
     let n = elm.graph().num_vertices();
     let mut sim_edges: Vec<EdgeKey> = elm
         .labels()
@@ -1093,106 +1017,12 @@ fn derive_aux(elm: &DynElm, mu: usize) -> Vec<VertexAux> {
 }
 
 impl DynStrClu {
-    /// The pending delta as a legacy v2 document (see
-    /// `elm_delta_v2_bytes` — non-consuming, bench/compat surface).
-    pub fn delta_v2_bytes(&self, wall_time_millis: u64) -> Option<Vec<u8>> {
-        elm_delta_v2_bytes(
-            &self.elm,
-            <DynStrClu as Snapshot>::ALGO_TAG,
-            wall_time_millis,
-        )
-    }
+    /// Algorithm tag stored in DynStrClu snapshot headers.
+    pub const ALGO_TAG: u32 = 2;
 
-    pub(crate) fn capture_impl(
-        &mut self,
-        prefer_delta: bool,
-        wall_time_millis: u64,
-    ) -> CheckpointCapture {
-        // The delta payload is the ELM delta alone: vAuxInfo and G_core
-        // are pure functions of the restored labelling and are re-derived
-        // on apply.
-        if prefer_delta {
-            if let Some(capture) = try_capture_elm_delta(
-                &mut self.elm,
-                <DynStrClu as Snapshot>::ALGO_TAG,
-                wall_time_millis,
-            ) {
-                return capture;
-            }
-        }
-        let mut w = SnapWriter::new();
-        write_elm_payload(&self.elm, &mut w);
-        write_aux_payload(self, &mut w);
-        finish_full_capture(
-            <DynStrClu as Snapshot>::ALGO_TAG,
-            &mut self.elm.dirty,
-            w.into_bytes(),
-            wall_time_millis,
-        )
-    }
-
-    pub(crate) fn apply_delta_impl(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let (header, payload) = split_document(bytes, <DynStrClu as Snapshot>::ALGO_TAG)?;
-        check_delta_applicable(&self.elm.dirty, &header)?;
-        if let Err(e) = apply_elm_delta_payload(&mut self.elm, header.format_version, payload) {
-            self.elm.dirty.mark_all();
-            return Err(e);
-        }
-        self.aux = derive_aux(&self.elm, self.mu);
-        self.core_graph = rebuild_core_graph(&self.elm, &self.aux);
-        self.elm
-            .dirty
-            .note_restored(header.checksum, header.sequence);
-        Ok(())
-    }
-
-    /// Chain form of [`DynStrClu::apply_delta_impl`]: merge every delta
-    /// into the labelling in order, then derive vAuxInfo and rebuild
-    /// `CC-Str(G_core)` **once**.  Equivalent to applying the deltas one
-    /// by one because both derived modules are pure functions of the
-    /// final (labels, μ) — intermediate derivations are dead work.
-    pub(crate) fn apply_delta_chain_impl(&mut self, docs: &[&[u8]]) -> Result<(), SnapshotError> {
-        if docs.is_empty() {
-            return Ok(());
-        }
-        for bytes in docs {
-            let (header, payload) = split_document(bytes, <DynStrClu as Snapshot>::ALGO_TAG)?;
-            check_delta_applicable(&self.elm.dirty, &header)?;
-            if let Err(e) = apply_elm_delta_payload(&mut self.elm, header.format_version, payload) {
-                self.elm.dirty.mark_all();
-                return Err(e);
-            }
-            self.elm
-                .dirty
-                .note_restored(header.checksum, header.sequence);
-        }
-        self.aux = derive_aux(&self.elm, self.mu);
-        self.core_graph = rebuild_core_graph(&self.elm, &self.aux);
-        Ok(())
-    }
-}
-
-impl Snapshot for DynStrClu {
-    const ALGO_TAG: u32 = 2;
-
-    fn checkpoint<W: std::io::Write>(&self, w: W) -> Result<(), SnapshotError> {
-        let mut payload = SnapWriter::new();
-        write_elm_payload(&self.elm, &mut payload);
-        write_aux_payload(self, &mut payload);
-        write_document(w, Self::ALGO_TAG, &payload.into_bytes())
-    }
-
-    fn checkpoint_v2_bytes(&self) -> Vec<u8> {
-        let mut payload = SnapWriter::fixed();
-        write_elm_payload(&self.elm, &mut payload);
-        write_aux_payload(self, &mut payload);
-        let mut buf = Vec::new();
-        write_document_v2(&mut buf, Self::ALGO_TAG, &payload.into_bytes())
-            .expect("writing to a Vec cannot fail");
-        buf
-    }
-
-    fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError> {
+    /// Rebuild an instance from a full snapshot document of any supported
+    /// format version; see [`DynElm::restore`].
+    pub fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError> {
         let (header, payload) = read_document_meta(r, Self::ALGO_TAG)?;
         if header.kind != SnapshotKind::Full {
             return Err(SnapshotError::UnexpectedDelta);
@@ -1215,21 +1045,13 @@ impl Snapshot for DynStrClu {
             shard_flip_cutoff: crate::strclu::DEFAULT_SHARD_FLIP_CUTOFF,
         })
     }
-
-    fn capture(&mut self, prefer_delta: bool, wall_time_millis: u64) -> CheckpointCapture {
-        self.capture_impl(prefer_delta, wall_time_millis)
-    }
-
-    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        self.apply_delta_impl(bytes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::{two_cliques_params, two_cliques_with_hub};
-    use crate::traits::DynamicClustering;
+    use crate::traits::Clusterer;
     use dynscan_graph::GraphUpdate;
 
     fn v(i: u32) -> VertexId {

@@ -5,10 +5,7 @@
 //! factory once retention enters the picture: pruning old full+delta
 //! chains requires *removing* documents by sequence number.  A store is
 //! therefore a factory keyed by `(sequence, kind)` plus a best-effort
-//! `remove`.  The legacy closure-based sink
-//! ([`crate::SessionBuilder::checkpoint_sink`]) still works — it adapts
-//! into a store whose `remove` is a no-op, so retention bookkeeping
-//! proceeds but nothing is physically deleted.
+//! `remove`.
 //!
 //! [`DirCheckpointStore`] writes one file per document
 //! (`ckpt-<seq>-<kind>.snap`), really deletes on `remove`, and can read
@@ -48,7 +45,7 @@ pub enum TailError {
     },
     /// Reading the store failed for an ordinary I/O reason.
     Io(io::Error),
-    /// The store cannot be tailed (e.g. the legacy write-only sink).
+    /// The store cannot be tailed (e.g. a write-only sink).
     Unsupported,
 }
 
@@ -82,8 +79,7 @@ pub trait CheckpointStore: Send {
 
     /// Remove the document with this sequence number (retention pruning).
     /// Best-effort: the default implementation does nothing, which is
-    /// correct for sinks that cannot delete (append-only logs, the legacy
-    /// closure sink).
+    /// correct for sinks that cannot delete (append-only logs).
     fn remove(&mut self, seq: u64) -> io::Result<()> {
         let _ = seq;
         Ok(())
@@ -120,18 +116,6 @@ pub trait CheckpointStore: Send {
     fn poll_since(&self, after: Option<u64>) -> Result<Vec<TailedDoc>, TailError> {
         let _ = after;
         Err(TailError::Unsupported)
-    }
-}
-
-/// Adapter giving the legacy closure sink (`FnMut(seq) -> io::Result<Box
-/// dyn Write>>`) a [`CheckpointStore`] face.
-pub(crate) struct SinkStore {
-    pub(crate) sink: Box<crate::session::CheckpointSinkFn>,
-}
-
-impl CheckpointStore for SinkStore {
-    fn writer(&mut self, seq: u64, _kind: SnapshotKind) -> io::Result<Box<dyn std::io::Write>> {
-        (self.sink)(seq)
     }
 }
 

@@ -31,7 +31,7 @@ pub(crate) const DEFAULT_SHARD_FLIP_CUTOFF: usize = 192;
 ///
 /// On top of those, [`DynStrClu::cluster_group_by`] answers group-by queries
 /// in O(|Q| · log n), [`DynStrClu::clustering`] extracts the full result
-/// in O(n + m), and its [`crate::DynamicClustering::refresh_clustering`]
+/// in O(n + m), and its [`crate::Clusterer::refresh_clustering`]
 /// brings an earlier result up to date in O(volume of the clusters a
 /// flip set touched).
 #[derive(Clone, Debug)]
@@ -643,7 +643,7 @@ mod tests {
         // Force the sharded path (cutoff 1) on multi-worker pools and
         // compare the full serialised state against a purely sequential
         // twin after every batch.
-        use crate::traits::Snapshot;
+        use crate::traits::Clusterer;
         let params = Params::jaccard(0.35, 3)
             .with_exact_labels()
             .with_rho(0.05)
@@ -675,8 +675,8 @@ mod tests {
                 let flips_shard = sharded.apply_batch(&batch);
                 assert_eq!(flips_seq, flips_shard, "threads {threads} round {round}");
                 assert_eq!(
-                    Snapshot::checkpoint_bytes(&sequential),
-                    Snapshot::checkpoint_bytes(&sharded),
+                    sequential.checkpoint_bytes(),
+                    sharded.checkpoint_bytes(),
                     "threads {threads} round {round}"
                 );
                 assert_eq!(

@@ -1,16 +1,14 @@
-//! The common interfaces the experiment harness drives algorithms through:
-//! [`DynamicClustering`] for one-update-at-a-time processing,
-//! [`BatchUpdate`] for whole-batch processing, [`Snapshot`] for typed
-//! checkpoint/restore persistence and — unifying all of them behind one
-//! object-safe handle — [`Clusterer`], the trait the [`crate::Session`]
-//! facade wraps.
+//! [`Clusterer`], the one object-safe engine interface every backend
+//! implements and the [`crate::Session`] facade wraps, and
+//! [`UpdateError`], the typed cause of a rejected update.
 
 use crate::cluster::{group_by_from_clustering, StrCluResult};
 use crate::elm::{DynElm, ElmStats, FlippedEdge};
-use crate::snapshot::CheckpointCapture;
+use crate::snapshot::{self, finish_full_capture, CheckpointCapture};
 use crate::strclu::{DynStrClu, LiveView};
+use dynscan_graph::snapshot::write_document;
 use dynscan_graph::{
-    GraphError, GraphUpdate, MemoryFootprint, SnapshotError, SnapshotKind, VertexId,
+    GraphError, GraphUpdate, MemoryFootprint, SnapWriter, SnapshotError, VertexId,
 };
 use std::fmt;
 
@@ -71,23 +69,84 @@ impl From<GraphError> for UpdateError {
     }
 }
 
-/// A dynamic structural clustering algorithm: something that consumes a
-/// stream of edge insertions/deletions and can produce the StrClu result on
-/// request.
+/// The engine interface every backend implements — [`DynElm`],
+/// [`DynStrClu`] and the two exact dynamic baselines in
+/// `dynscan-baseline` — and the one handle the [`crate::Session`] facade,
+/// the service layer and the experiment harness (Figures 7–11 of the
+/// paper) drive them through.  The trait is **object-safe**: a service
+/// runs whatever backend it was configured or restored with behind one
+/// `Box<dyn Clusterer>`.
 ///
-/// Implemented by [`DynElm`], [`DynStrClu`] and the baselines in
-/// `dynscan-baseline`, so the experiment harness (Figures 7–11 of the
-/// paper) can run them interchangeably.
-pub trait DynamicClustering {
+/// # Updates
+///
+/// [`Clusterer::try_apply`] applies one update and reports the net label
+/// flips it caused.  Invalid updates — duplicate insertions, deletions of
+/// missing edges, self-loops — leave the structure completely unchanged
+/// and report their cause as an [`UpdateError`].
+///
+/// [`Clusterer::apply_batch`] must leave the structure in a state *valid
+/// for the post-batch graph* — identical topology to one-at-a-time
+/// application, every label within the algorithm's approximation
+/// guarantee — while being free to deduplicate and reorder the similarity
+/// re-estimation work inside the batch window.  The returned
+/// [`FlippedEdge`] set is the **net** label change of the batch
+/// (coalesced, sorted by edge key); invalid updates inside the batch are
+/// skipped, mirroring how `try_apply` rejects them one at a time.
+///
+/// # Queries
+///
+/// [`Clusterer::current_clustering`] extracts the clustering in
+/// O(n + m).  [`Clusterer::refresh_clustering`] may bring an earlier
+/// result up to date incrementally, but its result must **equal**
+/// extraction.  [`Clusterer::cluster_group_by`] (Theorem 7.1) is answered
+/// by DynStrClu in O(|Q| · log n) from its connectivity structure and by
+/// DynELM and the exact baselines from their maintained labels via an
+/// O(n + m) extraction; every implementation returns the same canonical
+/// form (each group sorted by vertex id, groups sorted by their smallest
+/// member, noise vertices in no group, hub vertices in every group whose
+/// cluster contains them).
+///
+/// # Checkpoints
+///
+/// [`Clusterer::checkpoint_to`] serialises the full live state as a
+/// versioned, length-prefixed, checksummed document
+/// ([`dynscan_graph::snapshot`]) whose header carries
+/// [`Clusterer::algo_tag`]; [`crate::session::restore_any`] dispatches on
+/// that tag to the restorer registered for it, and each backend also has
+/// an inherent `restore` and `ALGO_TAG`.  Restores report truncation,
+/// corruption, version or algorithm mismatches as a [`SnapshotError`]
+/// instead of deserialising garbage.  Every map-shaped structure is
+/// written in sorted order, so the encoding is canonical: equal states
+/// produce byte-identical documents.
+///
+/// The contract is **bit-identical resume**: feeding any update stream `S`
+/// to `restore(checkpoint(A))` must produce exactly the state that feeding
+/// `S` to `A` itself would have — the same edge labels, the same DT
+/// counters and in-flight protocol rounds, and (in sampled mode) the same
+/// future random draws, because the per-edge invocation counters and the
+/// adjacency slot order that positional neighbourhood sampling depends on
+/// are both part of the snapshot.  A restarted service therefore continues
+/// as if it never stopped, rather than paying a full rebuild and drifting
+/// onto a different (even if equally valid) labelling trajectory.
+///
+/// One portability caveat on the *bit*-identity claim: sampled-mode label
+/// decisions size their draws via `f64::ln`, whose last-ulp behaviour is
+/// libm-dependent, so "same future random draws" is guaranteed when
+/// checkpoint and resume run on the same platform/libm (the snapshot
+/// itself is portable and restores everywhere; across libms a resumed run
+/// could round a sample count differently and diverge onto another —
+/// equally ρ-valid — trajectory).
+pub trait Clusterer: Send {
     /// A short human-readable name (used in experiment output).
     fn algorithm_name(&self) -> &'static str;
 
-    /// Apply one update, reporting the net label flips it caused.
-    ///
-    /// Invalid updates (duplicate insertions, deletions of missing edges,
-    /// self-loops) leave the structure unchanged and report their cause as
-    /// an [`UpdateError`].
+    /// Apply one update, reporting the net label flips it caused, or the
+    /// [`UpdateError`] that left the structure unchanged.
     fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError>;
+
+    /// Apply a batch of updates; returns the coalesced net flip set
+    /// (see the [trait docs](Clusterer)).
+    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge>;
 
     /// Extract the current clustering (O(n + m)).
     fn current_clustering(&self) -> StrCluResult;
@@ -95,8 +154,8 @@ pub trait DynamicClustering {
     /// Bring `prev`, this structure's clustering at an earlier state, up
     /// to date, given the endpoints of every edge whose label flipped
     /// since (any order, duplicates allowed).  The result must equal
-    /// [`DynamicClustering::current_clustering`].  `None`, the default,
-    /// means the structure has no incremental path: extract instead.
+    /// [`Clusterer::current_clustering`].  `None`, the default, means the
+    /// structure has no incremental path: extract instead.
     fn refresh_clustering(
         &self,
         prev: &StrCluResult,
@@ -123,162 +182,9 @@ pub trait DynamicClustering {
     fn elm_stats(&self) -> Option<ElmStats> {
         None
     }
-}
 
-/// A dynamic clustering algorithm that can consume updates in batches.
-///
-/// `apply_batch` must leave the structure in a state *valid for the
-/// post-batch graph* — identical topology to one-at-a-time application,
-/// every label within the algorithm's approximation guarantee — while
-/// being free to deduplicate and reorder the similarity re-estimation work
-/// inside the batch window.  The returned [`FlippedEdge`] set is the
-/// **net** label change of the batch (coalesced, sorted by edge key);
-/// invalid updates inside the batch are skipped, mirroring how
-/// [`DynamicClustering::try_apply`] rejects them one at a time.
-///
-/// Implemented by [`DynElm`] and [`DynStrClu`] (deduplicated DT drain plus
-/// parallel deterministic re-estimation) and by the two exact dynamic
-/// baselines in `dynscan-baseline` (deduplicated relabelling over exact
-/// counts), so the batch-throughput experiments can drive all four
-/// interchangeably.
-pub trait BatchUpdate: DynamicClustering {
-    /// Apply a batch of updates; returns the coalesced net flip set.
-    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge>;
-}
-
-/// Checkpoint/restore of a dynamic clustering algorithm's full live state.
-///
-/// The contract is **bit-identical resume**: feeding any update stream `S`
-/// to `restore(checkpoint(A))` must produce exactly the state that feeding
-/// `S` to `A` itself would have — the same edge labels, the same DT
-/// counters and in-flight protocol rounds, and (in sampled mode) the same
-/// future random draws, because the per-edge invocation counters and the
-/// adjacency slot order that positional neighbourhood sampling depends on
-/// are both part of the snapshot.  A restarted service therefore continues
-/// as if it never stopped, rather than paying a full rebuild and drifting
-/// onto a different (even if equally valid) labelling trajectory.
-///
-/// The wire format is the versioned, length-prefixed, checksummed binary
-/// of [`dynscan_graph::snapshot`]; [`SnapshotError`] reports truncation,
-/// corruption, version or algorithm mismatches instead of deserialising
-/// garbage.  Every map-shaped structure is written in sorted order, so the
-/// encoding is canonical: equal states produce byte-identical snapshots.
-///
-/// One portability caveat on the *bit*-identity claim: sampled-mode label
-/// decisions size their draws via `f64::ln`, whose last-ulp behaviour is
-/// libm-dependent, so "same future random draws" is guaranteed when
-/// checkpoint and resume run on the same platform/libm (the snapshot
-/// itself is portable and restores everywhere; across libms a resumed run
-/// could round a sample count differently and diverge onto another —
-/// equally ρ-valid — trajectory).
-///
-/// This trait is deliberately **not** object-safe (`Sized`, generic
-/// writers, an associated tag): it is the typed path for callers that know
-/// which structure they hold.  The erased path — restoring *whatever
-/// algorithm a snapshot contains* behind `Box<dyn Clusterer>` — is
-/// [`crate::session::restore_any`], which dispatches on the same
-/// [`Snapshot::ALGO_TAG`] through the backend registry.
-///
-/// Implemented by [`DynElm`], [`DynStrClu`] (in [`crate::snapshot`]) and
-/// the two exact dynamic baselines in `dynscan-baseline`.
-pub trait Snapshot: Sized {
-    /// Algorithm tag stored in the snapshot header, so a snapshot of one
-    /// structure cannot silently restore as another.
-    const ALGO_TAG: u32;
-
-    /// Serialise the full live state into `w`.
-    fn checkpoint<W: std::io::Write>(&self, w: W) -> Result<(), SnapshotError>;
-
-    /// Rebuild an instance from a checkpoint produced by
-    /// [`Snapshot::checkpoint`].
-    fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError>;
-
-    /// Convenience: checkpoint into a fresh byte vector.
-    fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.checkpoint(&mut buf)
-            .expect("writing to a Vec cannot fail");
-        buf
-    }
-
-    /// Serialise the full live state as a legacy **format v2** document
-    /// (fixed-width payload encoding under a version-2 header).  The
-    /// compat gates and the v2-vs-v3 bench rows use this writer;
-    /// restoring the bytes yields exactly the same state as
-    /// [`Snapshot::checkpoint_bytes`], and re-encoding that state under
-    /// the current format reproduces the v3 bytes byte for byte.
-    fn checkpoint_v2_bytes(&self) -> Vec<u8>;
-
-    /// Capture a checkpoint for the differential chain: a delta encoding
-    /// only the state touched since the previous capture when
-    /// `prefer_delta` holds and a base exists, a full snapshot otherwise
-    /// (the actual kind is on the returned capture).  Capturing clears
-    /// the instance's dirty marks and advances its chain position; the
-    /// returned [`CheckpointCapture`] is fully encoded but not yet
-    /// written, so framing + I/O can run off the update thread.
-    ///
-    /// `wall_time_millis` (ms since the Unix epoch; 0 = unstamped) is
-    /// recorded in the document header.
-    fn capture(&mut self, prefer_delta: bool, wall_time_millis: u64) -> CheckpointCapture;
-
-    /// Apply one differential document on top of this instance, which
-    /// must sit exactly at the delta's base (freshly restored or just
-    /// captured, no mutations in between) — otherwise
-    /// [`SnapshotError::DeltaBaseMismatch`] or a corruption error is
-    /// returned.  **On error the instance may hold partially merged
-    /// state and must be discarded.**
-    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), SnapshotError>;
-
-    /// Convenience: capture and write a full snapshot, restarting the
-    /// delta chain.
-    fn checkpoint_full<W: std::io::Write>(
-        &mut self,
-        w: W,
-        wall_time_millis: u64,
-    ) -> Result<(), SnapshotError> {
-        self.capture(false, wall_time_millis).write_to(w)
-    }
-
-    /// Convenience: capture and write a delta (or a full snapshot when no
-    /// base exists yet); returns which kind was written.
-    fn checkpoint_delta<W: std::io::Write>(
-        &mut self,
-        w: W,
-        wall_time_millis: u64,
-    ) -> Result<SnapshotKind, SnapshotError> {
-        let capture = self.capture(true, wall_time_millis);
-        let kind = capture.kind();
-        capture.write_to(w)?;
-        Ok(kind)
-    }
-}
-
-/// The unified, **object-safe** engine interface: everything a service (or
-/// the [`crate::Session`] facade) needs to drive any backend through one
-/// `Box<dyn Clusterer>` handle.
-///
-/// `Clusterer` composes the per-update ([`DynamicClustering`], with the
-/// typed [`DynamicClustering::try_apply`]) and batched ([`BatchUpdate`])
-/// ingestion paths, and adds the two operations that previously existed
-/// only on concrete types:
-///
-/// * **cluster-group-by** ([`Clusterer::cluster_group_by`], Theorem 7.1) —
-///   lifted from a `DynStrClu` inherent method into the trait.  DynStrClu
-///   answers in O(|Q| · log n) from its connectivity structure; DynELM and
-///   the exact baselines answer from their maintained labels via an
-///   O(n + m) extraction.  All implementations return the same canonical
-///   form: each group sorted by vertex id, groups sorted by their smallest
-///   member, noise vertices in no group, hub vertices in every group whose
-///   cluster contains them.
-/// * **erased checkpointing** ([`Clusterer::checkpoint_to`] /
-///   [`Clusterer::checkpoint_bytes`]) — the same wire bytes as the typed
-///   [`Snapshot`] path (the [`Clusterer::algo_tag`] in the header is what
-///   [`crate::session::restore_any`] dispatches on), but callable on a
-///   trait object, so a service can checkpoint whatever it is running
-///   without knowing the concrete type.
-pub trait Clusterer: BatchUpdate + Send {
     /// The algorithm tag this backend writes into its snapshot headers
-    /// (equals [`Snapshot::ALGO_TAG`] of the concrete type).
+    /// (equals the concrete type's inherent `ALGO_TAG`).
     fn algo_tag(&self) -> u32;
 
     /// Configure how many worker threads this backend's parallel work
@@ -312,8 +218,8 @@ pub trait Clusterer: BatchUpdate + Send {
     /// appear in several groups.
     fn cluster_group_by(&mut self, q: &[VertexId]) -> Vec<Vec<VertexId>>;
 
-    /// Serialise the full live state into `w` (erased counterpart of
-    /// [`Snapshot::checkpoint`]; identical bytes).
+    /// Serialise the full live state into `w` as a deterministic full
+    /// snapshot (unstamped, chain position untouched).
     fn checkpoint_to(&self, w: &mut dyn std::io::Write) -> Result<(), SnapshotError>;
 
     /// Convenience: checkpoint into a fresh byte vector.
@@ -324,22 +230,28 @@ pub trait Clusterer: BatchUpdate + Send {
         buf
     }
 
-    /// Erased counterpart of [`Snapshot::checkpoint_v2_bytes`]: the same
-    /// live state under the legacy format-v2 writer (identical bytes).
-    /// Exists for the compat gates and the v2-vs-v3 bench rows; new code
-    /// wanting the current format uses [`Clusterer::checkpoint_bytes`].
-    fn checkpoint_v2_bytes(&self) -> Vec<u8>;
-
-    /// Erased counterpart of [`Snapshot::capture`]: capture a full or
-    /// differential checkpoint, encoded but not yet written.
+    /// Capture a checkpoint for the differential chain: a delta encoding
+    /// only the state touched since the previous capture when
+    /// `prefer_delta` holds and a base exists, a full snapshot otherwise
+    /// (the actual kind is on the returned capture).  Capturing clears
+    /// the instance's dirty marks and advances its chain position; the
+    /// returned [`CheckpointCapture`] is fully encoded but not yet
+    /// written, so framing + I/O can run off the update thread.
+    ///
+    /// `wall_time_millis` (ms since the Unix epoch; 0 = unstamped) is
+    /// recorded in the document header.
     fn capture_checkpoint(
         &mut self,
         prefer_delta: bool,
         wall_time_millis: u64,
     ) -> CheckpointCapture;
 
-    /// Erased counterpart of [`Snapshot::apply_delta`].  **On error the
-    /// instance may hold partially merged state and must be discarded.**
+    /// Apply one differential document on top of this instance, which
+    /// must sit exactly at the delta's base (freshly restored or just
+    /// captured, no mutations in between) — otherwise
+    /// [`SnapshotError::DeltaBaseMismatch`] or a corruption error is
+    /// returned.  **On error the instance may hold partially merged
+    /// state and must be discarded.**
     fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError>;
 
     /// Apply a run of consecutive delta documents in order.  Semantically
@@ -367,13 +279,17 @@ pub trait Clusterer: BatchUpdate + Send {
     }
 }
 
-impl DynamicClustering for DynElm {
+impl Clusterer for DynElm {
     fn algorithm_name(&self) -> &'static str {
         "DynELM"
     }
 
     fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError> {
         self.apply(update).map_err(UpdateError::from)
+    }
+
+    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
+        DynElm::apply_batch(self, updates)
     }
 
     fn current_clustering(&self) -> StrCluResult {
@@ -399,15 +315,73 @@ impl DynamicClustering for DynElm {
     fn elm_stats(&self) -> Option<ElmStats> {
         Some(self.stats())
     }
+
+    fn algo_tag(&self) -> u32 {
+        DynElm::ALGO_TAG
+    }
+
+    fn set_threads(&mut self, threads: usize) {
+        self.set_exec_pool(crate::pool::ExecPool::with_threads(threads));
+    }
+
+    fn set_memory_budget(&mut self, bytes: Option<usize>) {
+        self.graph.set_memory_budget(bytes);
+    }
+
+    /// DynELM keeps no connectivity structure, so group-by goes through
+    /// the O(n + m) extraction of its maintained labelling.
+    fn cluster_group_by(&mut self, q: &[VertexId]) -> Vec<Vec<VertexId>> {
+        group_by_from_clustering(&self.clustering(), q)
+    }
+
+    fn checkpoint_to(&self, w: &mut dyn std::io::Write) -> Result<(), SnapshotError> {
+        let mut payload = SnapWriter::new();
+        snapshot::write_elm_payload(self, &mut payload);
+        write_document(w, DynElm::ALGO_TAG, &payload.into_bytes())
+    }
+
+    fn capture_checkpoint(
+        &mut self,
+        prefer_delta: bool,
+        wall_time_millis: u64,
+    ) -> CheckpointCapture {
+        if prefer_delta {
+            if let Some(capture) =
+                snapshot::try_capture_elm_delta(self, DynElm::ALGO_TAG, wall_time_millis)
+            {
+                return capture;
+            }
+        }
+        let mut w = SnapWriter::new();
+        snapshot::write_elm_payload(self, &mut w);
+        finish_full_capture(
+            DynElm::ALGO_TAG,
+            &mut self.dirty,
+            w.into_bytes(),
+            wall_time_millis,
+        )
+    }
+
+    fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        snapshot::apply_elm_delta(self, DynElm::ALGO_TAG, bytes)
+    }
+
+    fn exec_pool_handle(&self) -> crate::pool::ExecPool {
+        self.exec_pool().clone()
+    }
 }
 
-impl DynamicClustering for DynStrClu {
+impl Clusterer for DynStrClu {
     fn algorithm_name(&self) -> &'static str {
         "DynStrClu"
     }
 
     fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError> {
         self.apply(update).map_err(UpdateError::from)
+    }
+
+    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
+        DynStrClu::apply_batch(self, updates)
     }
 
     fn current_clustering(&self) -> StrCluResult {
@@ -447,67 +421,9 @@ impl DynamicClustering for DynStrClu {
     fn elm_stats(&self) -> Option<ElmStats> {
         Some(self.stats())
     }
-}
 
-impl BatchUpdate for DynElm {
-    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
-        DynElm::apply_batch(self, updates)
-    }
-}
-
-impl BatchUpdate for DynStrClu {
-    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
-        DynStrClu::apply_batch(self, updates)
-    }
-}
-
-impl Clusterer for DynElm {
     fn algo_tag(&self) -> u32 {
-        <DynElm as Snapshot>::ALGO_TAG
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.set_exec_pool(crate::pool::ExecPool::with_threads(threads));
-    }
-
-    fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        self.graph.set_memory_budget(bytes);
-    }
-
-    /// DynELM keeps no connectivity structure, so group-by goes through
-    /// the O(n + m) extraction of its maintained labelling.
-    fn cluster_group_by(&mut self, q: &[VertexId]) -> Vec<Vec<VertexId>> {
-        group_by_from_clustering(&self.clustering(), q)
-    }
-
-    fn checkpoint_to(&self, w: &mut dyn std::io::Write) -> Result<(), SnapshotError> {
-        Snapshot::checkpoint(self, w)
-    }
-
-    fn checkpoint_v2_bytes(&self) -> Vec<u8> {
-        Snapshot::checkpoint_v2_bytes(self)
-    }
-
-    fn capture_checkpoint(
-        &mut self,
-        prefer_delta: bool,
-        wall_time_millis: u64,
-    ) -> CheckpointCapture {
-        Snapshot::capture(self, prefer_delta, wall_time_millis)
-    }
-
-    fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        Snapshot::apply_delta(self, bytes)
-    }
-
-    fn exec_pool_handle(&self) -> crate::pool::ExecPool {
-        self.exec_pool().clone()
-    }
-}
-
-impl Clusterer for DynStrClu {
-    fn algo_tag(&self) -> u32 {
-        <DynStrClu as Snapshot>::ALGO_TAG
+        DynStrClu::ALGO_TAG
     }
 
     fn set_threads(&mut self, threads: usize) {
@@ -524,29 +440,58 @@ impl Clusterer for DynStrClu {
     }
 
     fn checkpoint_to(&self, w: &mut dyn std::io::Write) -> Result<(), SnapshotError> {
-        Snapshot::checkpoint(self, w)
+        let mut payload = SnapWriter::new();
+        snapshot::write_elm_payload(&self.elm, &mut payload);
+        snapshot::write_aux_payload(self, &mut payload);
+        write_document(w, DynStrClu::ALGO_TAG, &payload.into_bytes())
     }
 
-    fn checkpoint_v2_bytes(&self) -> Vec<u8> {
-        Snapshot::checkpoint_v2_bytes(self)
-    }
-
+    /// The delta payload is the ELM delta alone: vAuxInfo and `G_core`
+    /// are pure functions of the restored labelling and are re-derived
+    /// on apply.
     fn capture_checkpoint(
         &mut self,
         prefer_delta: bool,
         wall_time_millis: u64,
     ) -> CheckpointCapture {
-        Snapshot::capture(self, prefer_delta, wall_time_millis)
+        if prefer_delta {
+            if let Some(capture) = snapshot::try_capture_elm_delta(
+                &mut self.elm,
+                DynStrClu::ALGO_TAG,
+                wall_time_millis,
+            ) {
+                return capture;
+            }
+        }
+        let mut w = SnapWriter::new();
+        snapshot::write_elm_payload(&self.elm, &mut w);
+        snapshot::write_aux_payload(self, &mut w);
+        finish_full_capture(
+            DynStrClu::ALGO_TAG,
+            &mut self.elm.dirty,
+            w.into_bytes(),
+            wall_time_millis,
+        )
     }
 
     fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        Snapshot::apply_delta(self, bytes)
+        self.apply_delta_chain(&[bytes])
     }
 
     /// Merge every delta into the labelling first, then derive vAuxInfo
-    /// and rebuild `CC-Str(G_core)` once for the whole run.
+    /// and rebuild `CC-Str(G_core)` once for the whole run — both are
+    /// pure functions of the final (labels, μ), so intermediate
+    /// derivations are dead work.
     fn apply_delta_chain(&mut self, docs: &[&[u8]]) -> Result<(), SnapshotError> {
-        self.apply_delta_chain_impl(docs)
+        if docs.is_empty() {
+            return Ok(());
+        }
+        for bytes in docs {
+            snapshot::apply_elm_delta(&mut self.elm, DynStrClu::ALGO_TAG, bytes)?;
+        }
+        self.aux = snapshot::derive_aux(&self.elm, self.mu);
+        self.core_graph = snapshot::rebuild_core_graph(&self.elm, &self.aux);
+        Ok(())
     }
 
     fn exec_pool_handle(&self) -> crate::pool::ExecPool {
@@ -638,7 +583,7 @@ mod tests {
         for e in g.edges() {
             algo.insert_edge(e.lo(), e.hi()).unwrap();
         }
-        let typed = Snapshot::checkpoint_bytes(&algo);
+        let typed = algo.checkpoint_bytes();
         let erased = {
             let dyn_ref: &dyn Clusterer = &algo;
             dyn_ref.checkpoint_bytes()
@@ -646,7 +591,12 @@ mod tests {
         assert_eq!(typed, erased);
         assert_eq!(
             dynscan_graph::snapshot::peek_algo_tag(&erased).unwrap(),
-            Clusterer::algo_tag(&algo)
+            DynStrClu::ALGO_TAG
         );
+        // The inherent typed restore and the registry's erased one agree.
+        let from_typed = DynStrClu::restore(&erased[..]).unwrap();
+        let from_erased = crate::session::restore_any(&erased).unwrap();
+        assert_eq!(from_typed.checkpoint_bytes(), erased);
+        assert_eq!(from_erased.checkpoint_bytes(), erased);
     }
 }

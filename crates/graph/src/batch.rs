@@ -62,7 +62,7 @@ pub fn touched_vertices(updates: &[GraphUpdate]) -> Vec<VertexId> {
 impl DynGraph {
     /// Apply one update, dispatching on its kind.
     ///
-    /// Named to match `dynscan_core`'s `DynamicClustering::try_apply`:
+    /// Named to match `dynscan_core`'s `Clusterer::try_apply`:
     /// every typed single-update entry point in the workspace is a
     /// `try_apply` returning the rejection cause.
     pub fn try_apply(&mut self, update: GraphUpdate) -> Result<(), GraphError> {

@@ -35,7 +35,7 @@
 //!
 //! The header layout is shared by v2 and v3; what changed in v3 is the
 //! **payload encoding** ([`Encoding`]).  Section framing (`tag: u32 LE,
-//! len: u64 LE, bytes`) is fixed-width in every version so writers can
+//! len: u64 LE, bytes`) is fixed-width in every version so the writer can
 //! back-patch section lengths in place; everything *inside* a section is
 //! encoded per the document version:
 //!
@@ -62,11 +62,11 @@
 //! length, checksum — no kind/sequence/base/wallclock) is still *read*:
 //! every v1 document is a full snapshot.  The decoders accept all three
 //! versions — [`SnapReader::for_version`] picks the payload encoding from
-//! the header — so committed v1/v2 checkpoints keep restoring.  Only v3
-//! is written by live code ([`write_document_v2`] and
-//! [`write_document_v1`] exist for the compat gates and benches).
+//! the header — so committed v1/v2 checkpoints keep restoring.
+//! [`SnapWriter`] and the document writers produce v3 only; the v1/v2
+//! decoders are pinned by the committed fixtures under `tests/fixtures`.
 //!
-//! # Differential snapshots (v2)
+//! # Differential snapshots (since v2)
 //!
 //! A *delta* document (kind = 1) encodes only the state touched since the
 //! previous checkpoint of the same chain.  The chain is
@@ -129,15 +129,16 @@ pub const HEADER_LEN_V2: usize = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
 pub const FORMAT_VERSION: u32 = 3;
 
 /// The previous format version (v2 header with fixed-width payload
-/// primitives).  Still decoded; [`write_document_v2`] can still produce
-/// it for the compat gates and the codec benches.
+/// primitives).  Still decoded, no longer written.
 pub const FORMAT_VERSION_V2: u32 = 2;
 
 /// The legacy format version the readers still accept (full snapshots
 /// only; see the [module docs](self)).
 pub const FORMAT_VERSION_V1: u32 = 1;
 
-/// How payload primitives are encoded inside a document's sections.
+/// How payload primitives are encoded inside a document's sections — what
+/// [`SnapReader`] decodes per document version ([`SnapWriter`] always
+/// writes [`Encoding::Compact`]).
 ///
 /// Section framing is identical in both modes; see the
 /// [module docs](self) for the per-primitive table.
@@ -199,7 +200,7 @@ impl fmt::Display for SnapshotKind {
     }
 }
 
-/// The v2 header fields beyond magic/version/algo/length/checksum — what a
+/// The header fields beyond magic/version/algo/length/checksum — what a
 /// writer chooses per document.  [`Default`] is a deterministic full
 /// snapshot (sequence 0, no base, unstamped).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -369,35 +370,17 @@ fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
-/// Append-only payload writer; primitives are fixed-width little-endian
-/// or varint-compressed depending on the writer's [`Encoding`].
+/// Append-only payload writer in the current format's encoding
+/// ([`Encoding::Compact`], i.e. v3 payload bytes).
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
-    encoding: Encoding,
 }
 
 impl SnapWriter {
-    /// An empty writer in the current format's encoding
-    /// ([`Encoding::Compact`], i.e. v3 payload bytes).
+    /// An empty writer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty writer producing legacy fixed-width (v1/v2) payload
-    /// bytes — the compat-gate and codec-bench path.
-    pub fn fixed() -> Self {
-        SnapWriter {
-            buf: Vec::new(),
-            encoding: Encoding::Fixed,
-        }
-    }
-
-    /// Whether this writer emits the compact (v3) encoding.  Payload
-    /// writers branch on this where v3 changed a section's *structure*
-    /// (bit-packed label arrays) rather than just its primitives.
-    pub fn compact(&self) -> bool {
-        self.encoding == Encoding::Compact
     }
 
     /// The accumulated payload bytes.
@@ -437,20 +420,14 @@ impl SnapWriter {
         }
     }
 
-    /// Write a `u32` (little-endian in fixed mode, varint in compact).
+    /// Write a `u32` as a varint.
     pub fn u32(&mut self, x: u32) {
-        match self.encoding {
-            Encoding::Fixed => self.buf.extend_from_slice(&x.to_le_bytes()),
-            Encoding::Compact => self.varint(u64::from(x)),
-        }
+        self.varint(u64::from(x));
     }
 
-    /// Write a `u64` (little-endian in fixed mode, varint in compact).
+    /// Write a `u64` as a varint.
     pub fn u64(&mut self, x: u64) {
-        match self.encoding {
-            Encoding::Fixed => self.buf.extend_from_slice(&x.to_le_bytes()),
-            Encoding::Compact => self.varint(x),
-        }
+        self.varint(x);
     }
 
     /// Write a `usize` as `u64`.
@@ -458,8 +435,8 @@ impl SnapWriter {
         self.u64(x as u64);
     }
 
-    /// Write an `f64` as its exact bit pattern (raw 8 bytes in both
-    /// encodings — float bit patterns do not varint-compress).
+    /// Write an `f64` as its exact bit pattern (raw 8 bytes — float bit
+    /// patterns do not varint-compress).
     pub fn f64(&mut self, x: f64) {
         self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
     }
@@ -469,47 +446,33 @@ impl SnapWriter {
         self.u32(v.raw());
     }
 
-    /// Write an edge key as its `(lo, hi)` endpoints (compact mode stores
-    /// `hi` as its gap above `lo`, which is ≥ 1 by canonicality).
+    /// Write an edge key as `lo` and the gap `hi − lo − 1` (≥ 0 by
+    /// canonicality).
     pub fn edge(&mut self, e: EdgeKey) {
-        match self.encoding {
-            Encoding::Fixed => {
-                self.vertex(e.lo());
-                self.vertex(e.hi());
-            }
-            Encoding::Compact => {
-                self.varint(u64::from(e.lo().raw()));
-                self.varint(u64::from(e.hi().raw() - e.lo().raw() - 1));
-            }
-        }
+        self.varint(u64::from(e.lo().raw()));
+        self.varint(u64::from(e.hi().raw() - e.lo().raw() - 1));
     }
 
     /// Write the next element of a **strictly ascending** vertex
     /// sequence.  `prev` threads the sequence state; start each sequence
-    /// from `None`.  Compact mode stores the first id raw and every
-    /// successor as `v − prev − 1`; fixed mode is a plain [`Self::vertex`]
-    /// (byte-identical to the v2 encoding).
+    /// from `None`.  Stores the first id raw and every successor as
+    /// `v − prev − 1`.
     pub fn vertex_seq(&mut self, prev: &mut Option<VertexId>, v: VertexId) {
-        match (self.encoding, *prev) {
-            (Encoding::Fixed, _) => self.vertex(v),
-            (Encoding::Compact, None) => self.varint(u64::from(v.raw())),
-            (Encoding::Compact, Some(p)) => {
-                self.varint(u64::from(v.raw()) - u64::from(p.raw()) - 1);
-            }
+        match *prev {
+            None => self.varint(u64::from(v.raw())),
+            Some(p) => self.varint(u64::from(v.raw()) - u64::from(p.raw()) - 1),
         }
         *prev = Some(v);
     }
 
     /// Write the next element of a **strictly ascending** edge-key
-    /// sequence (sorted by `(lo, hi)`).  Compact mode stores
-    /// `varint(lo − prev_lo)`, then — if `lo` repeats — the gap
-    /// `hi − prev_hi − 1`, otherwise the fresh gap `hi − lo − 1`; the
-    /// first key is a plain compact [`Self::edge`].  Fixed mode is a plain
-    /// [`Self::edge`].
+    /// sequence (sorted by `(lo, hi)`).  Stores `varint(lo − prev_lo)`,
+    /// then — if `lo` repeats — the gap `hi − prev_hi − 1`, otherwise the
+    /// fresh gap `hi − lo − 1`; the first key is a plain [`Self::edge`].
     pub fn edge_key_seq(&mut self, prev: &mut Option<EdgeKey>, e: EdgeKey) {
-        match (self.encoding, *prev) {
-            (Encoding::Fixed, _) | (Encoding::Compact, None) => self.edge(e),
-            (Encoding::Compact, Some(p)) => {
+        match *prev {
+            None => self.edge(e),
+            Some(p) => {
                 let (lo, hi) = (u64::from(e.lo().raw()), u64::from(e.hi().raw()));
                 let prev_lo = u64::from(p.lo().raw());
                 self.varint(lo - prev_lo);
@@ -524,25 +487,21 @@ impl SnapWriter {
     }
 
     /// Write the next element of a **slot-order** (unsorted,
-    /// order-significant) vertex list, e.g. an adjacency list.  Compact
-    /// mode stores the first id raw and every successor as the zigzag
-    /// varint of `v − prev`, so clustered neighbourhoods compress even
-    /// though swap-remove leaves them unsorted.  Fixed mode is a plain
-    /// [`Self::vertex`].
+    /// order-significant) vertex list, e.g. an adjacency list.  Stores
+    /// the first id raw and every successor as the zigzag varint of
+    /// `v − prev`, so clustered neighbourhoods compress even though
+    /// swap-remove leaves them unsorted.
     pub fn slot_vertex(&mut self, prev: &mut Option<VertexId>, v: VertexId) {
-        match (self.encoding, *prev) {
-            (Encoding::Fixed, _) => self.vertex(v),
-            (Encoding::Compact, None) => self.varint(u64::from(v.raw())),
-            (Encoding::Compact, Some(p)) => {
-                self.varint(zigzag(i64::from(v.raw()) - i64::from(p.raw())));
-            }
+        match *prev {
+            None => self.varint(u64::from(v.raw())),
+            Some(p) => self.varint(zigzag(i64::from(v.raw()) - i64::from(p.raw()))),
         }
         *prev = Some(v);
     }
 
     /// Write a bool array bit-packed LSB-first (zero padding in the last
-    /// byte).  Compact-mode sections use this for label arrays; the
-    /// element count travels separately.
+    /// byte).  Sections use this for label arrays; the element count
+    /// travels separately.
     pub fn packed_bools(&mut self, bits: impl ExactSizeIterator<Item = bool>) {
         let mut acc = 0u8;
         let mut filled = 0u8;
@@ -565,8 +524,8 @@ impl SnapWriter {
     /// back-patched afterwards, so multi-megabyte sections (graph
     /// adjacency, DT state) are serialised in place instead of through a
     /// temporary buffer and a second copy.  Framing is fixed-width (raw
-    /// `u32` tag + raw `u64` length) in **both** encodings — back-patching
-    /// needs a stable slot width.
+    /// `u32` tag + raw `u64` length) in every format version —
+    /// back-patching needs a stable slot width.
     pub fn section(&mut self, tag: u32, fill: impl FnOnce(&mut SnapWriter)) {
         self.buf.extend_from_slice(&tag.to_le_bytes());
         let length_slot = self.buf.len();
@@ -608,8 +567,9 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Whether this reader decodes the compact (v3) encoding; mirrors
-    /// [`SnapWriter::compact`].
+    /// Whether this reader decodes the compact (v3) encoding.  Payload
+    /// decoders branch on this where v3 changed a section's *structure*
+    /// (bit-packed label arrays) rather than just its primitives.
     pub fn compact(&self) -> bool {
         self.encoding == Encoding::Compact
     }
@@ -890,7 +850,7 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// Write a deterministic **full** snapshot document (v2 header with
+/// Write a deterministic **full** snapshot document (v3 header with
 /// [`DocumentMeta::default`] + checksummed payload) to `w`.  Equal payload
 /// bytes produce equal documents — the canonical-encoding path every
 /// byte-identity test relies on.
@@ -903,7 +863,7 @@ pub fn write_document(
     Ok(())
 }
 
-/// Write a v2 snapshot document with explicit [`DocumentMeta`] (kind,
+/// Write a v3 snapshot document with explicit [`DocumentMeta`] (kind,
 /// chain position, base checksum, wall-clock stamp).  Returns the payload
 /// checksum, which a chained writer records as the next delta's base.
 pub fn write_document_meta(
@@ -938,64 +898,6 @@ pub fn write_document_prechecked(
     w.write_all(&meta.wall_time_millis.to_le_bytes())?;
     w.write_all(&(payload.len() as u64).to_le_bytes())?;
     w.write_all(&checksum.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Write a legacy **version 2** full-snapshot document: v2 header (same
-/// layout as v3, version field 2) over a payload the caller encoded with
-/// [`SnapWriter::fixed`].  Kept so the backward-compat gates, the
-/// corruption tests and the codec benches can produce v2 bytes on
-/// demand; live code always writes v3.
-pub fn write_document_v2(
-    w: impl std::io::Write,
-    algo_tag: u32,
-    payload: &[u8],
-) -> Result<(), SnapshotError> {
-    write_document_meta_v2(w, algo_tag, &DocumentMeta::default(), payload)?;
-    Ok(())
-}
-
-/// [`write_document_meta`]'s legacy counterpart: a version-2 header with
-/// explicit [`DocumentMeta`] (so delta documents can be framed too) over
-/// a payload the caller encoded with [`SnapWriter::fixed`].  Kept so the
-/// codec benches can produce v2-equivalent delta documents on demand;
-/// live code always writes v3.
-pub fn write_document_meta_v2(
-    mut w: impl std::io::Write,
-    algo_tag: u32,
-    meta: &DocumentMeta,
-    payload: &[u8],
-) -> Result<u64, SnapshotError> {
-    let checksum = fnv1a(payload);
-    w.write_all(&MAGIC)?;
-    w.write_all(&FORMAT_VERSION_V2.to_le_bytes())?;
-    w.write_all(&algo_tag.to_le_bytes())?;
-    w.write_all(&meta.kind.tag().to_le_bytes())?;
-    w.write_all(&meta.sequence.to_le_bytes())?;
-    w.write_all(&meta.base_checksum.to_le_bytes())?;
-    w.write_all(&meta.wall_time_millis.to_le_bytes())?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(&checksum.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(checksum)
-}
-
-/// Write a legacy **version 1** document.  Kept so the backward-compat
-/// gate and the corruption tests can produce v1 bytes on demand (over a
-/// [`SnapWriter::fixed`] payload); live code always writes v3.
-pub fn write_document_v1(
-    mut w: impl std::io::Write,
-    algo_tag: u32,
-    payload: &[u8],
-) -> Result<(), SnapshotError> {
-    w.write_all(&MAGIC)?;
-    w.write_all(&FORMAT_VERSION_V1.to_le_bytes())?;
-    w.write_all(&algo_tag.to_le_bytes())?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(&fnv1a(payload).to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
@@ -1468,23 +1370,22 @@ mod tests {
 
     #[test]
     fn v1_documents_still_read() {
-        let payload = {
-            let mut w = SnapWriter::new();
-            w.u64(77);
-            w.into_bytes()
-        };
-        let mut doc = Vec::new();
-        write_document_v1(&mut doc, 9, &payload).unwrap();
-        assert_eq!(doc.len(), HEADER_LEN_V1 + payload.len());
-        assert_eq!(read_document(&doc[..], 9).unwrap(), payload);
-        let header = peek_header(&doc).unwrap();
+        // The committed legacy fixture (a DynStrClu document, algorithm
+        // tag 2): no v1 writer exists any more.
+        let doc: &[u8] = include_bytes!("../../../tests/fixtures/golden_snapshot_v1.bin");
+        let header = peek_header(doc).unwrap();
         assert_eq!(header.format_version, FORMAT_VERSION_V1);
+        assert_eq!(header.algo_tag, 2);
         assert_eq!(header.kind, SnapshotKind::Full);
         assert_eq!(header.sequence, 0);
         assert_eq!(header.header_len(), HEADER_LEN_V1);
-        let (split_header, split_payload) = split_document(&doc, 9).unwrap();
+        assert_eq!(doc.len(), HEADER_LEN_V1 + header.payload_len as usize);
+        let payload = &doc[HEADER_LEN_V1..];
+        assert_eq!(read_document(doc, 2).unwrap(), payload);
+        let (split_header, split_payload) = split_document(doc, 2).unwrap();
         assert_eq!(split_header, header);
-        assert_eq!(split_payload, &payload[..]);
+        assert_eq!(split_payload, payload);
+        assert!(!SnapReader::for_version(header.format_version, payload).compact());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::ingest;
 use dynscan_core::sync::atomic::{AtomicU64, Ordering};
 use dynscan_core::sync::{thread, Arc, Mutex};
 use dynscan_core::{DirCheckpointStore, VertexId};
+use dynscan_graph::snapshot::fnv1a;
 use dynscan_serve::{
     read_frame_polling, DrainFlag, FrameRead, Request, RequestBody, Response, ResponseBody,
     StatsReply,
@@ -325,14 +326,4 @@ fn execute(body: &RequestBody, shared: &Arc<Shared>) -> ResponseBody {
         | RequestBody::CheckpointNow
         | RequestBody::Subscribe { .. } => ResponseBody::ReadOnly,
     }
-}
-
-/// FNV-1a, matching the checksum the crash-recovery tests compare.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }

@@ -6,35 +6,10 @@
 //! cargo run --release --example checkpoint_resume
 //! ```
 
-use dynscan::core::{Backend, GraphUpdate, Params, Session, VertexId};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use dynscan::core::{Backend, GraphUpdate, MemCheckpointStore, Params, Session, VertexId};
 
 fn v(i: u32) -> VertexId {
     VertexId(i)
-}
-
-/// An in-memory checkpoint store: one byte buffer per checkpoint sequence
-/// number (a production sink would hand out files or object-store
-/// uploads instead).
-#[derive(Clone, Default)]
-struct CheckpointStore(Arc<Mutex<Vec<Vec<u8>>>>);
-
-struct StoreWriter {
-    store: CheckpointStore,
-    index: usize,
-    buf: Vec<u8>,
-}
-
-impl Write for StoreWriter {
-    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(bytes);
-        Ok(bytes.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.store.0.lock().unwrap()[self.index] = self.buf.clone();
-        Ok(())
-    }
 }
 
 /// The service's whole update history — also what a production
@@ -57,23 +32,17 @@ fn update_log() -> Vec<GraphUpdate> {
 fn main() {
     // Sampled mode (the real algorithm): future label decisions draw
     // randomness, which is exactly what a checkpoint must preserve.
-    let store = CheckpointStore::default();
-    let sink_store = store.clone();
+    // An in-memory checkpoint store; a production service would use a
+    // `DirCheckpointStore` (one file per document) or its own
+    // `CheckpointStore` over an object store.  Clones share the
+    // documents, so this handle reads what the session writes.
+    let store = MemCheckpointStore::new();
     let mut service = Session::builder()
         .backend(Backend::DynStrClu)
         .params(Params::jaccard(0.3, 4).with_rho(0.2).with_seed(7))
-        // Auto-checkpoint every 50 submitted updates, through the
-        // user-supplied Write factory.
+        // Auto-checkpoint every 50 submitted updates into the store.
         .checkpoint_every(50)
-        .checkpoint_sink(move |seq| {
-            let mut slots = sink_store.0.lock().unwrap();
-            slots.push(Vec::new());
-            Ok(Box::new(StoreWriter {
-                store: sink_store.clone(),
-                index: seq as usize,
-                buf: Vec::new(),
-            }) as Box<dyn Write>)
-        })
+        .checkpoint_store(store.clone())
         .build()
         .expect("valid configuration");
 
@@ -92,13 +61,7 @@ fn main() {
     // --- Crash & restart: restore the *latest* auto-checkpoint instead
     // of replaying the history.  `Session::restore` goes through the
     // erased registry — it works for whatever algorithm the bytes hold.
-    let latest = store
-        .0
-        .lock()
-        .unwrap()
-        .last()
-        .cloned()
-        .expect("checkpoints");
+    let (_, _, latest) = store.documents().pop().expect("checkpoints");
     println!("restoring from {} snapshot bytes", latest.len());
     let mut resumed = Session::restore(&latest).expect("snapshot restores");
     println!("restored backend: {}", resumed.algorithm_name());

@@ -12,9 +12,9 @@
 //! * [`conn`] — fully dynamic connectivity (HDT) over the sim-core graph.
 //! * [`dt`] — distributed-tracking registry deciding *when* to relabel.
 //! * [`core`] — `DynElm` / `DynStrClu`, the object-safe [`core::Clusterer`]
-//!   engine API and the [`core::Session`] facade (streaming ingestion,
-//!   group-by queries, erased checkpointing), plus the
-//!   [`core::BatchUpdate`] batch-update API.
+//!   engine trait (per-update and batch updates, clustering, group-by,
+//!   checkpoint/restore) and the [`core::Session`] facade (streaming
+//!   ingestion, query caching, automatic checkpointing).
 //! * [`baseline`] — static SCAN plus pSCAN/hSCAN-style dynamic baselines;
 //!   [`baseline::install`] registers the latter with the `Session`
 //!   backend registry.

@@ -22,8 +22,7 @@
 
 use dynscan_baseline::{ExactDynScan, IndexedDynScan};
 use dynscan_core::{
-    BatchUpdate, DynElm, DynStrClu, DynamicClustering, EdgeKey, EdgeLabel, GraphUpdate, Params,
-    VertexId, VertexRole,
+    Clusterer, DynElm, DynStrClu, EdgeKey, EdgeLabel, GraphUpdate, Params, VertexId, VertexRole,
 };
 use dynscan_sim::exact_similarity;
 use proptest::prelude::*;
@@ -161,8 +160,8 @@ proptest! {
         let mut bat_exact = ExactDynScan::jaccard(0.4, 3);
         let mut bat_indexed = IndexedDynScan::jaccard(0.4, 3);
         for batch in updates.chunks(batch_size.max(1)) {
-            BatchUpdate::apply_batch(&mut bat_exact, batch);
-            BatchUpdate::apply_batch(&mut bat_indexed, batch);
+            Clusterer::apply_batch(&mut bat_exact, batch);
+            Clusterer::apply_batch(&mut bat_indexed, batch);
         }
 
         let seq_result = seq_exact.current_clustering();

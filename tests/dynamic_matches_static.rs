@@ -4,7 +4,7 @@
 //! algorithms agree with each other.
 
 use dynscan_baseline::{ExactDynScan, IndexedDynScan, StaticScan};
-use dynscan_core::{DynElm, DynStrClu, DynamicClustering, Params, StrCluResult};
+use dynscan_core::{Clusterer, DynElm, DynStrClu, Params, StrCluResult};
 use dynscan_graph::VertexId;
 use dynscan_metrics::adjusted_rand_index;
 use dynscan_workload::{chung_lu_power_law, InsertionStrategy, UpdateStream, UpdateStreamConfig};

@@ -151,7 +151,7 @@ proptest! {
 /// sequential path across every thread count on a denser stream.
 #[test]
 fn forced_sharding_is_byte_identical_across_thread_counts() {
-    use dynscan_core::Snapshot;
+    use dynscan_core::Clusterer;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -182,7 +182,7 @@ fn forced_sharding_is_byte_identical_across_thread_counts() {
     for batch in &batches {
         reference.apply_batch(batch);
     }
-    let reference_bytes = Snapshot::checkpoint_bytes(&reference);
+    let reference_bytes = reference.checkpoint_bytes();
 
     for threads in THREAD_COUNTS {
         let mut sharded = DynStrClu::new(params);
@@ -193,7 +193,7 @@ fn forced_sharding_is_byte_identical_across_thread_counts() {
         }
         assert_eq!(
             reference_bytes,
-            Snapshot::checkpoint_bytes(&sharded),
+            sharded.checkpoint_bytes(),
             "forced sharding diverged at {threads} threads"
         );
     }

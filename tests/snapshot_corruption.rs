@@ -12,8 +12,8 @@
 //! is covered by an explicit validation (the payload wholesale by the
 //! FNV-1a checksum), so a flip there errors out.
 
-use dynscan_core::{restore_any, DynStrClu, GraphUpdate, Params, Snapshot, VertexId};
-use dynscan_graph::snapshot::{peek_header, write_document_v1, HEADER_LEN_V2};
+use dynscan_core::{restore_any, Clusterer, DynStrClu, GraphUpdate, Params, VertexId};
+use dynscan_graph::snapshot::{peek_header, HEADER_LEN_V2};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -22,18 +22,30 @@ fn v(i: u32) -> VertexId {
 }
 
 /// The pristine documents every case corrupts: a v3 (current-format)
-/// full snapshot, a v3 delta on top of it, legacy v2 and v1 documents
-/// of the same state, and the canonical re-encodes of the base and the
-/// post-delta state.
+/// full snapshot, a v3 delta on top of it, the committed legacy v2 and
+/// v1 golden fixtures, the committed v2 delta on top of the v2 fixture,
+/// and the canonical re-encode of each document's state.
 struct Fixture {
     base_v3: Vec<u8>,
     base_v2: Vec<u8>,
     base_v1: Vec<u8>,
     delta: Vec<u8>,
+    delta_v2: Vec<u8>,
     /// `checkpoint_bytes` of the base state (deterministic re-encode).
     base_state: Vec<u8>,
     /// `checkpoint_bytes` of the state after the delta.
     delta_state: Vec<u8>,
+    /// The state both legacy fixtures hold: the v3 golden fixture.
+    legacy_state: Vec<u8>,
+    /// `checkpoint_bytes` of the v2 base after the v2 delta.
+    delta_v2_state: Vec<u8>,
+}
+
+fn golden(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{} is committed: {e}", path.display()))
 }
 
 fn fixture() -> &'static Fixture {
@@ -53,34 +65,32 @@ fn fixture() -> &'static Fixture {
             GraphUpdate::Delete(v(1), v(2)),
             GraphUpdate::Insert(v(0), v(9)),
         ]);
-        let base_capture = live.capture(false, 0);
-        let base_v3 = base_capture.to_bytes();
-        // The same state under the legacy v2 writer (fixed-width
-        // payload encoding)…
-        let base_v2 = live.checkpoint_v2_bytes();
-        // …and as a v1 document: v1 header + the v2 payload (the
-        // fixed-width payload encoding did not change between v1 and
-        // v2; v3's compact payload would *not* rewrap this way).
-        let header = peek_header(&base_v2).unwrap();
-        let payload = &base_v2[header.header_len()..];
-        let mut base_v1 = Vec::new();
-        write_document_v1(&mut base_v1, header.algo_tag, payload).unwrap();
-        let base_state = Snapshot::checkpoint_bytes(&live);
+        let base_v3 = live.capture_checkpoint(false, 0).to_bytes();
+        let base_state = live.checkpoint_bytes();
         // A delta with graph churn, label flips and tombstones.
         live.apply_batch(&[
             GraphUpdate::Delete(v(0), v(3)),
             GraphUpdate::Insert(v(1), v(2)),
             GraphUpdate::Insert(v(2), v(9)),
         ]);
-        let delta = live.capture(true, 0).to_bytes();
-        let delta_state = Snapshot::checkpoint_bytes(&live);
+        let delta = live.capture_checkpoint(true, 0).to_bytes();
+        let delta_state = live.checkpoint_bytes();
+        // The legacy documents: no writer produces v1/v2 any more, so the
+        // committed fixtures are the pristine inputs.
+        let base_v2 = golden("golden_snapshot_v2.bin");
+        let delta_v2 = golden("golden_delta_v2.bin");
+        let mut replayed = DynStrClu::restore(&base_v2[..]).unwrap();
+        replayed.apply_delta_bytes(&delta_v2).unwrap();
         Fixture {
             base_v3,
             base_v2,
-            base_v1,
+            base_v1: golden("golden_snapshot_v1.bin"),
             delta,
+            delta_v2,
             base_state,
             delta_state,
+            legacy_state: golden("golden_snapshot_v3.bin"),
+            delta_v2_state: replayed.checkpoint_bytes(),
         }
     })
 }
@@ -91,7 +101,7 @@ fn check_full_document(doc: &[u8], pristine_state: &[u8]) {
     // Typed restore.
     if let Ok(restored) = DynStrClu::restore(doc) {
         assert_eq!(
-            Snapshot::checkpoint_bytes(&restored),
+            restored.checkpoint_bytes(),
             pristine_state,
             "corrupted document restored to different state"
         );
@@ -104,14 +114,14 @@ fn check_full_document(doc: &[u8], pristine_state: &[u8]) {
     let _ = peek_header(doc);
 }
 
-/// A (possibly corrupted) delta applied to a pristine base must error or
-/// produce exactly the true post-delta state.
-fn check_delta_document(delta: &[u8], fx: &Fixture) {
-    let mut base = DynStrClu::restore(&fx.base_v3[..]).expect("pristine base restores");
-    if base.apply_delta(delta).is_ok() {
+/// A (possibly corrupted) delta applied to a pristine restore of `base`
+/// must error or produce exactly the true post-delta state.
+fn check_delta_document(delta: &[u8], base: &[u8], post_delta_state: &[u8]) {
+    let mut base = DynStrClu::restore(base).expect("pristine base restores");
+    if base.apply_delta_bytes(delta).is_ok() {
         assert_eq!(
-            Snapshot::checkpoint_bytes(&base),
-            fx.delta_state,
+            base.checkpoint_bytes(),
+            post_delta_state,
             "corrupted delta applied to different state"
         );
     }
@@ -132,7 +142,10 @@ proptest! {
         }
         let cut = fx.delta.len() * scale as usize / 10_000;
         let mut base = DynStrClu::restore(&fx.base_v3[..]).unwrap();
-        prop_assert!(base.apply_delta(&fx.delta[..cut]).is_err());
+        prop_assert!(base.apply_delta_bytes(&fx.delta[..cut]).is_err());
+        let cut = fx.delta_v2.len() * scale as usize / 10_000;
+        let mut base = DynStrClu::restore(&fx.base_v2[..]).unwrap();
+        prop_assert!(base.apply_delta_bytes(&fx.delta_v2[..cut]).is_err());
     }
 
     /// Single-byte corruption at every offset of the v3 full document
@@ -154,7 +167,7 @@ proptest! {
         let mut bad = fx.base_v2.clone();
         let index = index % bad.len();
         bad[index] ^= flip;
-        check_full_document(&bad, &fx.base_state);
+        check_full_document(&bad, &fx.legacy_state);
     }
 
     /// Single-byte corruption of the legacy v1 document.
@@ -164,7 +177,7 @@ proptest! {
         let mut bad = fx.base_v1.clone();
         let index = index % bad.len();
         bad[index] ^= flip;
-        check_full_document(&bad, &fx.base_state);
+        check_full_document(&bad, &fx.legacy_state);
     }
 
     /// Single-byte corruption of a v3 delta document, applied to a
@@ -177,7 +190,18 @@ proptest! {
         let mut bad = fx.delta.clone();
         let index = index % bad.len();
         bad[index] ^= flip;
-        check_delta_document(&bad, fx);
+        check_delta_document(&bad, &fx.base_v3, &fx.delta_state);
+    }
+
+    /// Single-byte corruption of the committed v2 delta document,
+    /// applied to a pristine restore of the v2 fixture it chains onto.
+    #[test]
+    fn v2_delta_bit_flips_are_caught(index in 0usize..8192, flip in 1u8..=255) {
+        let fx = fixture();
+        let mut bad = fx.delta_v2.clone();
+        let index = index % bad.len();
+        bad[index] ^= flip;
+        check_delta_document(&bad, &fx.base_v2, &fx.delta_v2_state);
     }
 
     /// Arbitrary garbage prefixed with the real magic must still error
@@ -189,7 +213,7 @@ proptest! {
         prop_assert!(DynStrClu::restore(&doc[..]).is_err());
         prop_assert!(restore_any(&doc).is_err());
         let mut base = DynStrClu::restore(&fixture().base_v3[..]).unwrap();
-        prop_assert!(base.apply_delta(&doc).is_err());
+        prop_assert!(base.apply_delta_bytes(&doc).is_err());
     }
 }
 
@@ -200,13 +224,21 @@ proptest! {
 fn every_header_byte_flip_is_handled() {
     let fx = fixture();
     for index in 0..HEADER_LEN_V2 {
-        for doc in [&fx.base_v3, &fx.base_v2] {
+        for (doc, state) in [
+            (&fx.base_v3, &fx.base_state),
+            (&fx.base_v2, &fx.legacy_state),
+        ] {
             let mut bad = doc.clone();
             bad[index] ^= 0xff;
-            check_full_document(&bad, &fx.base_state);
+            check_full_document(&bad, state);
         }
-        let mut bad = fx.delta.clone();
-        bad[index] ^= 0xff;
-        check_delta_document(&bad, fx);
+        for (delta, base, state) in [
+            (&fx.delta, &fx.base_v3, &fx.delta_state),
+            (&fx.delta_v2, &fx.base_v2, &fx.delta_v2_state),
+        ] {
+            let mut bad = delta.clone();
+            bad[index] ^= 0xff;
+            check_delta_document(&bad, base, state);
+        }
     }
 }

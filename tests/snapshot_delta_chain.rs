@@ -14,7 +14,7 @@
 
 use dynscan_baseline::{ExactDynScan, IndexedDynScan};
 use dynscan_core::{
-    restore_any_chain, BatchUpdate, DynElm, DynStrClu, GraphUpdate, Params, Snapshot, VertexId,
+    restore_any, restore_any_chain, Clusterer, DynElm, DynStrClu, GraphUpdate, Params, VertexId,
 };
 use dynscan_graph::{SnapshotError, SnapshotKind};
 use proptest::prelude::*;
@@ -42,7 +42,7 @@ fn to_updates(ops: &[(bool, u32, u32)]) -> Vec<GraphUpdate> {
 /// continuation behaviour.
 fn assert_chain_equals_full<A>(make: impl Fn() -> A, stream: &[GraphUpdate], batch: usize)
 where
-    A: BatchUpdate + Snapshot,
+    A: Clusterer,
 {
     let batch = batch.max(1);
     let batches: Vec<&[GraphUpdate]> = stream.chunks(batch).collect();
@@ -56,7 +56,7 @@ where
     }
     // Base of the chain.
     let mut docs: Vec<Vec<u8>> = Vec::new();
-    let base = live.capture(false, 0);
+    let base = live.capture_checkpoint(false, 0);
     assert_eq!(base.kind(), SnapshotKind::Full);
     docs.push({
         let mut buf = Vec::new();
@@ -66,7 +66,7 @@ where
     // One delta per remaining batch.
     for (i, chunk) in batches[warm..].iter().enumerate() {
         live.apply_batch(chunk);
-        let delta = live.capture(true, 0);
+        let delta = live.capture_checkpoint(true, 0);
         assert_eq!(delta.kind(), SnapshotKind::Delta, "delta #{i}");
         assert_eq!(delta.sequence(), (i + 1) as u64, "chain position #{i}");
         docs.push({
@@ -75,20 +75,24 @@ where
             buf
         });
     }
-    // Typed replay: restore the base, apply the deltas in order.
+    // Replay one delta at a time: restore the base, apply the deltas in
+    // order.
     dynscan_baseline::install();
-    let mut restored = A::restore(&docs[0][..]).expect("base restores");
+    let mut restored = restore_any(&docs[0]).expect("base restores");
     for delta in &docs[1..] {
-        restored.apply_delta(delta).expect("delta applies in order");
+        restored
+            .apply_delta_bytes(delta)
+            .expect("delta applies in order");
     }
     assert_eq!(
-        Snapshot::checkpoint_bytes(&restored),
-        Snapshot::checkpoint_bytes(&live),
+        restored.checkpoint_bytes(),
+        live.checkpoint_bytes(),
         "base + delta chain must reconstruct the live state byte for byte"
     );
-    // Erased replay through the registry gives the same state.
+    // Chain replay (one derivation for the whole run) gives the same
+    // state.
     let erased = restore_any_chain(&docs).expect("erased chain restore");
-    assert_eq!(erased.checkpoint_bytes(), Snapshot::checkpoint_bytes(&live));
+    assert_eq!(erased.checkpoint_bytes(), live.checkpoint_bytes());
     // Both continue identically (covers future sampled decisions).
     let continuation = [
         GraphUpdate::Insert(v(0), v(9)),
@@ -102,10 +106,7 @@ where
             "continuation diverged"
         );
     }
-    assert_eq!(
-        Snapshot::checkpoint_bytes(&restored),
-        Snapshot::checkpoint_bytes(&live)
-    );
+    assert_eq!(restored.checkpoint_bytes(), live.checkpoint_bytes());
 }
 
 fn exact_params() -> Params {
@@ -200,18 +201,18 @@ fn pooled_batches_chain_replays_to_full() {
             };
             // Warm up, then capture the chain base.
             apply_group(&mut live, &mut present);
-            let mut docs = vec![live.capture(false, 0).to_bytes()];
+            let mut docs = vec![live.capture_checkpoint(false, 0).to_bytes()];
             // Three delta captures, each after a run of pooled batches.
             for _ in 0..3 {
                 apply_group(&mut live, &mut present);
-                let capture = live.capture(true, 0);
+                let capture = live.capture_checkpoint(true, 0);
                 assert_eq!(capture.kind(), SnapshotKind::Delta);
                 docs.push(capture.to_bytes());
             }
             let restored = restore_any_chain(&docs).expect("pooled chain restores");
             assert_eq!(
                 restored.checkpoint_bytes(),
-                Snapshot::checkpoint_bytes(&live),
+                live.checkpoint_bytes(),
                 "delta captured after pooled batches at {threads} threads must replay to \
                  the live state byte for byte"
             );
@@ -236,19 +237,21 @@ fn chain_misuse_is_rejected() {
     }
     let base_doc = {
         let mut buf = Vec::new();
-        live.capture(false, 0).write_to(&mut buf).unwrap();
+        live.capture_checkpoint(false, 0)
+            .write_to(&mut buf)
+            .unwrap();
         buf
     };
     live.apply_batch(&[GraphUpdate::Delete(v(0), v(1))]);
     let delta1 = {
         let mut buf = Vec::new();
-        live.capture(true, 0).write_to(&mut buf).unwrap();
+        live.capture_checkpoint(true, 0).write_to(&mut buf).unwrap();
         buf
     };
     live.apply_batch(&[GraphUpdate::Insert(v(0), v(1))]);
     let delta2 = {
         let mut buf = Vec::new();
-        live.capture(true, 0).write_to(&mut buf).unwrap();
+        live.capture_checkpoint(true, 0).write_to(&mut buf).unwrap();
         buf
     };
 
@@ -265,47 +268,41 @@ fn chain_misuse_is_rejected() {
     // Skipping delta1 must fail with a base mismatch.
     let mut skipping = DynStrClu::restore(&base_doc[..]).unwrap();
     assert!(matches!(
-        skipping.apply_delta(&delta2),
+        skipping.apply_delta_bytes(&delta2),
         Err(SnapshotError::DeltaBaseMismatch { .. })
     ));
 
     // Applying to a diverged instance must fail.
     let mut diverged = DynStrClu::restore(&base_doc[..]).unwrap();
     diverged.apply_batch(&[GraphUpdate::Delete(v(2), v(3))]);
-    assert!(diverged.apply_delta(&delta1).is_err());
+    assert!(diverged.apply_delta_bytes(&delta1).is_err());
 
     // Applying a full document through apply_delta must fail.
     let mut fresh = DynStrClu::restore(&base_doc[..]).unwrap();
-    assert!(fresh.apply_delta(&base_doc).is_err());
+    assert!(fresh.apply_delta_bytes(&base_doc).is_err());
 
     // The correct order works, including a *continued* chain on top of a
     // restored instance (restore places it at the chain position).
     let mut ok = DynStrClu::restore(&base_doc[..]).unwrap();
-    ok.apply_delta(&delta1).unwrap();
-    ok.apply_delta(&delta2).unwrap();
-    assert_eq!(
-        Snapshot::checkpoint_bytes(&ok),
-        Snapshot::checkpoint_bytes(&live)
-    );
+    ok.apply_delta_bytes(&delta1).unwrap();
+    ok.apply_delta_bytes(&delta2).unwrap();
+    assert_eq!(ok.checkpoint_bytes(), live.checkpoint_bytes());
     // …and the twin can now extend the same chain itself.
     ok.apply_batch(&[GraphUpdate::Delete(v(4), v(5))]);
     live.apply_batch(&[GraphUpdate::Delete(v(4), v(5))]);
     let delta3_from_twin = {
         let mut buf = Vec::new();
-        let capture = ok.capture(true, 0);
+        let capture = ok.capture_checkpoint(true, 0);
         assert_eq!(capture.kind(), SnapshotKind::Delta);
         assert_eq!(capture.sequence(), 3);
         capture.write_to(&mut buf).unwrap();
         buf
     };
     let mut third = DynStrClu::restore(&base_doc[..]).unwrap();
-    third.apply_delta(&delta1).unwrap();
-    third.apply_delta(&delta2).unwrap();
-    third.apply_delta(&delta3_from_twin).unwrap();
-    assert_eq!(
-        Snapshot::checkpoint_bytes(&third),
-        Snapshot::checkpoint_bytes(&live)
-    );
+    third.apply_delta_bytes(&delta1).unwrap();
+    third.apply_delta_bytes(&delta2).unwrap();
+    third.apply_delta_bytes(&delta3_from_twin).unwrap();
+    assert_eq!(third.checkpoint_bytes(), live.checkpoint_bytes());
 }
 
 /// An empty chain and a chain whose later documents include a newer full
@@ -315,15 +312,12 @@ fn chain_edge_cases() {
     assert!(restore_any_chain::<Vec<u8>>(&[]).is_err());
     let mut live = DynElm::new(exact_params());
     live.insert_edge(v(0), v(1)).unwrap();
-    let full1 = live.capture(false, 0).to_bytes();
+    let full1 = live.capture_checkpoint(false, 0).to_bytes();
     live.insert_edge(v(1), v(2)).unwrap();
-    let delta = live.capture(true, 0).to_bytes();
+    let delta = live.capture_checkpoint(true, 0).to_bytes();
     live.insert_edge(v(2), v(3)).unwrap();
-    let full2 = live.capture(false, 0).to_bytes();
+    let full2 = live.capture_checkpoint(false, 0).to_bytes();
     // A newer full mid-chain replaces the state wholesale.
     let restored = restore_any_chain(&[full1, delta, full2]).unwrap();
-    assert_eq!(
-        restored.checkpoint_bytes(),
-        Snapshot::checkpoint_bytes(&live)
-    );
+    assert_eq!(restored.checkpoint_bytes(), live.checkpoint_bytes());
 }

@@ -14,7 +14,7 @@
 
 use dynscan_baseline::ExactDynScan;
 use dynscan_core::{
-    BatchUpdate, DynElm, DynStrClu, GraphUpdate, Params, Snapshot, SnapshotError, VertexId,
+    restore_any, Clusterer, DynElm, DynStrClu, GraphUpdate, Params, SnapshotError, VertexId,
 };
 use proptest::prelude::*;
 
@@ -44,8 +44,10 @@ fn assert_resumes_bit_identically<A>(
     cut: usize,
     batch: usize,
 ) where
-    A: BatchUpdate + Snapshot,
+    A: Clusterer,
 {
+    // The registry restores whichever backend wrote the bytes.
+    dynscan_baseline::install();
     let cut = cut.min(stream.len());
     let (prefix, suffix) = stream.split_at(cut);
     let mut live = make();
@@ -53,7 +55,7 @@ fn assert_resumes_bit_identically<A>(
         live.apply_batch(chunk);
     }
     let snapshot = live.checkpoint_bytes();
-    let mut restored = A::restore(&snapshot[..]).expect("checkpoint must restore");
+    let mut restored = restore_any(&snapshot).expect("checkpoint must restore");
     // Restoring is free of side effects: the restored instance's own
     // checkpoint is the same document.
     assert_eq!(restored.checkpoint_bytes(), snapshot);
@@ -208,17 +210,14 @@ fn group_by_partitions_agree_after_restore() {
 ///   tests/fixtures/golden_snapshot_v3.bin`) and bump `FORMAT_VERSION`
 ///   if the wire layout itself changed.
 /// * `golden_snapshot_v2.bin` and `golden_snapshot_v1.bin` (legacy
-///   formats, never regenerated) are the backward-compat gates: both
-///   must keep restoring, and re-encoding either under the current
-///   format must reproduce the v3 fixture byte for byte — proof that
-///   all three fixtures hold the same semantic state.  The v2 fixture
-///   additionally stays a fixed point of the compat writer
-///   (`checkpoint_v2_bytes`), so the legacy encoder cannot drift while
-///   it still has callers.
+///   formats, never regenerated — no writer produces either any more)
+///   are the backward-compat decode gates: both must keep restoring,
+///   and re-encoding either under the current format must reproduce the
+///   v3 fixture byte for byte — proof that all three fixtures hold the
+///   same semantic state.
 /// * The v3 document must be **at least 3× smaller** than the v2
 ///   document of the identical state — the compression floor the codec
-///   migration promised (also gated at larger scale in
-///   `BENCH_checkpoint.json`).
+///   migration promised.
 #[test]
 fn golden_snapshot_fixtures_are_stable() {
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -260,11 +259,6 @@ fn golden_snapshot_fixtures_are_stable() {
         committed_v3,
         "re-encoding the v2 fixture must reproduce the v3 fixture"
     );
-    assert_eq!(
-        from_v2.checkpoint_v2_bytes(),
-        committed_v2,
-        "v2 fixture must stay a fixed point of the compat writer"
-    );
     assert!(
         committed_v3.len() * 3 <= committed_v2.len(),
         "v3 document ({} B) must be at least 3x smaller than v2 ({} B)",
@@ -287,6 +281,89 @@ fn golden_snapshot_fixtures_are_stable() {
         committed_v3,
         "re-encoding the v1 fixture must reproduce the v3 fixture"
     );
+}
+
+/// The golden instance's update stream (two 5-cliques bridged by a hub,
+/// then churn), applied in batches of 7 — the stream `snapshot_ci golden
+/// write` builds its DynStrClu fixture from.
+fn golden_updates() -> Vec<GraphUpdate> {
+    let mut u = Vec::new();
+    for base in [0u32, 5] {
+        for a in base..base + 5 {
+            for b in (a + 1)..base + 5 {
+                u.push(GraphUpdate::Insert(v(a), v(b)));
+            }
+        }
+    }
+    for x in [0u32, 1, 5, 6] {
+        u.push(GraphUpdate::Insert(v(10), v(x)));
+    }
+    u.push(GraphUpdate::Delete(v(0), v(1)));
+    u.push(GraphUpdate::Insert(v(0), v(1)));
+    u.push(GraphUpdate::Delete(v(5), v(9)));
+    u
+}
+
+fn fixture(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{} is committed: {e}", path.display()))
+}
+
+/// `golden_snapshot_v2_pscan.bin` — a pSCAN-like document written by the
+/// retired v2 writer over the golden update stream — restores to exactly
+/// the state the stream rebuilds today.
+#[test]
+fn golden_v2_pscan_fixture_restores_to_the_rebuilt_state() {
+    let committed = fixture("golden_snapshot_v2_pscan.bin");
+    let header = dynscan_graph::snapshot::peek_header(&committed).expect("header peeks");
+    assert_eq!(
+        header.format_version,
+        dynscan_graph::snapshot::FORMAT_VERSION_V2
+    );
+    assert_eq!(header.algo_tag, ExactDynScan::ALGO_TAG);
+    let mut rebuilt = ExactDynScan::jaccard(0.35, 3);
+    for batch in golden_updates().chunks(7) {
+        Clusterer::apply_batch(&mut rebuilt, batch);
+    }
+    let restored = ExactDynScan::restore(&committed[..]).expect("v2 pSCAN fixture restores");
+    assert_eq!(restored.checkpoint_bytes(), rebuilt.checkpoint_bytes());
+}
+
+/// `golden_delta_v2.bin` — a DynStrClu delta written by the retired v2
+/// writer on top of `golden_snapshot_v2.bin` after three updates —
+/// applies to the restored v2 base and lands on the state the v3 fixture
+/// reaches through the same three updates.
+#[test]
+fn golden_v2_delta_applies_to_the_v2_base() {
+    let delta = fixture("golden_delta_v2.bin");
+    let header = dynscan_graph::snapshot::peek_header(&delta).expect("header peeks");
+    assert_eq!(
+        header.format_version,
+        dynscan_graph::snapshot::FORMAT_VERSION_V2
+    );
+    assert_eq!(header.kind, dynscan_graph::SnapshotKind::Delta);
+    let mut replayed = DynStrClu::restore(&fixture("golden_snapshot_v2.bin")[..]).unwrap();
+    replayed
+        .apply_delta_bytes(&delta)
+        .expect("v2 delta applies");
+    let mut expected = DynStrClu::restore(&fixture("golden_snapshot_v3.bin")[..]).unwrap();
+    for update in [
+        GraphUpdate::Insert(v(5), v(9)),
+        GraphUpdate::Delete(v(0), v(10)),
+        GraphUpdate::Insert(v(3), v(8)),
+    ] {
+        expected.try_apply(update).unwrap();
+    }
+    assert_eq!(replayed.checkpoint_bytes(), expected.checkpoint_bytes());
+    // The v3 base sits at a different chain position, so the v2 delta
+    // refuses it.
+    let mut wrong_base = DynStrClu::restore(&fixture("golden_snapshot_v3.bin")[..]).unwrap();
+    assert!(matches!(
+        wrong_base.apply_delta_bytes(&delta),
+        Err(SnapshotError::DeltaBaseMismatch { .. })
+    ));
 }
 
 /// Error paths: garbage, truncation and cross-algorithm confusion all

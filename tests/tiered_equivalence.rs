@@ -7,13 +7,11 @@
 //!
 //! This is the contract `DynGraph`'s tiering rests on (ISSUE: residency
 //! is a performance knob, never a semantic one).  Byte-identity is
-//! checked on four observables:
+//! checked on three observables:
 //!
 //! * the coalesced net flip set of every batch,
 //! * the erased checkpoint bytes (canonical v3: equal state ⇔ equal
 //!   bytes),
-//! * the legacy-writer bytes (`checkpoint_v2_bytes` — the compat path
-//!   must not see tiering either),
 //! * the canonical cluster-group-by answer over the full vertex range.
 //!
 //! The kernel mode is process-global, so both modes run inside the one
@@ -109,7 +107,6 @@ fn tiered_backends_are_byte_identical_to_untiered() {
                     reference_flips.push(reference.apply_batch(batch));
                 }
                 let reference_bytes = reference.checkpoint_bytes();
-                let reference_v2 = reference.checkpoint_v2_bytes();
                 let reference_groups = reference.cluster_group_by(&query);
 
                 for &threads in &THREAD_COUNTS {
@@ -124,12 +121,6 @@ fn tiered_backends_are_byte_identical_to_untiered() {
                         reference_bytes,
                         tiered.checkpoint_bytes(),
                         "{backend} ({mode:?}): checkpoint bytes diverged under budget at \
-                         {threads} threads"
-                    );
-                    assert_eq!(
-                        reference_v2,
-                        tiered.checkpoint_v2_bytes(),
-                        "{backend} ({mode:?}): legacy-writer bytes diverged under budget at \
                          {threads} threads"
                     );
                     assert_eq!(

@@ -5,7 +5,7 @@
 
 use dynscan_baseline::{ExactDynScan, StaticScan};
 use dynscan_bench::{run_updates, Scale};
-use dynscan_core::{DynElm, DynStrClu, DynamicClustering, Params};
+use dynscan_core::{Clusterer, DynElm, DynStrClu, Params};
 use dynscan_metrics::{adjusted_rand_index, mislabelled_rate, top_k_quality, PeakTracker};
 use dynscan_sim::SimilarityMeasure;
 use dynscan_workload::{
