@@ -10,7 +10,7 @@
 //!   bug-class fixtures proving the `interleave` checker finds races,
 //!   missed wakeups and double drops (always run), plus the production
 //!   invariants (epoch sleep protocol, Chase–Lev deque, one-in-flight
-//!   checkpointing, admission/drain) exercised against the *real*
+//!   checkpointing, epoch publication) exercised against the *real*
 //!   facaded structures under `cfg(dynscan_model_check)`.
 
 #![forbid(unsafe_code)]

@@ -43,7 +43,6 @@ const FACADED_MODULES: &[&str] = &[
     "crates/core/src/session.rs",
     "crates/core/src/gate.rs",
     "crates/core/src/pool.rs",
-    "crates/serve/src/admission.rs",
     "crates/serve/src/conn.rs",
     "crates/serve/src/drain.rs",
     "crates/serve/src/server.rs",

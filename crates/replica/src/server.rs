@@ -15,9 +15,10 @@ use dynscan_core::sync::atomic::{AtomicU64, Ordering};
 use dynscan_core::sync::{thread, Arc, Mutex};
 use dynscan_core::{DirCheckpointStore, VertexId};
 use dynscan_graph::snapshot::fnv1a;
+use dynscan_serve::proto::UNSOLICITED_ID;
 use dynscan_serve::{
     read_frame_polling, DrainFlag, FrameRead, Request, RequestBody, Response, ResponseBody,
-    StatsReply,
+    StatsReply, WireError,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -231,20 +232,15 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     loop {
         let payload = match read_frame_polling(&mut stream, &shared.stop) {
             Ok(FrameRead::Frame(payload)) => payload,
-            Ok(FrameRead::Drained) => {
-                let notice = Response {
-                    id: dynscan_serve::proto::UNSOLICITED_ID,
-                    body: ResponseBody::Draining,
-                };
-                let _ = dynscan_serve::proto::write_response(&mut stream, &notice);
-                return;
-            }
-            Ok(FrameRead::Eof) | Err(_) => return,
+            Ok(FrameRead::Drained) => return notify(&mut stream, ResponseBody::Draining),
+            Ok(FrameRead::Eof) | Err(WireError::Io { .. }) => return,
+            // Framing is lost (corruption, version mismatch): one typed
+            // error, then close, as the primary does.
+            Err(e) => return notify(&mut stream, server_error(&e)),
         };
         let request = match Request::decode(&payload) {
             Ok(request) => request,
-            // A malformed frame is unrecoverable (framing may be lost).
-            Err(_) => return,
+            Err(e) => return notify(&mut stream, server_error(&e)),
         };
         let body = execute(&request.body, shared);
         let response = Response {
@@ -254,6 +250,22 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         if dynscan_serve::proto::write_response(&mut stream, &response).is_err() {
             return;
         }
+    }
+}
+
+/// Write an unsolicited notice to a connection that is closing (best
+/// effort: a failed write changes nothing).
+fn notify(stream: &mut TcpStream, body: ResponseBody) {
+    let notice = Response {
+        id: UNSOLICITED_ID,
+        body,
+    };
+    let _ = dynscan_serve::proto::write_response(stream, &notice);
+}
+
+fn server_error(e: &WireError) -> ResponseBody {
+    ResponseBody::ServerError {
+        message: e.to_string(),
     }
 }
 

@@ -7,8 +7,9 @@
 //!
 //! Starts (resuming from `--dir`'s checkpoint chain when one exists),
 //! serves until SIGTERM or an in-band `Drain` request, then drains:
-//! stops admissions, flushes queues, takes a final full checkpoint, and
-//! exits 0.  `--port-file` atomically publishes the bound address
+//! stops accepting requests, finishes the ones executing, takes a final
+//! full checkpoint, and exits 0.  `--max-vertices N` rejects updates
+//! naming a vertex id ≥ N (default 2²²).  `--port-file` atomically publishes the bound address
 //! (useful with `--addr 127.0.0.1:0`) for test harnesses.
 
 use dynscan_core::{Backend, Params};
@@ -20,7 +21,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: dynscan-served [--addr HOST:PORT] [--dir PATH] [--port-file PATH]\n\
          \x20                     [--checkpoint-every N] [--full-every K] [--keep-last N]\n\
-         \x20                     [--background] [--threads N]\n\
+         \x20                     [--background] [--threads N] [--max-vertices N]\n\
          \x20                     [--backend dynelm|dynstrclu|exact|indexed]\n\
          \x20                     [--eps F] [--mu N] [--exact-labels] [--seed N]"
     );
@@ -58,6 +59,7 @@ fn main() -> ExitCode {
             "--keep-last" => cfg.keep_last = Some(parse(args.next(), "--keep-last")),
             "--background" => cfg.background_checkpoints = true,
             "--threads" => cfg.threads = Some(parse(args.next(), "--threads")),
+            "--max-vertices" => cfg.max_vertices = parse(args.next(), "--max-vertices"),
             "--backend" => {
                 cfg.backend = match parse::<String>(args.next(), "--backend").as_str() {
                     "dynelm" => Backend::DynElm,

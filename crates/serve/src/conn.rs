@@ -1,79 +1,49 @@
-//! Per-connection machinery: a reader thread (framing, admission
-//! control, backpressure) feeding a bounded queue consumed by a
-//! processor (engine calls, ordered replies, terminal drain notices).
+//! Per-connection machinery: one loop on the connection's own thread
+//! reads a frame, decodes it, reserves its update weight, executes it,
+//! releases the weight and writes the reply, then reads the next frame.
 //!
 //! Invariants this module maintains:
 //!
-//! * **Bounded memory** — a request is admitted only if the connection's
-//!   and the server's queued-update budgets have room *and* the bounded
-//!   request channel accepts it; otherwise the client gets a typed
-//!   `Overloaded{retry_after}` reply immediately.  Nothing buffers
-//!   without bound.
-//! * **Apply-before-ack** — the processor performs the engine call (and
-//!   reads the resulting epoch) under the engine lock, releases the
-//!   lock, and only then writes the acknowledgement.
+//! * **Bounded memory** — a connection holds at most one decoded
+//!   request.  It executes only if its update weight fits the
+//!   per-request cap and the server-wide queued-update budget; otherwise
+//!   the client gets a typed `Overloaded{retry_after}` reply at once.  A
+//!   client that pipelines is held back by TCP flow control, not by a
+//!   server-side queue.
+//! * **Ordered replies, read-your-writes** — requests are answered in
+//!   the order they were read, and a read never observes an epoch below
+//!   the connection's own acknowledged writes.
+//! * **Apply-before-ack** — the engine call (and the epoch it reports)
+//!   runs under the engine lock; the lock is released before the
+//!   acknowledgement is written.
 //! * **No dropped socket mid-frame on drain** — once the drain latch
-//!   trips, admitted requests still get their normal replies, refused
-//!   ones get `Draining`, and the connection closes with a terminal
-//!   `Draining` frame after the last reply.
+//!   trips, a request read afterwards gets `Draining`, and the connection
+//!   closes with a terminal `Draining` frame (an idle connection sends it
+//!   at its next read poll).
 //! * **A stuck client cannot wedge the engine** — socket writes happen
 //!   outside the engine lock and carry a write timeout; when one trips,
-//!   the connection is torn down and its unacknowledged queue released.
+//!   the connection is torn down.
 
-use crate::admission::{bounded, JobReceiver, JobSender, TrySend};
 use crate::drain::DrainFlag;
 use crate::frame::{parse_header, WireError, HEADER_LEN};
-use crate::proto::{Request, RequestBody, Response, ResponseBody, StatsReply, UNSOLICITED_ID};
+use crate::proto::{
+    RejectReason, Request, RequestBody, Response, ResponseBody, StatsReply, UNSOLICITED_ID,
+};
 use crate::server::Shared;
-use dynscan_core::sync::atomic::{AtomicU64, Ordering};
-use dynscan_core::sync::{Arc, Mutex};
-use dynscan_core::{Session, VertexId};
+use dynscan_core::sync::atomic::Ordering;
+use dynscan_core::{GraphUpdate, Session, VertexId};
 use dynscan_graph::snapshot::fnv1a;
 use std::io::Read;
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
-/// Read-poll interval: how quickly an idle reader notices the drain
+/// Read-poll interval: how quickly an idle connection notices the drain
 /// latch.
 const READ_POLL: Duration = Duration::from_millis(25);
 
 /// Timeout polls tolerated mid-frame after the drain latch trips before
 /// the partially-sent frame is abandoned (~1 s at [`READ_POLL`]).
 const DRAIN_GRACE_POLLS: u32 = 40;
-
-/// An admitted request waiting for the processor.
-struct Job {
-    id: u64,
-    body: RequestBody,
-    /// Queued-update weight reserved at admission (released by the
-    /// processor).
-    weight: u64,
-}
-
-/// Serve one connection to completion.  Runs on the connection's
-/// processor thread; spawns the reader thread internally.
-pub(crate) fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let result = stream.try_clone().map(|write_half| {
-        let writer = Arc::new(Mutex::new(write_half));
-        let conn_queued = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = bounded::<Job>(shared.cfg.max_queued_requests);
-        let reader_shared = Arc::clone(&shared);
-        let reader_writer = Arc::clone(&writer);
-        let reader_queued = Arc::clone(&conn_queued);
-        let reader = std::thread::Builder::new()
-            .name("dynscan-serve-read".into())
-            .spawn(move || reader_loop(stream, tx, reader_writer, reader_shared, reader_queued));
-        if let Ok(reader) = reader {
-            process_loop(rx, &writer, &shared, &conn_queued);
-            let _ = reader.join();
-        }
-    });
-    drop(result);
-    shared.connections.fetch_sub(1, Ordering::SeqCst);
-}
 
 /// Outcome of one polling frame read.
 pub enum FrameRead {
@@ -163,14 +133,81 @@ pub fn read_frame_polling(
     Ok(FrameRead::Frame(payload))
 }
 
-fn send(writer: &Mutex<TcpStream>, response: &Response) -> Result<(), WireError> {
-    let mut stream = writer.lock().unwrap_or_else(|p| p.into_inner());
-    crate::proto::write_response(&mut *stream, response)
+fn send(stream: &mut TcpStream, id: u64, body: ResponseBody) -> Result<(), WireError> {
+    crate::proto::write_response(stream, &Response { id, body })
 }
 
-/// The admission weight a request reserves from the queued-update
-/// budgets (queries and control requests are unweighted — they occupy a
-/// bounded channel slot but not the update queue).
+/// Serve one connection to completion on the calling thread.  Every
+/// frame read gets exactly one reply (a `Subscribe` gets a stream of
+/// them); the loop ends on EOF, a lost frame, a failed reply write, a
+/// finished subscription, or drain.
+pub(crate) fn handle_connection(mut stream: TcpStream, shared: &Shared) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+    // Read-your-writes floor: the highest apply epoch this connection
+    // has been acknowledged at.  Epoch-snapshot reads must observe at
+    // least this epoch; anything older falls back to the engine lock.
+    let mut acked_floor = 0u64;
+    let writable = loop {
+        let payload = match read_frame_polling(&mut stream, &shared.drain) {
+            Ok(FrameRead::Frame(payload)) => payload,
+            Ok(FrameRead::Eof | FrameRead::Drained) | Err(WireError::Io { .. }) => break true,
+            // Framing is lost (corruption, version mismatch): one
+            // terminal typed error, then close.
+            Err(e) => break server_error(&mut stream, UNSOLICITED_ID, e.to_string()),
+        };
+        let request = match Request::decode(&payload) {
+            Ok(request) => request,
+            // The frame was intact but the message was not a valid
+            // request — protocol mismatch, close after a typed error.
+            Err(e) => break server_error(&mut stream, UNSOLICITED_ID, e.to_string()),
+        };
+        if shared.drain.is_tripped() {
+            // Refused; the terminal notice follows.
+            break send(&mut stream, request.id, ResponseBody::Draining).is_ok();
+        }
+        if let RequestBody::Subscribe { from_seq } = request.body {
+            // The stream owns the connection from here on; whatever ends
+            // it (drain, lag, a gone peer) ends the connection too.
+            run_subscription(request.id, from_seq, &mut stream, shared);
+            break false;
+        }
+        let weight = weight_of(&request.body);
+        let body = if reserve(shared, weight) {
+            let body = execute(shared, request.body, acked_floor);
+            if weight > 0 {
+                shared.queued.fetch_sub(weight, Ordering::SeqCst);
+            }
+            body
+        } else {
+            ResponseBody::Overloaded {
+                retry_after_millis: retry_after_hint(shared),
+            }
+        };
+        if let ResponseBody::Applied { epoch, .. } | ResponseBody::BatchApplied { epoch, .. } =
+            &body
+        {
+            acked_floor = acked_floor.max(*epoch);
+        }
+        if send(&mut stream, request.id, body).is_err() {
+            break false;
+        }
+    };
+    if writable && shared.drain.is_tripped() {
+        let _ = send(&mut stream, UNSOLICITED_ID, ResponseBody::Draining);
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+    shared.connections.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Reply with a typed server error; `true` if the reply was written.
+fn server_error(stream: &mut TcpStream, id: u64, message: String) -> bool {
+    send(stream, id, ResponseBody::ServerError { message }).is_ok()
+}
+
+/// The queued-update weight a request reserves (queries and control
+/// requests are unweighted).
 fn weight_of(body: &RequestBody) -> u64 {
     match body {
         RequestBody::Apply(_) => 1,
@@ -179,181 +216,34 @@ fn weight_of(body: &RequestBody) -> u64 {
     }
 }
 
+/// Reserve a request's weight: at most `max_conn_queued_updates`, and
+/// the server-wide count stays within `max_global_queued_updates`.  The
+/// global reservation is one atomic add, undone on overflow, so two
+/// connections can never pass the check together and overshoot the cap.
+fn reserve(shared: &Shared, weight: u64) -> bool {
+    if weight == 0 {
+        return true;
+    }
+    if weight > shared.cfg.max_conn_queued_updates {
+        return false;
+    }
+    let before = shared.queued.fetch_add(weight, Ordering::SeqCst);
+    if before + weight > shared.cfg.max_global_queued_updates {
+        shared.queued.fetch_sub(weight, Ordering::SeqCst);
+        return false;
+    }
+    true
+}
+
 /// Backoff hint for an `Overloaded` reply, scaled by global pressure.
 fn retry_after_hint(shared: &Shared) -> u64 {
     10 + shared.queued.load(Ordering::SeqCst) / 100
 }
 
-/// Read frames, decode, admit, enqueue.  Every read frame gets exactly
-/// one reply from some thread; the loop exits on EOF, fatal wire errors,
-/// or drain.
-fn reader_loop(
-    mut stream: TcpStream,
-    tx: JobSender<Job>,
-    writer: Arc<Mutex<TcpStream>>,
-    shared: Arc<Shared>,
-    conn_queued: Arc<AtomicU64>,
-) {
-    loop {
-        let payload = match read_frame_polling(&mut stream, &shared.drain) {
-            Ok(FrameRead::Frame(payload)) => payload,
-            Ok(FrameRead::Eof) | Ok(FrameRead::Drained) => break,
-            Err(WireError::Io { .. }) => break,
-            Err(e) => {
-                // Framing is lost (corruption, version mismatch): one
-                // terminal typed error, then close.
-                let _ = send(
-                    &writer,
-                    &Response {
-                        id: UNSOLICITED_ID,
-                        body: ResponseBody::ServerError {
-                            message: e.to_string(),
-                        },
-                    },
-                );
-                break;
-            }
-        };
-        let request = match Request::decode(&payload) {
-            Ok(request) => request,
-            Err(e) => {
-                // The frame was intact but the message was not a valid
-                // request — protocol mismatch, close after a typed error.
-                let _ = send(
-                    &writer,
-                    &Response {
-                        id: UNSOLICITED_ID,
-                        body: ResponseBody::ServerError {
-                            message: e.to_string(),
-                        },
-                    },
-                );
-                break;
-            }
-        };
-        if shared.drain.is_tripped() {
-            // Admissions are closed; the processor's terminal notice
-            // follows once the queue drains.
-            let _ = send(
-                &writer,
-                &Response {
-                    id: request.id,
-                    body: ResponseBody::Draining,
-                },
-            );
-            break;
-        }
-        let weight = weight_of(&request.body);
-        if weight > 0 {
-            let conn_now = conn_queued.load(Ordering::SeqCst);
-            let global_now = shared.queued.load(Ordering::SeqCst);
-            if conn_now + weight > shared.cfg.max_conn_queued_updates
-                || global_now + weight > shared.cfg.max_global_queued_updates
-            {
-                let overloaded = Response {
-                    id: request.id,
-                    body: ResponseBody::Overloaded {
-                        retry_after_millis: retry_after_hint(&shared),
-                    },
-                };
-                if send(&writer, &overloaded).is_err() {
-                    break;
-                }
-                continue;
-            }
-            conn_queued.fetch_add(weight, Ordering::SeqCst);
-            shared.queued.fetch_add(weight, Ordering::SeqCst);
-        }
-        match tx.try_send(Job {
-            id: request.id,
-            body: request.body,
-            weight,
-        }) {
-            TrySend::Queued => {}
-            TrySend::Full(job) => {
-                release(&shared, &conn_queued, job.weight);
-                let overloaded = Response {
-                    id: job.id,
-                    body: ResponseBody::Overloaded {
-                        retry_after_millis: retry_after_hint(&shared),
-                    },
-                };
-                if send(&writer, &overloaded).is_err() {
-                    break;
-                }
-            }
-            TrySend::Closed(job) => {
-                release(&shared, &conn_queued, job.weight);
-                break;
-            }
-        }
-    }
-    // Dropping the sender lets the processor finish the queue and write
-    // the terminal reply.
-}
-
-fn release(shared: &Shared, conn_queued: &AtomicU64, weight: u64) {
-    if weight > 0 {
-        conn_queued.fetch_sub(weight, Ordering::SeqCst);
-        shared.queued.fetch_sub(weight, Ordering::SeqCst);
-    }
-}
-
-/// Consume admitted jobs in order: engine call under the lock, release
-/// the reservation, reply outside the lock.  After the channel closes,
-/// write the terminal `Draining` notice if a drain is in progress, and
-/// shut the socket down cleanly either way.
-fn process_loop(
-    rx: JobReceiver<Job>,
-    writer: &Mutex<TcpStream>,
-    shared: &Shared,
-    conn_queued: &AtomicU64,
-) {
-    let mut writer_dead = false;
-    // Read-your-writes floor: the highest apply epoch this connection
-    // has been (or is about to be) acknowledged at.  Epoch-snapshot
-    // reads must observe at least this epoch; anything older falls back
-    // to the engine lock.
-    let mut acked_floor = 0u64;
-    while let Some(job) = rx.recv() {
-        if writer_dead {
-            // The client stopped reading: release reservations without
-            // executing — unacknowledged work carries no guarantee.
-            release(shared, conn_queued, job.weight);
-            continue;
-        }
-        if let RequestBody::Subscribe { from_seq } = job.body {
-            release(shared, conn_queued, job.weight);
-            run_subscription(job.id, from_seq, writer, shared);
-            // The stream owned the connection; whatever ended it
-            // (drain, lag, a gone peer) ends the connection too.  The
-            // flag makes the remaining queued jobs release-and-skip.
-            writer_dead = true;
-            continue;
-        }
-        let body = execute(shared, job.body, acked_floor);
-        release(shared, conn_queued, job.weight);
-        if let ResponseBody::Applied { epoch, .. } | ResponseBody::BatchApplied { epoch, .. } =
-            &body
-        {
-            acked_floor = acked_floor.max(*epoch);
-        }
-        let response = Response { id: job.id, body };
-        if send(writer, &response).is_err() {
-            writer_dead = true;
-        }
-    }
-    if !writer_dead && shared.drain.is_tripped() {
-        let _ = send(
-            writer,
-            &Response {
-                id: UNSOLICITED_ID,
-                body: ResponseBody::Draining,
-            },
-        );
-    }
-    let stream = writer.lock().unwrap_or_else(|p| p.into_inner());
-    let _ = stream.shutdown(Shutdown::Both);
+/// The first endpoint of `update` at or above the served vertex bound.
+fn out_of_bounds(update: &GraphUpdate, max_vertices: u32) -> Option<VertexId> {
+    let (u, v) = update.endpoints();
+    [u, v].into_iter().find(|x| x.0 >= max_vertices)
 }
 
 fn lock_engine(shared: &Shared) -> dynscan_core::sync::MutexGuard<'_, Session> {
@@ -382,30 +272,24 @@ const STREAM_POLL: Duration = Duration::from_millis(10);
 /// Ship one document, refusing (with a typed error to the peer) any
 /// document too large for the protocol instead of panicking in encode.
 fn ship(
-    writer: &Mutex<TcpStream>,
+    stream: &mut TcpStream,
     id: u64,
     seq: u64,
     kind: dynscan_core::SnapshotKind,
     payload: Vec<u8>,
 ) -> Result<(), WireError> {
     if payload.len() > crate::proto::MAX_SHIP_DOC_BYTES {
-        let _ = send(
-            writer,
-            &Response {
-                id,
-                body: ResponseBody::ServerError {
-                    message: format!("checkpoint document {seq} exceeds the shippable size"),
-                },
-            },
+        server_error(
+            stream,
+            id,
+            format!("checkpoint document {seq} exceeds the shippable size"),
         );
         return Err(WireError::Malformed("document exceeds ship cap"));
     }
     send(
-        writer,
-        &Response {
-            id,
-            body: ResponseBody::ShipDocument { seq, kind, payload },
-        },
+        stream,
+        id,
+        ResponseBody::ShipDocument { seq, kind, payload },
     )
 }
 
@@ -413,17 +297,13 @@ fn ship(
 /// **first**, ship the backlog from the checkpoint directory, mark
 /// catch-up, then forward hub documents (deduplicated by sequence
 /// number against the backlog) until drain, lag, or a gone peer.
-fn run_subscription(id: u64, from_seq: Option<u64>, writer: &Mutex<TcpStream>, shared: &Shared) {
+fn run_subscription(id: u64, from_seq: Option<u64>, stream: &mut TcpStream, shared: &Shared) {
     use dynscan_core::{CheckpointStore as _, DirCheckpointStore, TailError};
     let Some(dir) = shared.cfg.checkpoint_dir.as_ref() else {
-        let _ = send(
-            writer,
-            &Response {
-                id,
-                body: ResponseBody::ServerError {
-                    message: "replication requires a checkpoint directory on the primary".into(),
-                },
-            },
+        server_error(
+            stream,
+            id,
+            "replication requires a checkpoint directory on the primary".into(),
         );
         return;
     };
@@ -450,33 +330,21 @@ fn run_subscription(id: u64, from_seq: Option<u64>, writer: &Mutex<TcpStream>, s
     let backlog = match backlog {
         Ok(docs) => docs,
         Err(e) => {
-            let _ = send(
-                writer,
-                &Response {
-                    id,
-                    body: ResponseBody::ServerError {
-                        message: format!("reading the checkpoint backlog failed: {e}"),
-                    },
-                },
+            server_error(
+                stream,
+                id,
+                format!("reading the checkpoint backlog failed: {e}"),
             );
             return;
         }
     };
     for doc in backlog {
-        if ship(writer, id, doc.seq, doc.kind, doc.bytes).is_err() {
+        if ship(stream, id, doc.seq, doc.kind, doc.bytes).is_err() {
             return;
         }
         pos = Some(doc.seq);
     }
-    if send(
-        writer,
-        &Response {
-            id,
-            body: ResponseBody::ReplicaCaughtUp { seq: pos },
-        },
-    )
-    .is_err()
-    {
+    if send(stream, id, ResponseBody::ReplicaCaughtUp { seq: pos }).is_err() {
         return;
     }
     // Live phase: forward hub publications.  Documents the backlog read
@@ -484,13 +352,7 @@ fn run_subscription(id: u64, from_seq: Option<u64>, writer: &Mutex<TcpStream>, s
     // scan) are skipped by sequence number.
     loop {
         if shared.drain.is_tripped() {
-            let _ = send(
-                writer,
-                &Response {
-                    id: UNSOLICITED_ID,
-                    body: ResponseBody::Draining,
-                },
-            );
+            let _ = send(stream, UNSOLICITED_ID, ResponseBody::Draining);
             return;
         }
         match subscription.poll() {
@@ -498,22 +360,14 @@ fn run_subscription(id: u64, from_seq: Option<u64>, writer: &Mutex<TcpStream>, s
                 if pos.is_some_and(|p| doc.seq <= p) {
                     continue;
                 }
-                if ship(writer, id, doc.seq, doc.kind, (*doc.bytes).clone()).is_err() {
+                if ship(stream, id, doc.seq, doc.kind, (*doc.bytes).clone()).is_err() {
                     return;
                 }
                 pos = Some(doc.seq);
             }
             Ok(None) => dynscan_core::sync::thread::sleep(STREAM_POLL),
             Err(lagged) => {
-                let _ = send(
-                    writer,
-                    &Response {
-                        id,
-                        body: ResponseBody::ServerError {
-                            message: lagged.to_string(),
-                        },
-                    },
-                );
+                server_error(stream, id, lagged.to_string());
                 return;
             }
         }
@@ -522,7 +376,9 @@ fn run_subscription(id: u64, from_seq: Option<u64>, writer: &Mutex<TcpStream>, s
 
 /// Perform one operation against the engine.  For writes, the returned
 /// epoch is the global applied-update count observed **under the lock**,
-/// which is what makes acknowledgements totally ordered.
+/// which is what makes acknowledgements totally ordered.  An update
+/// naming a vertex at or above `max_vertices` is refused before the lock
+/// is taken, so no client can make the engine allocate past that bound.
 ///
 /// Clustering queries (`GroupBy` / `ClusterOf`) take the lock-free path
 /// instead: they answer from the published [`EpochSnapshot`] whenever
@@ -536,6 +392,9 @@ fn run_subscription(id: u64, from_seq: Option<u64>, writer: &Mutex<TcpStream>, s
 fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody {
     match body {
         RequestBody::Apply(update) => {
+            if let Some(v) = out_of_bounds(&update, shared.cfg.max_vertices) {
+                return ResponseBody::Rejected(RejectReason::InvalidVertex { v });
+            }
             let mut engine = lock_engine(shared);
             match engine.apply(update) {
                 Ok(flips) => ResponseBody::Applied {
@@ -545,7 +404,11 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
                 Err(e) => ResponseBody::Rejected(e.into()),
             }
         }
-        RequestBody::BatchApply(updates) => {
+        RequestBody::BatchApply(mut updates) => {
+            // Out-of-bounds updates are skipped and counted as rejected,
+            // like the engine's own invalid updates.
+            let sent = updates.len() as u64;
+            updates.retain(|update| out_of_bounds(update, shared.cfg.max_vertices).is_none());
             let mut engine = lock_engine(shared);
             let before = engine.updates_applied();
             let flips = engine.apply_batch(&updates);
@@ -553,7 +416,7 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
             ResponseBody::BatchApplied {
                 epoch,
                 applied: epoch - before,
-                rejected: updates.len() as u64 - (epoch - before),
+                rejected: sent - (epoch - before),
                 flips: flips.len() as u64,
             }
         }
@@ -659,7 +522,7 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
             shared.drain.trip();
             ResponseBody::DrainStarted { epoch }
         }
-        // Subscriptions take over the connection in `process_loop`; one
+        // Subscriptions take over the connection in `serve`; one
         // reaching the ordinary execute path is a logic error upstream,
         // answered as such rather than by panicking a server thread.
         RequestBody::Subscribe { .. } => ResponseBody::ServerError {

@@ -2,8 +2,9 @@
 //!
 //! [`DrainFlag`] is the one-way "stop admitting work" latch shared by
 //! the accept loop, every connection, and the signal handler; the server
-//! polls it and runs the drain sequence (stop admissions → flush queues
-//! → final full checkpoint → terminal replies → exit) once it trips.
+//! polls it and runs the drain sequence (stop accepting → finish the
+//! requests in hand → terminal replies → final full checkpoint → exit)
+//! once it trips.
 //!
 //! [`install_sigterm_handler`] arms a SIGTERM handler that trips a
 //! process-global latch.  The handler only stores into an `AtomicBool` —

@@ -6,10 +6,12 @@
 //! retention, chain resume) was built for.
 //!
 //! The server ([`Server`]) is thread-per-connection over
-//! `std::net::TcpListener` and speaks a hand-rolled length-prefixed,
-//! versioned, FNV-checksummed framed protocol ([`frame`], [`proto`])
-//! with typed requests — `Apply`, `BatchApply`, `GroupBy`, `Stats`,
-//! `CheckpointNow`, `Drain` — all routed onto **one** shared engine.
+//! `std::net::TcpListener`: each connection's one thread reads,
+//! executes and answers its requests in turn.  It speaks a hand-rolled
+//! length-prefixed, versioned, FNV-checksummed framed protocol
+//! ([`frame`], [`proto`]) with typed requests — `Apply`, `BatchApply`,
+//! `GroupBy`, `Stats`, `CheckpointNow`, `Drain` — all routed onto
+//! **one** shared engine.
 //! The client library ([`Client`]) adds a
 //! retry/timeout/exponential-backoff-with-jitter policy on top.
 //!
@@ -41,8 +43,8 @@
 //!   acknowledgement arrives.
 //! * **Acknowledged-implies-durable, up to the last checkpoint**: with a
 //!   checkpoint directory configured, a *graceful* drain (SIGTERM or a
-//!   `Drain` request) flushes every admitted update and ends with a full
-//!   checkpoint, so nothing acknowledged is lost.  After a *crash*
+//!   `Drain` request) lets every executing request finish and ends with
+//!   a full checkpoint, so nothing acknowledged is lost.  After a *crash*
 //!   (kill -9), restart resumes from the newest stored chain: the state
 //!   is byte-identical to the global order's prefix at the last
 //!   completed checkpoint — every update acknowledged *before* that
@@ -50,13 +52,15 @@
 //!   the crash (the gap is bounded by the checkpoint cadence plus any
 //!   in-flight write).  The kill-and-resume fault-injection test pins
 //!   exactly this characterisation.
-//! * **Overload is typed, not buffered**: per-connection and global
-//!   queued-update budgets are fixed; a request over budget is answered
-//!   `Overloaded{retry_after}` immediately.  The server never buffers
-//!   unboundedly and never silently drops an admitted request — every
-//!   admitted request is answered, and a draining server closes every
-//!   connection with a terminal typed reply, never a dropped socket
-//!   mid-frame.
+//! * **Overload is typed, not buffered**: a connection holds at most one
+//!   decoded request, so a client that pipelines is held back by TCP
+//!   flow control, not by a server-side queue.  A request carrying more
+//!   updates than the per-request cap, or one that would push the
+//!   updates in flight across all connections past the global cap, is
+//!   answered `Overloaded{retry_after}` at once and not executed.  Every
+//!   request read is answered, in the order it was read, and a draining
+//!   server closes every connection with a terminal typed reply, never a
+//!   dropped socket mid-frame.
 //!
 //! ## Wire discipline
 //!
@@ -65,7 +69,9 @@
 //! caps and bytes-remaining, and an FNV-1a payload checksum.  Decoding
 //! **never panics** on truncated or bit-flipped input — the corruption
 //! proptests drive every truncation and every single-bit flip of valid
-//! frames through both decoders.
+//! frames through both decoders.  Vertex ids are bounded as well: an
+//! update naming an id at or above [`ServeConfig::max_vertices`] is
+//! rejected `InvalidVertex` before the engine allocates anything for it.
 //!
 //! ## Replication stream
 //!
@@ -85,7 +91,6 @@
 //! sequence alongside the epoch, giving routing layers a precise
 //! bounded-staleness signal.
 
-pub mod admission;
 pub mod client;
 pub mod conn;
 pub mod drain;

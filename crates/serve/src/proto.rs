@@ -65,9 +65,9 @@ pub enum RequestBody {
     },
     /// Take a full checkpoint now, synchronously.
     CheckpointNow,
-    /// Begin a graceful drain: stop admissions, flush queues, take a
-    /// final full checkpoint, close every connection with a terminal
-    /// reply, then exit.
+    /// Begin a graceful drain: stop accepting requests, finish the ones
+    /// executing, close every connection with a terminal reply, take a
+    /// final full checkpoint, then exit.
     Drain,
     /// Turn this connection into a replication stream: the server ships
     /// every checkpoint document after the subscriber's position
@@ -149,7 +149,7 @@ pub enum ResponseBody {
     },
     /// The update was invalid and not applied.
     Rejected(RejectReason),
-    /// Admission control refused the request; retry after the hint.
+    /// Overload control refused the request; retry after the hint.
     Overloaded {
         /// Suggested client backoff before retrying.
         retry_after_millis: u64,
@@ -235,7 +235,7 @@ pub struct StatsReply {
     pub num_vertices: u64,
     /// Edges currently in the graph.
     pub num_edges: u64,
-    /// Updates admitted but not yet applied, across all connections.
+    /// Updates in requests executing now, across all connections.
     pub queued_updates: u64,
     /// Live client connections.
     pub connections: u64,

@@ -1,12 +1,14 @@
 //! The server: lifecycle (start → accept → drain → final checkpoint →
 //! exit) and the state shared by every connection.
 //!
-//! One engine, many connections: all *writes* funnel onto a single
-//! [`Session`] behind a mutex, which gives the service its consistency
-//! model — a single global apply order, with every acknowledged update
-//! applied *before* its acknowledgement is written (see the crate docs
-//! for the full contract).  The engine lock is never held across a
-//! socket write, so one stuck client can only stall its own connection.
+//! One engine, many connections, one thread per connection: each
+//! connection's thread reads, executes and answers its requests in turn.
+//! All *writes* funnel onto a single [`Session`] behind a mutex, which
+//! gives the service its consistency model — a single global apply
+//! order, with every acknowledged update applied *before* its
+//! acknowledgement is written (see the crate docs for the full
+//! contract).  The engine lock is never held across a socket write, so
+//! one stuck client can only stall its own connection.
 //!
 //! Clustering *queries* (`GroupBy` / `ClusterOf`) are answered from the
 //! session's published [`EpochSnapshot`](dynscan_core::EpochSnapshot)
@@ -60,15 +62,15 @@ pub struct ServeConfig {
     pub background_checkpoints: bool,
     /// Engine worker threads (`None`: the engine's default pool).
     pub threads: Option<usize>,
-    /// Admission cap: updates queued per connection.
+    /// Overload cap: updates in one request (a connection holds at most
+    /// one request at a time).
     pub max_conn_queued_updates: u64,
-    /// Admission cap: updates queued across all connections.
+    /// Overload cap: updates in flight across all connections.
     pub max_global_queued_updates: u64,
-    /// Requests (of any kind) queued per connection.  Must be ≥ 1 —
-    /// the admission queue is non-blocking, so zero would refuse every
-    /// request rather than rendezvous; [`Server::start`] rejects 0 with
-    /// [`ServeError::Config`].
-    pub max_queued_requests: usize,
+    /// Vertex-id bound: an update naming a vertex id at or above it is
+    /// rejected as `InvalidVertex` before the engine sees it, so one
+    /// request cannot make the engine allocate for billions of vertices.
+    pub max_vertices: u32,
     /// Socket write timeout: a reply blocked longer than this tears the
     /// connection down instead of wedging a server thread on a stuck
     /// reader.
@@ -77,8 +79,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: DynStrClu, Jaccard ε = 0.5 / μ = 2, no durability,
-    /// per-connection cap 4096 updates, global cap 65 536, 5 s write
-    /// timeout.
+    /// per-request cap 4096 updates, global cap 65 536, vertex ids below
+    /// 2²², 5 s write timeout.
     pub fn new(addr: impl Into<String>) -> Self {
         ServeConfig {
             addr: addr.into(),
@@ -92,7 +94,7 @@ impl ServeConfig {
             threads: None,
             max_conn_queued_updates: 4096,
             max_global_queued_updates: 65_536,
-            max_queued_requests: 256,
+            max_vertices: 1 << 22,
             write_timeout: Duration::from_secs(5),
         }
     }
@@ -101,8 +103,6 @@ impl ServeConfig {
 /// Why the server failed to start.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The configuration is invalid (e.g. `max_queued_requests` of 0).
-    Config(String),
     /// Binding the listener or reading the checkpoint directory failed.
     Io(std::io::Error),
     /// Building (or resuming) the engine session failed.
@@ -112,7 +112,6 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             ServeError::Io(e) => write!(f, "i/o error: {e}"),
             ServeError::Session(e) => write!(f, "session error: {e}"),
         }
@@ -158,7 +157,7 @@ pub(crate) struct Shared {
     /// Queries answered from the epoch snapshot instead of the engine
     /// lock (observability for tests and operators).
     pub(crate) epoch_reads: AtomicU64,
-    /// Updates admitted but not yet applied, across all connections.
+    /// Updates in requests that are executing, across all connections.
     pub(crate) queued: AtomicU64,
     /// Live connections.
     pub(crate) connections: AtomicU64,
@@ -168,7 +167,7 @@ pub(crate) struct Shared {
     /// (fed by the [`PublishingStore`] wrapped around the engine's
     /// checkpoint store; idle without a checkpoint directory).
     pub(crate) hub: Arc<PublishHub>,
-    /// Admission limits and timeouts.
+    /// Overload caps, the vertex bound and timeouts.
     pub(crate) cfg: ServeConfig,
 }
 
@@ -185,14 +184,6 @@ impl Server {
     /// Build (or resume) the engine, bind the listener, arm the SIGTERM
     /// latch, and start accepting connections.
     pub fn start(cfg: ServeConfig) -> Result<Server, ServeError> {
-        if cfg.max_queued_requests == 0 {
-            // The per-connection admission queue is non-blocking, so a
-            // zero-slot queue would refuse every request (it cannot
-            // rendezvous); reject the config instead of clamping it.
-            return Err(ServeError::Config(
-                "max_queued_requests must be at least 1".into(),
-            ));
-        }
         // The chain may have been written by any registered backend.
         dynscan_baseline::install();
         install_sigterm_handler();
@@ -296,10 +287,10 @@ fn build_session(cfg: &ServeConfig, hub: &Arc<PublishHub>) -> Result<Session, Se
 }
 
 /// Accept until the drain latch trips, then run the drain sequence:
-/// stop admissions (no new connections; readers refuse new requests),
-/// wait for every connection to finish its admitted work and close with
-/// a terminal reply, then flush the engine and take the final full
-/// checkpoint.
+/// stop accepting (no new connections; connections refuse new
+/// requests), wait for every connection to finish the request it is
+/// executing and close with a terminal reply, then flush the engine and
+/// take the final full checkpoint.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
     use dynscan_core::sync::atomic::Ordering;
     while !shared.drain.is_tripped() {
@@ -309,7 +300,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
                 let conn_shared = Arc::clone(&shared);
                 let spawned = thread::Builder::new()
                     .name("dynscan-serve-conn".into())
-                    .spawn(move || conn::handle_connection(stream, conn_shared));
+                    .spawn(move || conn::handle_connection(stream, &conn_shared));
                 if spawned.is_err() {
                     shared.connections.fetch_sub(1, Ordering::SeqCst);
                 }
@@ -324,7 +315,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
     }
     drop(listener);
     // Connections observe the latch within their read-poll interval,
-    // finish admitted work, reply terminally, and close.
+    // finish the request in hand, reply terminally, and close.
     while shared.connections.load(Ordering::SeqCst) > 0 {
         thread::sleep(Duration::from_millis(2));
     }
@@ -337,21 +328,5 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
         updates_applied: engine.updates_applied(),
         final_checkpoint,
         checkpoint_error,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn zero_queued_requests_is_a_config_error() {
-        let mut cfg = ServeConfig::new("127.0.0.1:0");
-        cfg.max_queued_requests = 0;
-        match Server::start(cfg) {
-            Err(ServeError::Config(msg)) => assert!(msg.contains("max_queued_requests")),
-            Err(e) => panic!("expected a config error, got {e}"),
-            Ok(_) => panic!("expected a config error, got a running server"),
-        }
     }
 }

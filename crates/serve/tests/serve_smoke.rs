@@ -1,12 +1,16 @@
 //! End-to-end smoke tests for the service: concurrent clients over real
-//! sockets, typed overload replies, read-your-writes against a
-//! sequential oracle, graceful drain with a final checkpoint, and
-//! resume-from-chain across a (graceful) restart.
+//! sockets, typed overload replies, the vertex-id bound, pipelined
+//! ordering, read-your-writes against a sequential oracle, graceful
+//! drain with a final checkpoint, and resume-from-chain across a
+//! (graceful) restart.
 
 use dynscan_core::fixtures::{two_cliques_params, two_cliques_with_hub};
 use dynscan_core::{GraphUpdate, SnapshotKind, VertexId};
+use dynscan_serve::frame::encode_frame;
+use dynscan_serve::proto::read_response;
 use dynscan_serve::{
-    Client, ClientError, RequestBody, ResponseBody, RetryPolicy, ServeConfig, Server,
+    Client, ClientError, RejectReason, Request, RequestBody, ResponseBody, RetryPolicy,
+    ServeConfig, Server,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -135,7 +139,7 @@ fn overload_is_typed_and_bounded_never_buffered() {
     let mut seen = std::collections::BTreeMap::new();
     let mut overloaded = 0u64;
     for _ in 0..64 {
-        let response = dynscan_serve::proto::read_response(&mut raw).expect("a reply per request");
+        let response = read_response(&mut raw).expect("a reply per request");
         assert!(
             seen.insert(response.id, ()).is_none(),
             "duplicate reply for id {}",
@@ -155,6 +159,95 @@ fn overload_is_typed_and_bounded_never_buffered() {
         "acked + overloaded covers the flood (epoch {}, overloaded {overloaded})",
         stats.epoch
     );
+    server.drain_flag().trip();
+    server.wait();
+}
+
+#[test]
+fn vertex_ids_past_the_bound_are_rejected_before_the_engine_sees_them() {
+    let mut cfg = ServeConfig::new("127.0.0.1:0");
+    cfg.max_vertices = 1_000;
+    let server = Server::start(cfg).expect("server starts");
+    let mut client = Client::connect_with(server.local_addr(), quick_policy(12)).expect("connect");
+    client
+        .apply(GraphUpdate::Insert(VertexId(0), VertexId(999)))
+        .expect("the largest id in bounds is accepted");
+    let before = client.stats(false).expect("stats");
+    for bad in [1_000, u32::MAX - 1] {
+        for update in [
+            GraphUpdate::Insert(VertexId(0), VertexId(bad)),
+            GraphUpdate::Delete(VertexId(bad), VertexId(1)),
+        ] {
+            match client.apply(update) {
+                Err(ClientError::Rejected(RejectReason::InvalidVertex { v })) => {
+                    assert_eq!(v, VertexId(bad));
+                }
+                other => panic!("{update:?} must be rejected as InvalidVertex: {other:?}"),
+            }
+        }
+    }
+    // A batch skips the out-of-bounds updates and counts them rejected.
+    let ack = client
+        .batch_apply(&[
+            GraphUpdate::Insert(VertexId(1), VertexId(2)),
+            GraphUpdate::Insert(VertexId(1), VertexId(1_000)),
+            GraphUpdate::Insert(VertexId(u32::MAX - 1), VertexId(2)),
+            GraphUpdate::Insert(VertexId(2), VertexId(3)),
+        ])
+        .expect("batch acked");
+    assert_eq!((ack.applied, ack.rejected), (2, 2));
+    let after = client.stats(false).expect("the server still answers");
+    assert_eq!(after.num_vertices, before.num_vertices);
+    assert_eq!(after.epoch, 3);
+    server.drain_flag().trip();
+    server.wait();
+}
+
+#[test]
+fn pipelined_requests_keep_order_and_read_your_writes() {
+    let server = Server::start(ServeConfig::new("127.0.0.1:0")).expect("server starts");
+    // Writes and both read shapes, interleaved and sent in one burst
+    // before any reply is read.
+    let bodies: Vec<RequestBody> = (0..48u32)
+        .map(|i| match i % 3 {
+            0 => RequestBody::Apply(GraphUpdate::Insert(VertexId(i), VertexId(i + 1))),
+            1 => RequestBody::GroupBy(vec![VertexId(0), VertexId(i)]),
+            _ => RequestBody::ClusterOf(VertexId(i)),
+        })
+        .collect();
+    let mut blob = Vec::new();
+    for (id, body) in (1u64..).zip(&bodies) {
+        let request = Request {
+            id,
+            body: body.clone(),
+        };
+        blob.extend_from_slice(&encode_frame(&request.encode()));
+    }
+    use std::io::Write as _;
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(&blob).expect("one pipelined write");
+    // The epoch of the latest Apply before the current position.
+    let mut floor = 0u64;
+    for (id, body) in (1u64..).zip(&bodies) {
+        let response = read_response(&mut raw).expect("a reply per request");
+        assert_eq!(response.id, id, "replies come back in request order");
+        match (body, response.body) {
+            (RequestBody::Apply(_), ResponseBody::Applied { epoch, .. }) => {
+                assert!(epoch > floor, "acks advance the epoch");
+                floor = epoch;
+            }
+            (
+                RequestBody::GroupBy(_) | RequestBody::ClusterOf(_),
+                ResponseBody::Groups { epoch, .. },
+            ) => assert!(
+                epoch >= floor,
+                "request {id} read epoch {epoch}, below the earlier pipelined write at {floor}"
+            ),
+            (sent, got) => panic!("{sent:?} answered with {got:?}"),
+        }
+    }
+    assert_eq!(floor, 16, "every pipelined write was applied");
     server.drain_flag().trip();
     server.wait();
 }
