@@ -1,7 +1,7 @@
 //! Replica-scaling experiment: read throughput at 0/1/2 read replicas
 //! over real sockets, replication lag under a write burst, and (when the
-//! `dynscan-replicad` binary path is supplied) catch-up time after a
-//! SIGKILL mid-stream.  Every row passes a **byte-identity gate**: each
+//! `dynscan-served` binary path is supplied) catch-up time after a
+//! SIGKILL of a subscribing replica mid-stream.  Every row passes a **byte-identity gate**: each
 //! replica's canonical state checksum must equal a sequential oracle
 //! replay at the replica's epoch — i.e. the replica serves the replay of
 //! some primary checkpoint prefix, byte-for-byte, or the row fails.
@@ -12,8 +12,7 @@
 
 use dynscan_core::{Backend, DirCheckpointStore, GraphUpdate, Params, Session, VertexId};
 use dynscan_graph::snapshot::{fnv1a, peek_header, FORMAT_VERSION};
-use dynscan_replica::{ReplicaConfig, ReplicaServer, ReplicaSource, RoutedClient};
-use dynscan_serve::{Client, RetryPolicy, ServeConfig, Server};
+use dynscan_serve::{Client, ReplicaSource, RetryPolicy, RoutedClient, ServeConfig, Server};
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -36,9 +35,10 @@ pub struct ReplicaBenchConfig {
     pub burst_updates: u64,
     /// Primary checkpoint cadence in updates.
     pub checkpoint_every: u64,
-    /// Path to the `dynscan-replicad` binary for the SIGKILL catch-up
-    /// measurement; `None` skips it (the rest of the sweep still runs).
-    pub replicad_bin: Option<PathBuf>,
+    /// Path to the `dynscan-served` binary, run as a subscribing replica
+    /// for the SIGKILL catch-up measurement; `None` skips it (the rest
+    /// of the sweep still runs).
+    pub served_bin: Option<PathBuf>,
 }
 
 impl ReplicaBenchConfig {
@@ -51,7 +51,7 @@ impl ReplicaBenchConfig {
             readers: 4,
             burst_updates: 64,
             checkpoint_every: 8,
-            replicad_bin: None,
+            served_bin: None,
         }
     }
 
@@ -64,7 +64,7 @@ impl ReplicaBenchConfig {
             readers: 2,
             burst_updates: 16,
             checkpoint_every: 4,
-            replicad_bin: None,
+            served_bin: None,
         }
     }
 }
@@ -173,9 +173,9 @@ fn apply_path(client: &mut Client, from: &mut u64, count: u64) {
     }
 }
 
-/// Measure catch-up after SIGKILL: start a subscribing `dynscan-replicad`
-/// child, let it catch up, SIGKILL it, write more updates, restart it and
-/// time its return to the primary's checkpoint position.
+/// Measure catch-up after SIGKILL: start a `dynscan-served --primary`
+/// replica child, let it catch up, SIGKILL it, write more updates,
+/// restart it and time its return to the primary's checkpoint position.
 fn measure_catchup(
     bin: &std::path::Path,
     primary_addr: SocketAddr,
@@ -185,7 +185,7 @@ fn measure_catchup(
     dir: &std::path::Path,
 ) -> u64 {
     let start_child = |round: usize| {
-        let port_file = dir.join(format!("replicad-port-{round}"));
+        let port_file = dir.join(format!("replica-port-{round}"));
         let _ = std::fs::remove_file(&port_file);
         let mut child = std::process::Command::new(bin)
             .arg("--addr")
@@ -197,10 +197,10 @@ fn measure_catchup(
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::null())
             .spawn()
-            .expect("replicad spawns");
-        let addr = wait_for("replicad to publish its address", || {
+            .expect("replica spawns");
+        let addr = wait_for("the replica to publish its address", || {
             if let Ok(Some(status)) = child.try_wait() {
-                panic!("replicad exited early: {status}");
+                panic!("the replica exited early: {status}");
             }
             std::fs::read_to_string(&port_file)
                 .ok()?
@@ -212,17 +212,17 @@ fn measure_catchup(
     };
     let target = writer.checkpoint_now().expect("checkpoint").sequence;
     let (mut child, addr) = start_child(0);
-    gate_byte_identity(addr, target, "pre-kill replicad");
-    child.kill().expect("SIGKILL replicad");
-    child.wait().expect("reap replicad");
+    gate_byte_identity(addr, target, "pre-kill replica");
+    child.kill().expect("SIGKILL the replica");
+    child.wait().expect("reap the replica");
     apply_path(writer, next, burst);
     let target = writer.checkpoint_now().expect("checkpoint").sequence;
     let started = Instant::now();
     let (mut child, addr) = start_child(1);
-    gate_byte_identity(addr, target, "post-kill replicad");
+    gate_byte_identity(addr, target, "post-kill replica");
     let catchup = started.elapsed().as_millis() as u64;
-    child.kill().expect("stop replicad");
-    child.wait().expect("reap replicad");
+    child.kill().expect("stop the replica");
+    child.wait().expect("reap the replica");
     catchup
 }
 
@@ -249,16 +249,14 @@ fn run_cell(config: &ReplicaBenchConfig, replicas: usize) -> ReplicaBenchRow {
     // document for the final epoch may still be in flight.
     let primary_seq = writer.checkpoint_now().expect("checkpoint").sequence;
 
-    let servers: Vec<ReplicaServer> = (0..replicas)
+    let servers: Vec<Server> = (0..replicas)
         .map(|_| {
-            ReplicaServer::start(ReplicaConfig::new(
-                "127.0.0.1:0",
-                ReplicaSource::Tail {
-                    dir: dir.clone(),
-                    poll_interval: Duration::from_millis(2),
-                },
-            ))
-            .expect("replica starts")
+            let mut cfg = ServeConfig::new("127.0.0.1:0");
+            cfg.replica_of = Some(ReplicaSource::Tail {
+                dir: dir.clone(),
+                poll_interval: Duration::from_millis(2),
+            });
+            Server::start(cfg).expect("replica starts")
         })
         .collect();
     let replica_addrs: Vec<SocketAddr> = servers.iter().map(|s| s.local_addr()).collect();
@@ -345,7 +343,7 @@ fn run_cell(config: &ReplicaBenchConfig, replicas: usize) -> ReplicaBenchRow {
     }
     assert!(shipped_docs > 0, "the cadence must have shipped documents");
 
-    let catchup_ms = match (&config.replicad_bin, replicas) {
+    let catchup_ms = match (&config.served_bin, replicas) {
         (Some(bin), n) if n > 0 => Some(measure_catchup(
             bin,
             primary_addr,
@@ -358,7 +356,7 @@ fn run_cell(config: &ReplicaBenchConfig, replicas: usize) -> ReplicaBenchRow {
     };
 
     for server in servers {
-        server.stop_flag().trip();
+        server.drain_flag().trip();
         server.wait();
     }
     writer.drain().expect("drain primary");
@@ -393,7 +391,7 @@ pub fn replica_rows_to_json(config: &ReplicaBenchConfig, rows: &[ReplicaBenchRow
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"replica_scaling\",\n");
-    out.push_str("  \"command\": \"cargo bench -p dynscan-replica --bench replica_scaling\",\n");
+    out.push_str("  \"command\": \"cargo bench -p dynscan-serve --bench replica_scaling\",\n");
     let _ = writeln!(out, "  \"prefill_updates\": {},", config.prefill_updates);
     let _ = writeln!(out, "  \"readers\": {},", config.readers);
     let _ = writeln!(out, "  \"reads_per_reader\": {},", config.reads_per_reader);

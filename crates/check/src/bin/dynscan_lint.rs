@@ -1,9 +1,10 @@
 //! The `dynscan-lint` gate: `cargo run -p dynscan-check --bin
 //! dynscan-lint` from anywhere inside the workspace.
 //!
-//! Exit status: 0 clean, 1 findings or stale allowlist entries, 2 when
-//! the workspace root or a source file could not be read.  Pass an
-//! explicit root as the first argument to lint a different checkout.
+//! Exit status: 0 clean, 1 findings or stale allowlist or module-list
+//! entries, 2 when the workspace root or a source file could not be
+//! read.  Pass an explicit root as the first argument to lint a
+//! different checkout.
 
 use dynscan_check::lint;
 use std::process::ExitCode;
@@ -49,13 +50,20 @@ fn main() -> ExitCode {
             stale.line, stale.rule, stale.path_suffix, stale.needle
         );
     }
+    for module in &outcome.unmatched_modules {
+        eprintln!(
+            "error[stale-module] crates/check/src/lint.rs: module-list entry `{module}` names no \
+             scanned file — point it at the moved file or remove it"
+        );
+    }
     eprintln!(
         "dynscan-lint: {} file(s) scanned, {} finding(s), {} suppressed by the allowlist, \
-         {} stale allowlist entr(ies)",
+         {} stale allowlist entr(ies), {} stale module entr(ies)",
         outcome.files_scanned,
         outcome.findings.len(),
         outcome.suppressed,
-        outcome.unused_allows.len()
+        outcome.unused_allows.len(),
+        outcome.unmatched_modules.len()
     );
     if outcome.clean() {
         ExitCode::SUCCESS

@@ -16,8 +16,11 @@
 //! Every finding is an **error** unless a matching entry in
 //! `crates/check/lint-allow.txt` suppresses it with a one-line
 //! justification; allowlist entries that match nothing are themselves
-//! errors, so the list can only shrink when code improves.  The rule
-//! catalogue with rationale lives in `crates/check/README.md`.
+//! errors, so the list can only shrink when code improves.  So are
+//! entries of the rules' module lists that name no scanned file: a rule
+//! scoped to a moved or deleted file would otherwise silently cover
+//! nothing.  The rule catalogue with rationale lives in
+//! `crates/check/README.md`.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -47,8 +50,7 @@ const FACADED_MODULES: &[&str] = &[
     "crates/serve/src/drain.rs",
     "crates/serve/src/server.rs",
     "crates/serve/src/publish.rs",
-    "crates/replica/src/ingest.rs",
-    "crates/replica/src/server.rs",
+    "crates/serve/src/replica.rs",
 ];
 
 /// The one sanctioned wall-clock read (everything else goes through the
@@ -102,6 +104,10 @@ pub struct Outcome {
     pub findings: Vec<Finding>,
     /// Allowlist entries that matched nothing (stale — remove them).
     pub unused_allows: Vec<AllowEntry>,
+    /// Module-list entries (decode, facaded, clock) that name no
+    /// scanned file (stale — point them at the moved file or remove
+    /// them).
+    pub unmatched_modules: Vec<&'static str>,
     /// Violations an allowlist entry suppressed.
     pub suppressed: usize,
     /// Files scanned.
@@ -111,7 +117,9 @@ pub struct Outcome {
 impl Outcome {
     /// Whether the gate passes.
     pub fn clean(&self) -> bool {
-        self.findings.is_empty() && self.unused_allows.is_empty()
+        self.findings.is_empty()
+            && self.unused_allows.is_empty()
+            && self.unmatched_modules.is_empty()
     }
 }
 
@@ -640,6 +648,15 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
     Ok(out)
 }
 
+/// The entries of `modules` that name none of the scanned paths `rels`
+/// (matched by path suffix, as the rules match them).
+fn unmatched<'a>(modules: impl IntoIterator<Item = &'a str>, rels: &[String]) -> Vec<&'a str> {
+    modules
+        .into_iter()
+        .filter(|m| !rels.iter().any(|rel| rel.ends_with(m)))
+        .collect()
+}
+
 fn allow_matches(entry: &AllowEntry, f: &Finding) -> bool {
     entry.rule == f.rule
         && f.path.ends_with(&entry.path_suffix)
@@ -699,6 +716,7 @@ pub fn run(root: &Path) -> std::io::Result<Outcome> {
 
     let mut outcome = Outcome::default();
     let mut used = vec![false; allows.len()];
+    let mut rels = Vec::with_capacity(files.len());
     for path in &files {
         let src = std::fs::read_to_string(path)?;
         let rel_buf = path.strip_prefix(root).unwrap_or(path).to_path_buf();
@@ -725,12 +743,15 @@ pub fn run(root: &Path) -> std::io::Result<Outcome> {
                 None => outcome.findings.push(f),
             }
         }
+        rels.push(rel);
     }
     for (idx, entry) in allows.iter().enumerate() {
         if !used[idx] {
             outcome.unused_allows.push(entry.clone());
         }
     }
+    let modules = DECODE_MODULES.iter().chain(FACADED_MODULES);
+    outcome.unmatched_modules = unmatched(modules.copied().chain([CLOCK_MODULE]), &rels);
     Ok(outcome)
 }
 
@@ -866,5 +887,25 @@ let raw = r#"raw [0] "inner" end"#;
         assert!(allow_matches(&allows[0], &f));
         assert!(parse_allowlist("too | few | fields\n").is_err());
         assert!(parse_allowlist("a | b | c | \n").is_err());
+    }
+
+    #[test]
+    fn module_entries_that_name_no_file_are_reported() {
+        let rels = vec![
+            "crates/serve/src/conn.rs".to_string(),
+            "crates/core/src/clock.rs".to_string(),
+        ];
+        let modules = [
+            "crates/serve/src/conn.rs",
+            "crates/gone/src/server.rs",
+            "crates/core/src/clock.rs",
+        ];
+        assert_eq!(unmatched(modules, &rels), vec!["crates/gone/src/server.rs"]);
+        assert!(unmatched(["crates/serve/src/conn.rs"], &rels).is_empty());
+        let stale = Outcome {
+            unmatched_modules: vec!["crates/gone/src/server.rs"],
+            ..Outcome::default()
+        };
+        assert!(!stale.clean(), "an unmatched module entry fails the gate");
     }
 }

@@ -1,6 +1,7 @@
 //! The lint gate as a test: plain `cargo test` fails if the workspace
-//! drifts out of compliance or the allowlist goes stale, mirroring the
-//! CI `check` job (`cargo run -p dynscan-check --bin dynscan-lint`).
+//! drifts out of compliance or the allowlist or a rule's module list
+//! goes stale, mirroring the CI `check` job (`cargo run -p
+//! dynscan-check --bin dynscan-lint`).
 
 use dynscan_check::lint;
 use std::path::Path;
@@ -20,11 +21,15 @@ fn the_workspace_is_lint_clean() {
             stale.line, stale.rule, stale.path_suffix, stale.needle
         ));
     }
+    for module in &outcome.unmatched_modules {
+        report.push_str(&format!("module-list entry names no file: {module}\n"));
+    }
     assert!(
         outcome.clean(),
-        "dynscan-lint found violations ({} findings, {} stale allows):\n{report}",
+        "dynscan-lint found violations ({} findings, {} stale allows, {} stale modules):\n{report}",
         outcome.findings.len(),
-        outcome.unused_allows.len()
+        outcome.unused_allows.len(),
+        outcome.unmatched_modules.len()
     );
     assert!(
         outcome.files_scanned > 50,

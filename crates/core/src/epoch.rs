@@ -5,9 +5,9 @@
 //! queries skip recomputation.  This module lifts that cache into a
 //! **shared immutable** [`EpochSnapshot`] behind an [`EpochCell`], so
 //! that read-side consumers (the serve layer's `GroupBy` / `ClusterOf`
-//! handlers, benches, replicas-to-be) can answer queries **without
-//! taking the engine lock** while the writer applies the next batch —
-//! the read-side discipline of snapshot-isolation systems.
+//! handlers on a primary or a replica, benches) can answer queries
+//! **without taking the engine lock** while the writer applies the next
+//! batch — the read-side discipline of snapshot-isolation systems.
 //!
 //! ## Cost of a version
 //!
@@ -141,16 +141,18 @@ impl EpochCell {
     }
 }
 
-/// A cloneable read handle onto a session's published epochs (obtained
-/// from [`Session::enable_epoch_reads`](crate::Session::enable_epoch_reads)).
-/// Cheap to clone and `Send`: hand one to every reader thread.
+/// A cloneable read handle onto a publisher's epochs (obtained from
+/// [`Session::enable_epoch_reads`](crate::Session::enable_epoch_reads),
+/// or made over any other publisher's [`EpochCell`]).  Cheap to clone
+/// and `Send`: hand one to every reader thread.
 #[derive(Clone, Debug)]
 pub struct EpochReadHandle {
     cell: Arc<EpochCell>,
 }
 
 impl EpochReadHandle {
-    pub(crate) fn new(cell: Arc<EpochCell>) -> Self {
+    /// A read handle onto `cell`.
+    pub fn new(cell: Arc<EpochCell>) -> Self {
         EpochReadHandle { cell }
     }
 

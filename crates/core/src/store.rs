@@ -239,7 +239,10 @@ impl DirCheckpointStore {
 /// (the snapshot writer flushes exactly once, after the full document):
 /// a crash mid-write leaves only a `.tmp` file, which
 /// [`DirCheckpointStore::list`] ignores, so a truncated document can
-/// never shadow an intact older chain as the resume base.
+/// never shadow an intact older chain as the resume base.  The file is
+/// fsync'd before the rename and the directory after it, so a document
+/// that has been published survives a power loss, not only a process
+/// kill.
 struct AtomicFileWriter {
     tmp_path: PathBuf,
     final_path: PathBuf,
@@ -255,13 +258,28 @@ impl std::io::Write for AtomicFileWriter {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        if let Some(mut file) = self.file.take() {
-            file.flush()?;
-            drop(file);
+        if let Some(file) = self.file.take() {
+            file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
             std::fs::rename(&self.tmp_path, &self.final_path)?;
+            // A bare file name lives in the working directory.
+            let dir = self
+                .final_path
+                .parent()
+                .filter(|d| !d.as_os_str().is_empty());
+            sync_dir(dir.unwrap_or(Path::new(".")))?;
         }
         Ok(())
     }
+}
+
+/// Make the entries of `dir` (a rename into it) durable.  Directories
+/// are fsync'd through an open handle on Unix; elsewhere the rename is
+/// left to the platform.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 impl CheckpointStore for DirCheckpointStore {

@@ -1,7 +1,7 @@
 //! Replica-scaling benchmark: read throughput at 0/1/2 read replicas
 //! over real sockets, replication lag in checkpoint documents under a
 //! write burst, and catch-up time after SIGKILLing a subscribing
-//! `dynscan-replicad` mid-stream.  Every row passes the byte-identity
+//! `dynscan-served --primary` replica mid-stream.  Every row passes the byte-identity
 //! gate (replica checksum == sequential oracle at the replica's epoch)
 //! inside the harness — a divergent replica fails the bench, it does not
 //! produce a number.
@@ -24,7 +24,7 @@ fn main() {
     };
     // Only this crate can resolve its own binary; the harness treats the
     // path as optional so the library test stays self-contained.
-    config.replicad_bin = Some(PathBuf::from(env!("CARGO_BIN_EXE_dynscan-replicad")));
+    config.served_bin = Some(PathBuf::from(env!("CARGO_BIN_EXE_dynscan-served")));
 
     eprintln!(
         "replica_scaling: sweeping {:?} replicas, {} readers x {} reads{}",

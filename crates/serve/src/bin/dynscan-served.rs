@@ -1,21 +1,33 @@
-//! `dynscan-served` — the standalone clustering service.
+//! `dynscan-served` — the standalone clustering service, as a primary
+//! or as a read-only replica of one.
 //!
 //! ```text
 //! dynscan-served --addr 127.0.0.1:7411 --dir ./ckpts --checkpoint-every 256 \
 //!                --full-every 8 --keep-last 2 --background
+//! dynscan-served --addr 127.0.0.1:7412 --primary 127.0.0.1:7411 --mirror-dir ./mirror
+//! dynscan-served --addr 127.0.0.1:7413 --tail-dir ./ckpts --poll-interval-ms 20
 //! ```
 //!
-//! Starts (resuming from `--dir`'s checkpoint chain when one exists),
-//! serves until SIGTERM or an in-band `Drain` request, then drains:
-//! stops accepting requests, finishes the ones executing, takes a final
-//! full checkpoint, and exits 0.  `--max-vertices N` rejects updates
-//! naming a vertex id ≥ N (default 2²²).  `--port-file` atomically publishes the bound address
+//! A primary starts (resuming from `--dir`'s checkpoint chain when one
+//! exists), serves until SIGTERM or an in-band `Drain` request, then
+//! drains: stops accepting requests, finishes the ones executing, takes
+//! a final full checkpoint, and exits 0.  `--max-vertices N` rejects
+//! updates naming a vertex id ≥ N (default 2²²).
+//!
+//! With `--primary` (subscribe to the primary's replication stream,
+//! optionally mirroring the shipped chain to `--mirror-dir` so the
+//! replica can later be promoted) or `--tail-dir` (poll a shared
+//! checkpoint directory) it runs as a replica instead: it serves
+//! `GroupBy`/`ClusterOf`/`Stats` and refuses writes with `ReadOnly`
+//! until SIGTERM or `Drain`; the engine and checkpoint flags are
+//! ignored.  `--port-file` atomically publishes the bound address
 //! (useful with `--addr 127.0.0.1:0`) for test harnesses.
 
 use dynscan_core::{Backend, Params};
-use dynscan_serve::{ServeConfig, Server};
+use dynscan_serve::{ReplicaSource, ServeConfig, Server};
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
@@ -23,7 +35,9 @@ fn usage() -> ! {
          \x20                     [--checkpoint-every N] [--full-every K] [--keep-last N]\n\
          \x20                     [--background] [--threads N] [--max-vertices N]\n\
          \x20                     [--backend dynelm|dynstrclu|exact|indexed]\n\
-         \x20                     [--eps F] [--mu N] [--exact-labels] [--seed N]"
+         \x20                     [--eps F] [--mu N] [--exact-labels] [--seed N]\n\
+         \x20                     [--primary HOST:PORT [--mirror-dir PATH]\n\
+         \x20                      | --tail-dir PATH [--poll-interval-ms N]]"
     );
     std::process::exit(2);
 }
@@ -46,6 +60,10 @@ fn main() -> ExitCode {
     let mut mu = 2usize;
     let mut exact_labels = false;
     let mut seed: Option<u64> = None;
+    let mut primary: Option<String> = None;
+    let mut mirror_dir: Option<std::path::PathBuf> = None;
+    let mut tail_dir: Option<std::path::PathBuf> = None;
+    let mut poll_interval_ms: u64 = 20;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -76,6 +94,10 @@ fn main() -> ExitCode {
             "--mu" => mu = parse(args.next(), "--mu"),
             "--exact-labels" => exact_labels = true,
             "--seed" => seed = Some(parse(args.next(), "--seed")),
+            "--primary" => primary = Some(parse(args.next(), "--primary")),
+            "--mirror-dir" => mirror_dir = Some(parse(args.next(), "--mirror-dir")),
+            "--tail-dir" => tail_dir = Some(parse(args.next(), "--tail-dir")),
+            "--poll-interval-ms" => poll_interval_ms = parse(args.next(), "--poll-interval-ms"),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");
@@ -91,6 +113,21 @@ fn main() -> ExitCode {
         params = params.with_seed(seed);
     }
     cfg.params = params;
+    cfg.replica_of = match (primary, tail_dir) {
+        (None, None) => None,
+        (Some(primary_addr), None) => Some(ReplicaSource::Subscribe {
+            primary_addr,
+            mirror_dir,
+        }),
+        (None, Some(dir)) => Some(ReplicaSource::Tail {
+            dir,
+            poll_interval: Duration::from_millis(poll_interval_ms),
+        }),
+        (Some(_), Some(_)) => {
+            eprintln!("--primary and --tail-dir are exclusive");
+            usage();
+        }
+    };
 
     let server = match Server::start(cfg) {
         Ok(server) => server,

@@ -6,10 +6,12 @@
 //!
 //! * **Bounded memory** — a connection holds at most one decoded
 //!   request.  It executes only if its update weight fits the
-//!   per-request cap and the server-wide queued-update budget; otherwise
-//!   the client gets a typed `Overloaded{retry_after}` reply at once.  A
-//!   client that pipelines is held back by TCP flow control, not by a
-//!   server-side queue.
+//!   server-wide queued-update budget; otherwise the client gets a typed
+//!   `Overloaded{retry_after}` reply at once.  A request heavier than
+//!   either cap can never fit and gets a `ServerError` naming its weight
+//!   and the cap instead, so no client retries it.  A client that
+//!   pipelines is held back by TCP flow control, not by a server-side
+//!   queue.
 //! * **Ordered replies, read-your-writes** — requests are answered in
 //!   the order they were read, and a read never observes an epoch below
 //!   the connection's own acknowledged writes.
@@ -23,15 +25,19 @@
 //! * **A stuck client cannot wedge the engine** — socket writes happen
 //!   outside the engine lock and carry a write timeout; when one trips,
 //!   the connection is torn down.
+//! * **A replica is read-only** — on a replica, writes, `CheckpointNow`
+//!   and `Subscribe` are answered `ReadOnly` before anything else, and
+//!   every read is served from the published epoch.
 
 use crate::drain::DrainFlag;
 use crate::frame::{parse_header, WireError, HEADER_LEN};
 use crate::proto::{
     RejectReason, Request, RequestBody, Response, ResponseBody, StatsReply, UNSOLICITED_ID,
 };
-use crate::server::Shared;
+use crate::server::{Role, Shared};
 use dynscan_core::sync::atomic::Ordering;
-use dynscan_core::{GraphUpdate, Session, VertexId};
+use dynscan_core::sync::{Arc, MutexGuard};
+use dynscan_core::{EpochSnapshot, GraphUpdate, Session, VertexId};
 use dynscan_graph::snapshot::fnv1a;
 use std::io::Read;
 use std::net::{Shutdown, TcpStream};
@@ -46,7 +52,7 @@ const READ_POLL: Duration = Duration::from_millis(25);
 const DRAIN_GRACE_POLLS: u32 = 40;
 
 /// Outcome of one polling frame read.
-pub enum FrameRead {
+pub(crate) enum FrameRead {
     /// A complete, checksum-verified payload.
     Frame(Vec<u8>),
     /// The peer closed cleanly between frames.
@@ -106,11 +112,10 @@ fn read_full(
     Ok(Fill::Filled)
 }
 
-/// Read one frame, polling the drain latch while idle.  Public so the
-/// replica's serving loop (which speaks the same protocol with the same
-/// drain discipline) can reuse the exact framing behaviour; the stream
-/// must have a read timeout set, or the drain latch is never polled.
-pub fn read_frame_polling(
+/// Read one frame, polling the drain latch while idle (the replica's
+/// subscribe loop reads its stream the same way).  The stream must have
+/// a read timeout set, or the drain latch is never polled.
+pub(crate) fn read_frame_polling(
     stream: &mut TcpStream,
     drain: &DrainFlag,
 ) -> Result<FrameRead, WireError> {
@@ -167,22 +172,35 @@ pub(crate) fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             // Refused; the terminal notice follows.
             break send(&mut stream, request.id, ResponseBody::Draining).is_ok();
         }
-        if let RequestBody::Subscribe { from_seq } = request.body {
-            // The stream owns the connection from here on; whatever ends
-            // it (drain, lag, a gone peer) ends the connection too.
-            run_subscription(request.id, from_seq, &mut stream, shared);
-            break false;
-        }
-        let weight = weight_of(&request.body);
-        let body = if reserve(shared, weight) {
-            let body = execute(shared, request.body, acked_floor);
-            if weight > 0 {
-                shared.queued.fetch_sub(weight, Ordering::SeqCst);
+        let body = match (&shared.role, request.body) {
+            // Writes, checkpoints and nested subscriptions belong on the
+            // primary.
+            (
+                Role::Replica(_),
+                RequestBody::Apply(_)
+                | RequestBody::BatchApply(_)
+                | RequestBody::CheckpointNow
+                | RequestBody::Subscribe { .. },
+            ) => ResponseBody::ReadOnly,
+            (Role::Primary(_), RequestBody::Subscribe { from_seq }) => {
+                // The stream owns the connection from here on; whatever
+                // ends it (drain, lag, a gone peer) ends the connection
+                // too.
+                run_subscription(request.id, from_seq, &mut stream, shared);
+                break false;
             }
-            body
-        } else {
-            ResponseBody::Overloaded {
-                retry_after_millis: retry_after_hint(shared),
+            (_, body) => {
+                let weight = weight_of(&body);
+                match reserve(shared, weight) {
+                    Ok(()) => {
+                        let reply = execute(shared, body, acked_floor);
+                        if weight > 0 {
+                            shared.queued.fetch_sub(weight, Ordering::SeqCst);
+                        }
+                        reply
+                    }
+                    Err(refusal) => refusal,
+                }
             }
         };
         if let ResponseBody::Applied { epoch, .. } | ResponseBody::BatchApplied { epoch, .. } =
@@ -220,19 +238,30 @@ fn weight_of(body: &RequestBody) -> u64 {
 /// the server-wide count stays within `max_global_queued_updates`.  The
 /// global reservation is one atomic add, undone on overflow, so two
 /// connections can never pass the check together and overshoot the cap.
-fn reserve(shared: &Shared, weight: u64) -> bool {
+/// The refusal is the reply: `Overloaded` when the global budget is
+/// momentarily full, a `ServerError` when the request exceeds a cap on
+/// its own and no retry could ever fit it.
+fn reserve(shared: &Shared, weight: u64) -> Result<(), ResponseBody> {
     if weight == 0 {
-        return true;
+        return Ok(());
     }
-    if weight > shared.cfg.max_conn_queued_updates {
-        return false;
+    let cap = shared
+        .cfg
+        .max_conn_queued_updates
+        .min(shared.cfg.max_global_queued_updates);
+    if weight > cap {
+        return Err(ResponseBody::ServerError {
+            message: format!("a request of {weight} updates exceeds the cap of {cap} per request"),
+        });
     }
     let before = shared.queued.fetch_add(weight, Ordering::SeqCst);
     if before + weight > shared.cfg.max_global_queued_updates {
         shared.queued.fetch_sub(weight, Ordering::SeqCst);
-        return false;
+        return Err(ResponseBody::Overloaded {
+            retry_after_millis: retry_after_hint(shared),
+        });
     }
-    true
+    Ok(())
 }
 
 /// Backoff hint for an `Overloaded` reply, scaled by global pressure.
@@ -246,17 +275,22 @@ fn out_of_bounds(update: &GraphUpdate, max_vertices: u32) -> Option<VertexId> {
     [u, v].into_iter().find(|x| x.0 >= max_vertices)
 }
 
-fn lock_engine(shared: &Shared) -> dynscan_core::sync::MutexGuard<'_, Session> {
-    shared.engine.lock().unwrap_or_else(|p| p.into_inner())
+/// The primary's engine.  A replica has none: it answers reads from the
+/// published epoch and refuses writes before they get here, so a request
+/// that still needs the engine gets this error instead.
+fn lock_engine(shared: &Shared) -> Result<MutexGuard<'_, Session>, ResponseBody> {
+    match &shared.role {
+        Role::Primary(engine) => Ok(engine.lock().unwrap_or_else(|p| p.into_inner())),
+        Role::Replica(_) => Err(ResponseBody::ServerError {
+            message: "a replica has no engine to serve this request from".into(),
+        }),
+    }
 }
 
 /// The published epoch snapshot, if it satisfies read-your-writes for a
 /// connection acknowledged up to `acked_floor` (counts the lock-free
 /// read when it does).
-fn load_epoch(
-    shared: &Shared,
-    acked_floor: u64,
-) -> Option<dynscan_core::sync::Arc<dynscan_core::EpochSnapshot>> {
+fn load_epoch(shared: &Shared, acked_floor: u64) -> Option<Arc<EpochSnapshot>> {
     let snapshot = shared.epoch.load()?;
     if snapshot.updates_applied < acked_floor {
         return None;
@@ -388,14 +422,24 @@ fn run_subscription(id: u64, from_seq: Option<u64>, stream: &mut TcpStream, shar
 /// (publication happens under the engine lock *before* the write
 /// returns, hence before its acknowledgement, hence before any later
 /// query on the same connection), but the engine-lock fallback is kept
-/// so the invariant is enforced rather than assumed.
+/// so the invariant is enforced rather than assumed.  A replica never
+/// reaches it: its floor stays 0 and its first epoch is published before
+/// the listener binds.
 fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody {
-    match body {
+    try_execute(shared, body, acked_floor).unwrap_or_else(|refusal| refusal)
+}
+
+fn try_execute(
+    shared: &Shared,
+    body: RequestBody,
+    acked_floor: u64,
+) -> Result<ResponseBody, ResponseBody> {
+    Ok(match body {
         RequestBody::Apply(update) => {
             if let Some(v) = out_of_bounds(&update, shared.cfg.max_vertices) {
-                return ResponseBody::Rejected(RejectReason::InvalidVertex { v });
+                return Ok(ResponseBody::Rejected(RejectReason::InvalidVertex { v }));
             }
-            let mut engine = lock_engine(shared);
+            let mut engine = lock_engine(shared)?;
             match engine.apply(update) {
                 Ok(flips) => ResponseBody::Applied {
                     epoch: engine.updates_applied(),
@@ -409,7 +453,7 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
             // like the engine's own invalid updates.
             let sent = updates.len() as u64;
             updates.retain(|update| out_of_bounds(update, shared.cfg.max_vertices).is_none());
-            let mut engine = lock_engine(shared);
+            let mut engine = lock_engine(shared)?;
             let before = engine.updates_applied();
             let flips = engine.apply_batch(&updates);
             let epoch = engine.updates_applied();
@@ -422,13 +466,13 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
         }
         RequestBody::GroupBy(vertices) => {
             if let Some(snapshot) = load_epoch(shared, acked_floor) {
-                return ResponseBody::Groups {
+                return Ok(ResponseBody::Groups {
                     epoch: snapshot.updates_applied,
                     checkpoint_seq: snapshot.checkpoint_seq,
                     groups: snapshot.group_by(&vertices),
-                };
+                });
             }
-            let mut engine = lock_engine(shared);
+            let mut engine = lock_engine(shared)?;
             let groups = engine.cluster_group_by(&vertices);
             ResponseBody::Groups {
                 epoch: engine.updates_applied(),
@@ -438,13 +482,13 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
         }
         RequestBody::ClusterOf(v) => {
             if let Some(snapshot) = load_epoch(shared, acked_floor) {
-                return ResponseBody::Groups {
+                return Ok(ResponseBody::Groups {
                     epoch: snapshot.updates_applied,
                     checkpoint_seq: snapshot.checkpoint_seq,
                     groups: snapshot.clusters_of(v),
-                };
+                });
             }
-            let mut engine = lock_engine(shared);
+            let mut engine = lock_engine(shared)?;
             let groups = engine
                 .clustering()
                 .clusters_containing(v)
@@ -471,21 +515,21 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
             // variant keeps the locking path.
             if !include_state_checksum {
                 if let Some(snapshot) = load_epoch(shared, acked_floor) {
-                    return ResponseBody::Stats(StatsReply {
-                        algorithm: snapshot.algorithm.to_string(),
-                        epoch: snapshot.updates_applied,
-                        num_vertices: snapshot.num_vertices,
-                        num_edges: snapshot.num_edges,
-                        queued_updates: shared.queued.load(Ordering::SeqCst),
-                        connections: shared.connections.load(Ordering::SeqCst),
-                        checkpoints_written: snapshot.checkpoints_written,
-                        draining: shared.drain.is_tripped(),
-                        state_checksum: None,
-                        last_checkpoint_seq: snapshot.checkpoint_seq,
-                    });
+                    return Ok(snapshot_stats(shared, &snapshot, None));
                 }
             }
-            let mut engine = lock_engine(shared);
+            if let Role::Replica(state) = &shared.role {
+                // The replica publishes under its state lock, so while
+                // that lock is held the published epoch is the state's.
+                let state = state.lock().unwrap_or_else(|p| p.into_inner());
+                if let Some(snapshot) = shared.epoch.load() {
+                    let checksum = include_state_checksum
+                        .then(|| state.engine().map(|e| fnv1a(&e.checkpoint_bytes())))
+                        .flatten();
+                    return Ok(snapshot_stats(shared, &snapshot, checksum));
+                }
+            }
+            let mut engine = lock_engine(shared)?;
             let state_checksum = include_state_checksum.then(|| fnv1a(&engine.checkpoint_bytes()));
             ResponseBody::Stats(StatsReply {
                 algorithm: engine.algorithm_name().to_string(),
@@ -501,7 +545,7 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
             })
         }
         RequestBody::CheckpointNow => {
-            let mut engine = lock_engine(shared);
+            let mut engine = lock_engine(shared)?;
             match engine.checkpoint_now() {
                 // Report the *store* sequence (the replication
                 // position replicas track), not the in-document chain
@@ -518,7 +562,10 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
             }
         }
         RequestBody::Drain => {
-            let epoch = lock_engine(shared).updates_applied();
+            let epoch = match &shared.role {
+                Role::Primary(_) => lock_engine(shared)?.updates_applied(),
+                Role::Replica(_) => shared.epoch.load().map_or(0, |s| s.updates_applied),
+            };
             shared.drain.trip();
             ResponseBody::DrainStarted { epoch }
         }
@@ -528,5 +575,26 @@ fn execute(shared: &Shared, body: RequestBody, acked_floor: u64) -> ResponseBody
         RequestBody::Subscribe { .. } => ResponseBody::ServerError {
             message: "subscription must be handled by the stream loop".into(),
         },
-    }
+    })
+}
+
+/// A `Stats` reply assembled from one published epoch (plus the
+/// instantaneous server gauges).
+fn snapshot_stats(
+    shared: &Shared,
+    snapshot: &EpochSnapshot,
+    state_checksum: Option<u64>,
+) -> ResponseBody {
+    ResponseBody::Stats(StatsReply {
+        algorithm: snapshot.algorithm.to_string(),
+        epoch: snapshot.updates_applied,
+        num_vertices: snapshot.num_vertices,
+        num_edges: snapshot.num_edges,
+        queued_updates: shared.queued.load(Ordering::SeqCst),
+        connections: shared.connections.load(Ordering::SeqCst),
+        checkpoints_written: snapshot.checkpoints_written,
+        draining: shared.drain.is_tripped(),
+        state_checksum,
+        last_checkpoint_seq: snapshot.checkpoint_seq,
+    })
 }

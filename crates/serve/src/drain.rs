@@ -6,7 +6,7 @@
 //! requests in hand → terminal replies → final full checkpoint → exit)
 //! once it trips.
 //!
-//! [`install_sigterm_handler`] arms a SIGTERM handler that trips a
+//! `install_sigterm_handler` arms a SIGTERM handler that trips a
 //! process-global latch.  The handler only stores into an `AtomicBool` —
 //! the entire async-signal-safe budget — and the server threads do all
 //! actual work outside signal context.  The binding to `signal(2)` is a
@@ -48,7 +48,7 @@ impl DrainFlag {
 static SIGTERM_RECEIVED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Whether the process has received SIGTERM since
-/// [`install_sigterm_handler`] ran.
+/// `install_sigterm_handler` ran.
 pub fn sigterm_received() -> bool {
     SIGTERM_RECEIVED.load(Ordering::SeqCst)
 }
@@ -98,9 +98,9 @@ mod imp {
     pub fn install() {}
 }
 
-/// Arm the process-global SIGTERM latch (idempotent).  Call once at
+/// Arm the process-global SIGTERM latch (idempotent).  Called once at
 /// server start; every [`DrainFlag`] then also observes the signal.
-pub fn install_sigterm_handler() {
+pub(crate) fn install_sigterm_handler() {
     imp::install();
 }
 

@@ -105,8 +105,9 @@ impl PublishHub {
         });
     }
 
-    /// Live subscriber count (for stats and tests).
-    pub fn subscribers(&self) -> usize {
+    /// Live subscriber count.
+    #[cfg(test)]
+    fn subscribers(&self) -> usize {
         self.subs.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 }

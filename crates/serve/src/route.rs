@@ -12,9 +12,9 @@
 //! With no replicas configured the router degenerates to a plain
 //! primary client.
 
+use crate::client::{BatchAck, Client, ClientError, GroupsAck};
 use dynscan_core::VertexId;
 use dynscan_graph::GraphUpdate;
-use dynscan_serve::{Client, ClientError, GroupsAck};
 use std::time::Duration;
 
 /// How long the router waits between staleness retries on a replica.
@@ -87,10 +87,7 @@ impl RoutedClient {
     }
 
     /// Apply a batch on the primary.
-    pub fn batch_apply(
-        &mut self,
-        updates: &[GraphUpdate],
-    ) -> Result<dynscan_serve::BatchAck, ClientError> {
+    pub fn batch_apply(&mut self, updates: &[GraphUpdate]) -> Result<BatchAck, ClientError> {
         self.primary.batch_apply(updates)
     }
 

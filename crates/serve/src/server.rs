@@ -1,5 +1,6 @@
 //! The server: lifecycle (start → accept → drain → final checkpoint →
-//! exit) and the state shared by every connection.
+//! exit) and the state shared by every connection, in either of its two
+//! roles — a writable primary, or a read-only replica of one.
 //!
 //! One engine, many connections, one thread per connection: each
 //! connection's thread reads, executes and answers its requests in turn.
@@ -23,10 +24,18 @@
 //! full checkpoint through [`Session::drain`] — so `SIGTERM` never loses
 //! acknowledged updates, and a hard kill loses at most the acknowledged
 //! suffix since the last completed checkpoint.
+//!
+//! A replica ([`ServeConfig::replica_of`]) builds no session.  Its
+//! ingest thread replays the primary's checkpoint documents into a
+//! replica state and publishes an epoch after each one, so the same
+//! accept loop, connection loop and `execute` serve it: reads from the
+//! published epoch, writes refused with `ReadOnly`, and a drain that
+//! joins the ingest thread instead of taking a checkpoint.
 
 use crate::conn;
 use crate::drain::{install_sigterm_handler, DrainFlag};
 use crate::publish::{PublishHub, PublishingStore};
+use crate::replica::{self, ReplicaSource, ReplicaState};
 use dynscan_core::sync::atomic::{AtomicU64, Ordering};
 use dynscan_core::sync::{Arc, Mutex};
 use dynscan_core::{
@@ -75,6 +84,11 @@ pub struct ServeConfig {
     /// connection down instead of wedging a server thread on a stuck
     /// reader.
     pub write_timeout: Duration,
+    /// Serve as a read-only replica fed from this source instead of as a
+    /// primary (`None`).  A replica ignores every field above but `addr`
+    /// and `write_timeout`: its engine and algorithm come from the
+    /// primary's documents, and it refuses every write.
+    pub replica_of: Option<ReplicaSource>,
 }
 
 impl ServeConfig {
@@ -96,6 +110,7 @@ impl ServeConfig {
             max_global_queued_updates: 65_536,
             max_vertices: 1 << 22,
             write_timeout: Duration::from_secs(5),
+            replica_of: None,
         }
     }
 }
@@ -136,23 +151,33 @@ impl From<SessionError> for ServeError {
 #[derive(Debug)]
 pub struct DrainReport {
     /// Updates applied over the server's lifetime (including any resumed
-    /// prefix).
+    /// prefix); on a replica, the updates its applied documents cover.
     pub updates_applied: u64,
     /// Metadata of the final full checkpoint (`None` without a
-    /// checkpoint directory).
+    /// checkpoint directory, and always on a replica).
     pub final_checkpoint: Option<SnapshotInfo>,
     /// Why the final checkpoint failed, if it did.
     pub checkpoint_error: Option<String>,
 }
 
+/// What a server serves from.
+pub(crate) enum Role {
+    /// A writable primary: the one engine; never lock across a socket
+    /// write.
+    Primary(Box<Mutex<Session>>),
+    /// A read-only replica: the replayed state, shared with the ingest
+    /// thread.  Only the ingest thread and checksummed `Stats` lock it.
+    Replica(Arc<Mutex<ReplicaState>>),
+}
+
 /// State shared by the accept loop and every connection.
 pub(crate) struct Shared {
-    /// The one engine; never lock across a socket write.
-    pub(crate) engine: Mutex<Session>,
-    /// Lock-free read handle onto the engine's published label epochs
-    /// (obtained from `Session::enable_epoch_reads` before the engine
-    /// went behind the mutex).  Queries served from it never touch
-    /// [`Shared::engine`].
+    /// The engine or replica state behind the published epochs.
+    pub(crate) role: Role,
+    /// Lock-free read handle onto the published epochs (from
+    /// `Session::enable_epoch_reads` before the engine went behind the
+    /// mutex, or from the replica state before ingest started).  Queries
+    /// served from it never touch [`Shared::role`]'s lock.
     pub(crate) epoch: EpochReadHandle,
     /// Queries answered from the epoch snapshot instead of the engine
     /// lock (observability for tests and operators).
@@ -181,35 +206,57 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build (or resume) the engine, bind the listener, arm the SIGTERM
-    /// latch, and start accepting connections.
+    /// Build (or resume) the engine — or, for a replica, its empty
+    /// state — bind the listener, arm the SIGTERM latch, start a
+    /// replica's ingest thread, and start accepting connections.
     pub fn start(cfg: ServeConfig) -> Result<Server, ServeError> {
         // The chain may have been written by any registered backend.
         dynscan_baseline::install();
         install_sigterm_handler();
         let hub = Arc::new(PublishHub::new());
-        let mut session = build_session(&cfg, &hub)?;
         // Publication must be live before the first connection: every
-        // later mutation republishes under the engine lock, so the
+        // later mutation (or applied document) republishes, so the
         // handle's readers are never more than one batch behind.
-        let epoch = session.enable_epoch_reads();
+        let (role, epoch, feed) = match &cfg.replica_of {
+            None => {
+                let mut session = build_session(&cfg, &hub)?;
+                let epoch = session.enable_epoch_reads();
+                (Role::Primary(Box::new(Mutex::new(session))), epoch, None)
+            }
+            Some(source) => {
+                let state = ReplicaState::new();
+                let epoch = state.epoch_reads();
+                let state = Arc::new(Mutex::new(state));
+                let feed = (source.clone(), Arc::clone(&state));
+                (Role::Replica(state), epoch, Some(feed))
+            }
+        };
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let drain = DrainFlag::new();
+        let ingest = feed
+            .map(|(source, state)| {
+                let stop = drain.clone();
+                thread::Builder::new()
+                    .name("dynscan-serve-ingest".into())
+                    .spawn(move || replica::ingest(source, state, stop))
+            })
+            .transpose()?;
         let shared = Arc::new(Shared {
-            engine: Mutex::new(session),
+            role,
             epoch,
             epoch_reads: AtomicU64::new(0),
             queued: AtomicU64::new(0),
             connections: AtomicU64::new(0),
-            drain: DrainFlag::new(),
+            drain,
             hub,
             cfg,
         });
         let accept_shared = Arc::clone(&shared);
         let accept = thread::Builder::new()
             .name("dynscan-serve-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))
+            .spawn(move || accept_loop(listener, accept_shared, ingest))
             .expect("spawning the accept thread");
         Ok(Server {
             local_addr,
@@ -233,13 +280,15 @@ impl Server {
     /// lock) since start.  `GroupBy` / `ClusterOf` fall back to the lock
     /// only when the snapshot does not yet cover the connection's own
     /// acknowledged writes, so in steady state this counts every
-    /// clustering query.
+    /// clustering query — and on a replica, which acknowledges no
+    /// writes, every `GroupBy`, `ClusterOf` and checksum-free `Stats`.
     pub fn epoch_reads_served(&self) -> u64 {
         self.shared.epoch_reads.load(Ordering::SeqCst)
     }
 
     /// Block until the server has drained (flag tripped, connections
-    /// closed, final checkpoint written) and return the report.
+    /// closed, final checkpoint written or ingest stopped) and return
+    /// the report.
     pub fn wait(mut self) -> DrainReport {
         self.accept
             .take()
@@ -290,8 +339,13 @@ fn build_session(cfg: &ServeConfig, hub: &Arc<PublishHub>) -> Result<Session, Se
 /// stop accepting (no new connections; connections refuse new
 /// requests), wait for every connection to finish the request it is
 /// executing and close with a terminal reply, then flush the engine and
-/// take the final full checkpoint.
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
+/// take the final full checkpoint — or, on a replica, wait for the
+/// ingest thread to observe the latch.
+fn accept_loop(
+    listener: TcpListener,
+    shared: Arc<Shared>,
+    ingest: Option<thread::JoinHandle<()>>,
+) -> DrainReport {
     use dynscan_core::sync::atomic::Ordering;
     while !shared.drain.is_tripped() {
         match listener.accept() {
@@ -319,7 +373,20 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
     while shared.connections.load(Ordering::SeqCst) > 0 {
         thread::sleep(Duration::from_millis(2));
     }
-    let mut engine = shared.engine.lock().unwrap_or_else(|p| p.into_inner());
+    let engine = match &shared.role {
+        Role::Primary(engine) => engine,
+        Role::Replica(state) => {
+            if let Some(ingest) = ingest {
+                ingest.join().expect("the ingest loop never panics");
+            }
+            return DrainReport {
+                updates_applied: state.lock().unwrap_or_else(|p| p.into_inner()).epoch(),
+                final_checkpoint: None,
+                checkpoint_error: None,
+            };
+        }
+    };
+    let mut engine = engine.lock().unwrap_or_else(|p| p.into_inner());
     let (final_checkpoint, checkpoint_error) = match engine.drain() {
         Ok(info) => (info, None),
         Err(e) => (None, Some(e.to_string())),

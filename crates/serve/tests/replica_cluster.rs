@@ -1,7 +1,7 @@
-//! The replication harness of the tentpole: a primary plus two replicas
-//! (one subscribing over TCP via the real `dynscan-replicad` binary with
-//! a mirror directory, one tailing the primary's checkpoint directory
-//! in-process) under a live write workload, pinning:
+//! The replication harness: a primary plus two replicas (one
+//! subscribing over TCP via the real `dynscan-served --primary` binary
+//! with a mirror directory, one tailing the primary's checkpoint
+//! directory in-process) under a live write workload, pinning:
 //!
 //! * **byte identity** — every replica's canonical state checksum equals
 //!   the sequential oracle at the replica's epoch, i.e. its state is the
@@ -21,8 +21,9 @@
 
 use dynscan_core::{Backend, GraphUpdate, Params, Session, VertexId};
 use dynscan_graph::snapshot::fnv1a;
-use dynscan_replica::{ReplicaConfig, ReplicaServer, ReplicaSource, RoutedClient};
-use dynscan_serve::{Client, ClientError, RetryPolicy, ServeConfig, Server};
+use dynscan_serve::{
+    Client, ClientError, ReplicaSource, RetryPolicy, RoutedClient, ServeConfig, Server,
+};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -74,10 +75,20 @@ fn oracle_checksum(k: u64) -> u64 {
     fnv1a(&oracle.checkpoint_bytes())
 }
 
-fn start_replicad(primary: SocketAddr, mirror: &Path, round: usize) -> (Child, SocketAddr) {
+/// An in-process replica tailing `dir`.
+fn tail_replica(dir: &Path, poll_interval: Duration) -> ServeConfig {
+    let mut cfg = ServeConfig::new("127.0.0.1:0");
+    cfg.replica_of = Some(ReplicaSource::Tail {
+        dir: dir.to_path_buf(),
+        poll_interval,
+    });
+    cfg
+}
+
+fn start_replica(primary: SocketAddr, mirror: &Path, round: usize) -> (Child, SocketAddr) {
     let port_file = mirror.with_extension(format!("port-{round}"));
     let _ = std::fs::remove_file(&port_file);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dynscan-replicad"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dynscan-served"))
         .arg("--addr")
         .arg("127.0.0.1:0")
         .arg("--primary")
@@ -89,7 +100,7 @@ fn start_replicad(primary: SocketAddr, mirror: &Path, round: usize) -> (Child, S
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
-        .expect("replicad binary spawns");
+        .expect("replica binary spawns");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         if let Ok(contents) = std::fs::read_to_string(&port_file) {
@@ -98,11 +109,11 @@ fn start_replicad(primary: SocketAddr, mirror: &Path, round: usize) -> (Child, S
             }
         }
         if let Ok(Some(status)) = child.try_wait() {
-            panic!("replicad exited before publishing its address: {status}");
+            panic!("replica exited before publishing its address: {status}");
         }
         assert!(
             Instant::now() < deadline,
-            "replicad never published its address"
+            "replica never published its address"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -154,16 +165,10 @@ fn primary_with_two_replicas_is_byte_identical_and_survives_kill_and_promote() {
     let primary_addr = primary.local_addr();
 
     // Replica A: the real binary, subscribing over TCP, mirroring.
-    let (mut replicad, addr_a) = start_replicad(primary_addr, &mirror_dir, 0);
+    let (mut replica_a, addr_a) = start_replica(primary_addr, &mirror_dir, 0);
     // Replica B: in-process, tailing the shared checkpoint directory.
-    let replica_b = ReplicaServer::start(ReplicaConfig::new(
-        "127.0.0.1:0",
-        ReplicaSource::Tail {
-            dir: ckpt_dir.clone(),
-            poll_interval: Duration::from_millis(5),
-        },
-    ))
-    .expect("tail replica starts");
+    let replica_b = Server::start(tail_replica(&ckpt_dir, Duration::from_millis(5)))
+        .expect("tail replica starts");
     let addr_b = replica_b.local_addr();
 
     // Phase 1: replicate a prefix and pin byte identity on both paths.
@@ -244,8 +249,8 @@ fn primary_with_two_replicas_is_byte_identical_and_survives_kill_and_promote() {
     for _ in 0..4 {
         apply_one(&mut writer, &mut oracle, &mut j);
     }
-    replicad.kill().expect("SIGKILL replica A");
-    replicad.wait().expect("reap replica A");
+    replica_a.kill().expect("SIGKILL replica A");
+    replica_a.wait().expect("reap replica A");
     for _ in 0..8 {
         apply_one(&mut writer, &mut oracle, &mut j);
     }
@@ -253,7 +258,7 @@ fn primary_with_two_replicas_is_byte_identical_and_survives_kill_and_promote() {
     // is a precise target.
     let ack = writer.checkpoint_now().expect("explicit checkpoint");
     assert_eq!(ack.updates_applied, j);
-    let (mut replicad, addr_a) = start_replicad(primary_addr, &mirror_dir, 1);
+    let (mut replica_a, addr_a) = start_replica(primary_addr, &mirror_dir, 1);
     let (epoch_a, _) = assert_replica_at_prefix(addr_a, ack.sequence, "restarted replica");
     assert_eq!(
         epoch_a, j,
@@ -266,11 +271,11 @@ fn primary_with_two_replicas_is_byte_identical_and_survives_kill_and_promote() {
     // writes on the oracle trajectory.
     let mut replica_client = Client::connect_with(addr_a, quick_policy(6)).expect("connect");
     replica_client.drain().expect("drain replica");
-    let status = replicad.wait().expect("replica exits on drain");
+    let status = replica_a.wait().expect("replica exits on drain");
     assert!(status.success(), "drained replica exits cleanly: {status}");
-    replica_b.stop_flag().trip();
+    replica_b.drain_flag().trip();
     let report_b = replica_b.wait();
-    assert!(report_b.docs_applied > 0);
+    assert!(report_b.updates_applied > 0);
     writer.drain().expect("drain primary");
     primary.wait();
 
@@ -325,14 +330,8 @@ fn tail_replica_survives_retention_pruning() {
     cfg.keep_last = Some(1);
     cfg.params = params();
     let primary = Server::start(cfg).expect("primary starts");
-    let replica = ReplicaServer::start(ReplicaConfig::new(
-        "127.0.0.1:0",
-        ReplicaSource::Tail {
-            dir: ckpt_dir.clone(),
-            poll_interval: Duration::from_millis(2),
-        },
-    ))
-    .expect("tail replica starts");
+    let replica = Server::start(tail_replica(&ckpt_dir, Duration::from_millis(2)))
+        .expect("tail replica starts");
 
     let mut writer = Client::connect_with(primary.local_addr(), quick_policy(8)).expect("connect");
     for j in 0..40u64 {
@@ -359,7 +358,75 @@ fn tail_replica_survives_retention_pruning() {
         oracle_checksum(40),
         "post-pruning replica state diverges from the oracle"
     );
-    replica.stop_flag().trip();
+    replica.drain_flag().trip();
+    replica.wait();
+    writer.drain().expect("drain primary");
+    primary.wait();
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
+
+/// A replica's reads never take its state lock: once a tail replica
+/// holds the primary's last checkpoint, every `GroupBy`, `ClusterOf` and
+/// checksum-free `Stats` is answered from its published epoch, and each
+/// answer equals the primary's.
+#[test]
+fn replica_reads_take_the_lock_free_epoch_path() {
+    let ckpt_dir = temp_dir("epoch-reads");
+    let mut cfg = ServeConfig::new("127.0.0.1:0");
+    cfg.checkpoint_dir = Some(ckpt_dir.clone());
+    cfg.checkpoint_every = Some(CHECKPOINT_EVERY);
+    cfg.params = params();
+    let primary = Server::start(cfg).expect("primary starts");
+    let replica = Server::start(tail_replica(&ckpt_dir, Duration::from_millis(2)))
+        .expect("tail replica starts");
+    let mut writer = Client::connect_with(primary.local_addr(), quick_policy(10)).expect("connect");
+    for j in 0..20u32 {
+        writer
+            .apply(GraphUpdate::Insert(VertexId(j), VertexId(j + 1)))
+            .expect("apply");
+    }
+    let ack = writer.checkpoint_now().expect("checkpoint");
+    // Checksummed stats lock the replica state, so the catch-up probe
+    // itself is never an epoch read.
+    assert_replica_at_prefix(replica.local_addr(), ack.sequence, "tail replica");
+    assert_eq!(replica.epoch_reads_served(), 0);
+
+    let mut reader = Client::connect_with(replica.local_addr(), quick_policy(11)).expect("connect");
+    let mut reads = 0u64;
+    for v in 0..10u32 {
+        let q = [VertexId(v), VertexId(v + 7), VertexId(30)];
+        let ours = reader.group_by_detailed(&q).expect("replica group-by");
+        let theirs = writer.group_by_detailed(&q).expect("primary group-by");
+        assert_eq!((ours.epoch, ours.groups), (theirs.epoch, theirs.groups));
+        let ours = reader.cluster_of(VertexId(v)).expect("replica cluster-of");
+        let theirs = writer.cluster_of(VertexId(v)).expect("primary cluster-of");
+        assert_eq!((ours.epoch, ours.groups), (theirs.epoch, theirs.groups));
+        // (The primary's lock-free `last_checkpoint_seq` may lag its
+        // explicit checkpoint until the next write, so it is not compared.)
+        let ours = reader.stats(false).expect("replica stats");
+        let theirs = writer.stats(false).expect("primary stats");
+        assert_eq!(
+            (
+                ours.algorithm,
+                ours.epoch,
+                ours.num_vertices,
+                ours.num_edges
+            ),
+            (
+                theirs.algorithm,
+                theirs.epoch,
+                theirs.num_vertices,
+                theirs.num_edges
+            )
+        );
+        reads += 3;
+    }
+    assert_eq!(
+        replica.epoch_reads_served(),
+        reads,
+        "every replica read was served from the published epoch"
+    );
+    replica.drain_flag().trip();
     replica.wait();
     writer.drain().expect("drain primary");
     primary.wait();

@@ -12,8 +12,9 @@
 //! actually exercised, not just the happy path.
 
 use dynscan_core::{Backend, GraphUpdate, Params, Session, VertexId};
-use dynscan_replica::{ReplicaConfig, ReplicaServer, ReplicaSource, RoutedClient};
-use dynscan_serve::{Client, ClientError, RetryPolicy, ServeConfig, Server};
+use dynscan_serve::{
+    Client, ClientError, ReplicaSource, RetryPolicy, RoutedClient, ServeConfig, Server,
+};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -58,16 +59,14 @@ proptest! {
         cfg.checkpoint_every = Some(2);
         cfg.params = params();
         let primary = Server::start(cfg).expect("primary starts");
-        let replica = ReplicaServer::start(ReplicaConfig::new(
-            "127.0.0.1:0",
-            ReplicaSource::Tail {
-                dir: ckpt_dir.clone(),
-                // Slow on purpose: reads routinely race replication, so
-                // the floor check has something to catch.
-                poll_interval: Duration::from_millis(15),
-            },
-        ))
-        .expect("replica starts");
+        let mut replica_cfg = ServeConfig::new("127.0.0.1:0");
+        replica_cfg.replica_of = Some(ReplicaSource::Tail {
+            dir: ckpt_dir.clone(),
+            // Slow on purpose: reads routinely race replication, so the
+            // floor check has something to catch.
+            poll_interval: Duration::from_millis(15),
+        });
+        let replica = Server::start(replica_cfg).expect("replica starts");
 
         let primary_client =
             Client::connect_with(primary.local_addr(), quick_policy(case)).expect("connect");
@@ -121,7 +120,7 @@ proptest! {
         let reads = ops.iter().filter(|&&(kind, _, _)| kind == 2).count() as u64;
         prop_assert_eq!(routed.replica_reads() + routed.primary_fallbacks(), reads);
 
-        replica.stop_flag().trip();
+        replica.drain_flag().trip();
         replica.wait();
         primary.drain_flag().trip();
         primary.wait();

@@ -2,10 +2,9 @@
 //! one typed `ServerError`, then EOF.  A client then sees a protocol
 //! failure, not a bare disconnect it would retry as a network fault.
 
-use dynscan_replica::{ReplicaConfig, ReplicaServer, ReplicaSource};
 use dynscan_serve::frame::encode_frame;
 use dynscan_serve::proto::{read_response, UNSOLICITED_ID};
-use dynscan_serve::{Request, RequestBody, ResponseBody};
+use dynscan_serve::{ReplicaSource, Request, RequestBody, ResponseBody, ServeConfig, Server};
 use std::io::{Read as _, Write as _};
 use std::time::Duration;
 
@@ -14,14 +13,12 @@ fn corrupt_frame_gets_one_server_error_then_eof() {
     let dir = std::env::temp_dir().join(format!("dynscan-replica-wire-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create test dir");
-    let replica = ReplicaServer::start(ReplicaConfig::new(
-        "127.0.0.1:0",
-        ReplicaSource::Tail {
-            dir: dir.clone(),
-            poll_interval: Duration::from_millis(20),
-        },
-    ))
-    .expect("replica starts");
+    let mut cfg = ServeConfig::new("127.0.0.1:0");
+    cfg.replica_of = Some(ReplicaSource::Tail {
+        dir: dir.clone(),
+        poll_interval: Duration::from_millis(20),
+    });
+    let replica = Server::start(cfg).expect("replica starts");
     let request = Request {
         id: 7,
         body: RequestBody::Stats {
@@ -43,7 +40,7 @@ fn corrupt_frame_gets_one_server_error_then_eof() {
     let mut rest = Vec::new();
     raw.read_to_end(&mut rest).expect("clean close");
     assert!(rest.is_empty(), "exactly one reply, then EOF");
-    replica.stop_flag().trip();
+    replica.drain_flag().trip();
     replica.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }

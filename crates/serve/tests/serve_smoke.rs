@@ -101,19 +101,24 @@ fn overload_is_typed_and_bounded_never_buffered() {
     cfg.max_global_queued_updates = 8;
     let server = Server::start(cfg).expect("server starts");
     let addr = server.local_addr();
-    // A batch over the per-connection budget is refused outright with a
-    // typed reply — deterministically, regardless of timing.
+    // A batch over the per-request cap can never fit: it is refused for
+    // good with one typed error naming its weight and the cap —
+    // deterministically, regardless of timing, and never retried.
     let mut client = Client::connect_with(addr, quick_policy(1)).expect("connect");
     let big: Vec<GraphUpdate> = (0..4)
         .map(|i| GraphUpdate::Insert(VertexId(i), VertexId(i + 1)))
         .collect();
     match client.batch_apply(&big) {
-        Err(ClientError::RetriesExhausted { .. }) => {}
-        other => panic!("a 4-update batch over a 2-update budget must stay refused: {other:?}"),
+        Err(ClientError::Server(message)) => assert!(
+            message.contains("4 updates") && message.contains("cap of 2"),
+            "the refusal names the weight and the cap: {message}"
+        ),
+        other => panic!("a 4-update batch over a 2-update cap must be refused: {other:?}"),
     }
-    assert!(
-        client.overload_retries() > 0,
-        "the client saw Overloaded and retried"
+    assert_eq!(
+        client.overload_retries(),
+        0,
+        "a request that can never fit is not retried"
     );
     // Within budget the same connection works.
     let ack = client.batch_apply(&big[..2]).expect("small batch fits");

@@ -10,8 +10,9 @@
 //! ```
 
 use dynscan::core::{GraphUpdate, Params, VertexId};
-use dynscan::replica::{ReplicaConfig, ReplicaServer, ReplicaSource, RoutedClient};
-use dynscan::serve::{Client, ClientError, RetryPolicy, ServeConfig, Server};
+use dynscan::serve::{
+    Client, ClientError, ReplicaSource, RetryPolicy, RoutedClient, ServeConfig, Server,
+};
 use std::time::{Duration, Instant};
 
 fn policy(seed: u64) -> RetryPolicy {
@@ -51,25 +52,25 @@ fn main() {
     let primary_addr = primary.local_addr();
     println!("primary on {primary_addr}");
 
-    // Replica A subscribes over the wire and mirrors every shipped
-    // document into its own directory (that directory is the promotion
-    // asset).  Replica B tails the primary's checkpoint directory — the
+    // Replicas are the same server in read-only mode.  Replica A
+    // subscribes over the wire and mirrors every shipped document into
+    // its own directory (that directory is the promotion asset).
+    // Replica B tails the primary's checkpoint directory — the
     // shared-filesystem deployment, no extra protocol at all.
-    let replica_a = ReplicaServer::start(ReplicaConfig::new(
-        "127.0.0.1:0",
-        ReplicaSource::Subscribe {
-            primary_addr: primary_addr.to_string(),
-            mirror_dir: Some(mirror_dir.clone()),
-        },
-    ))
+    let replica = |source| {
+        let mut cfg = ServeConfig::new("127.0.0.1:0");
+        cfg.replica_of = Some(source);
+        Server::start(cfg)
+    };
+    let replica_a = replica(ReplicaSource::Subscribe {
+        primary_addr: primary_addr.to_string(),
+        mirror_dir: Some(mirror_dir.clone()),
+    })
     .expect("replica A starts");
-    let replica_b = ReplicaServer::start(ReplicaConfig::new(
-        "127.0.0.1:0",
-        ReplicaSource::Tail {
-            dir: primary_dir.clone(),
-            poll_interval: Duration::from_millis(5),
-        },
-    ))
+    let replica_b = replica(ReplicaSource::Tail {
+        dir: primary_dir.clone(),
+        poll_interval: Duration::from_millis(5),
+    })
     .expect("replica B starts");
     println!(
         "replica A (subscribe+mirror) on {}, replica B (tail) on {}",
@@ -136,9 +137,9 @@ fn main() {
     );
 
     // Shut the tier down: replicas stop, the primary drains.
-    replica_a.stop_flag().trip();
+    replica_a.drain_flag().trip();
     replica_a.wait();
-    replica_b.stop_flag().trip();
+    replica_b.drain_flag().trip();
     replica_b.wait();
     routed.primary().drain().expect("drain primary");
     primary.wait();

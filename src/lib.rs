@@ -25,12 +25,13 @@
 //! * [`serve`] — clustering-as-a-service: the crash-safe, backpressured
 //!   TCP front-end over [`core::Session`] ([`serve::Server`] /
 //!   [`serve::Client`], the `dynscan-served` binary) with its framed,
-//!   checksummed wire protocol.
-//! * [`replica`] — read replicas built on the checkpoint chain: tail a
-//!   shared checkpoint directory or subscribe to the primary's
-//!   replication stream ([`replica::ReplicaServer`], the
-//!   `dynscan-replicad` binary), with epoch-floor-verified routing
-//!   ([`replica::RoutedClient`]) and byte-identical promotion.
+//!   checksummed wire protocol.  The same server runs as a read-only
+//!   replica built on the checkpoint chain
+//!   ([`serve::ServeConfig::replica_of`]): it tails a shared checkpoint
+//!   directory or subscribes to the primary's replication stream, serves
+//!   reads lock-free from the epoch it publishes per applied document,
+//!   and pairs with epoch-floor-verified routing
+//!   ([`serve::RoutedClient`]) and byte-identical promotion.
 
 pub use dynscan_baseline as baseline;
 pub use dynscan_bench as bench;
@@ -39,7 +40,6 @@ pub use dynscan_core as core;
 pub use dynscan_dt as dt;
 pub use dynscan_graph as graph;
 pub use dynscan_metrics as metrics;
-pub use dynscan_replica as replica;
 pub use dynscan_serve as serve;
 pub use dynscan_sim as sim;
 pub use dynscan_workload as workload;
