@@ -81,7 +81,7 @@ fn main() {
                     row.time_ratio
                 );
             } else {
-                // Bars recalibrated for the v3 codec: the full document
+                // Bars recalibrated for the compact codec: the full document
                 // is itself delta-coded (≥ 3× smaller than v2, pinned on
                 // the golden fixtures), so the differential snapshot's
                 // *relative* advantage is structurally smaller than it

@@ -28,15 +28,17 @@
 //! checkpoint chain itself.
 //!
 //! ```text
-//! # Maintain the committed current-format (v3) fixture:
-//! snapshot_ci golden write    tests/fixtures/golden_snapshot_v3.bin
-//! snapshot_ci golden check-v3 tests/fixtures/golden_snapshot_v3.bin
-//! # Backward-compat decode gates: the legacy v2 and v1 fixtures (no
-//! # writer produces either any more) must keep restoring to exactly the
-//! # canonical state (their v3 re-encode equals `golden write`'s output
-//! # byte for byte):
-//! snapshot_ci golden check-v2 tests/fixtures/golden_snapshot_v2.bin
-//! snapshot_ci golden check-v1 tests/fixtures/golden_snapshot_v1.bin
+//! # Maintain the committed current-format (v4) fixture:
+//! snapshot_ci golden write tests/fixtures/golden_snapshot_v4.bin
+//! snapshot_ci golden check tests/fixtures/golden_snapshot_v4.bin
+//! # Backward-compat decode gate for the immutable v1–v3 fixtures (no
+//! # writer produces any of them any more): the version comes from the
+//! # header, and the fixture must keep restoring to exactly the canonical
+//! # state (its v4 re-encode equals `golden write`'s output byte for
+//! # byte):
+//! snapshot_ci golden check-legacy tests/fixtures/golden_snapshot_v3.bin
+//! snapshot_ci golden check-legacy tests/fixtures/golden_snapshot_v2.bin
+//! snapshot_ci golden check-legacy tests/fixtures/golden_snapshot_v1.bin
 //! ```
 
 use dynscan_bench::clustering_fingerprint;
@@ -272,125 +274,81 @@ fn golden_session() -> Session {
 }
 
 fn golden(action: &str, path: &Path) -> Result<(), String> {
+    use dynscan_graph::snapshot::{peek_header, FORMAT_VERSION};
     let bytes = golden_session().checkpoint_bytes();
-    match action {
-        "write" => {
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("create {}: {e}", parent.display()))?;
-            }
-            std::fs::write(path, &bytes).map_err(|e| format!("write fixture: {e}"))?;
-            eprintln!(
-                "snapshot_ci: wrote {} fixture bytes to {}",
-                bytes.len(),
-                path.display()
-            );
-            Ok(())
+    if action == "write" {
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)
+                .map_err(|e| format!("create {}: {e}", parent.display()))?;
         }
-        // `check` gates the current-format fixture; `check-v3` is the
-        // explicit spelling CI uses (they are the same gate while the
-        // current format is v3).
-        "check" | "check-v3" => {
-            let committed =
-                std::fs::read(path).map_err(|e| format!("read fixture {}: {e}", path.display()))?;
-            let header = dynscan_graph::snapshot::peek_header(&committed)
-                .map_err(|e| format!("peek v3 fixture: {e}"))?;
-            if header.format_version != dynscan_graph::snapshot::FORMAT_VERSION {
-                return Err(format!(
-                    "expected a format-v{} fixture, found version {}",
-                    dynscan_graph::snapshot::FORMAT_VERSION,
-                    header.format_version
-                ));
-            }
-            let restored = restore_any(&committed[..])
-                .map_err(|e| format!("committed fixture no longer restores: {e}"))?;
-            if restored.checkpoint_bytes() != committed {
-                return Err("fixture is not a fixed point of checkpoint∘restore".into());
-            }
-            if committed != bytes {
-                // Both wire-format changes and semantic algorithm changes
-                // (e.g. a threshold-formula fix that alters DT state) land
-                // here — the point is that neither may happen *silently*.
-                return Err(format!(
-                    "snapshot bytes drifted: rebuilding the canonical instance produces \
-                     different bytes than {} — if the change is intentional, regenerate \
-                     with `snapshot_ci golden write`; additionally bump FORMAT_VERSION \
-                     if (and only if) the wire layout itself changed",
-                    path.display()
-                ));
-            }
-            eprintln!(
-                "snapshot_ci: golden fixture matches ({} bytes, restored as {})",
-                bytes.len(),
-                restored.algorithm_name()
-            );
-            Ok(())
-        }
-        "check-v2" => {
-            // Backward compatibility for the previous format: the v2
-            // fixture (never regenerated — the v2 writer is gone) must
-            // keep restoring, to exactly the canonical state: its v3
-            // re-encode equals `golden write`'s output byte for byte.
-            let committed =
-                std::fs::read(path).map_err(|e| format!("read fixture {}: {e}", path.display()))?;
-            let header = dynscan_graph::snapshot::peek_header(&committed)
-                .map_err(|e| format!("peek v2 fixture: {e}"))?;
-            if header.format_version != dynscan_graph::snapshot::FORMAT_VERSION_V2 {
-                return Err(format!(
-                    "expected a format-v2 fixture, found version {}",
-                    header.format_version
-                ));
-            }
-            let restored = restore_any(&committed[..])
-                .map_err(|e| format!("legacy v2 fixture no longer restores: {e}"))?;
-            if restored.checkpoint_bytes() != bytes {
-                return Err(
-                    "v2 fixture re-encodes to different bytes than the canonical v3 instance"
-                        .into(),
-                );
-            }
-            eprintln!(
-                "snapshot_ci: legacy v2 fixture ({} bytes) still restores to the canonical \
-                 state under format v{}",
-                committed.len(),
-                dynscan_graph::snapshot::FORMAT_VERSION
-            );
-            Ok(())
-        }
-        "check-v1" => {
-            // Backward compatibility: the legacy fixture (never
-            // regenerated — the v1 writer is gone) must keep restoring,
-            // and to exactly the canonical state: its re-encode under the
-            // current format equals `golden write`'s output.
-            let committed =
-                std::fs::read(path).map_err(|e| format!("read fixture {}: {e}", path.display()))?;
-            let header = dynscan_graph::snapshot::peek_header(&committed)
-                .map_err(|e| format!("peek v1 fixture: {e}"))?;
-            if header.format_version != dynscan_graph::snapshot::FORMAT_VERSION_V1 {
-                return Err(format!(
-                    "expected a format-v1 fixture, found version {}",
-                    header.format_version
-                ));
-            }
-            let restored = restore_any(&committed[..])
-                .map_err(|e| format!("legacy v1 fixture no longer restores: {e}"))?;
-            if restored.checkpoint_bytes() != bytes {
-                return Err(
-                    "v1 fixture restores to different state than the canonical instance".into(),
-                );
-            }
-            eprintln!(
-                "snapshot_ci: legacy v1 fixture ({} bytes) still restores to the canonical \
-                 state under format v{}",
-                committed.len(),
-                dynscan_graph::snapshot::FORMAT_VERSION
-            );
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown golden action `{other}` (use write|check|check-v3|check-v2|check-v1)"
-        )),
+        std::fs::write(path, &bytes).map_err(|e| format!("write fixture: {e}"))?;
+        eprintln!(
+            "snapshot_ci: wrote {} fixture bytes to {}",
+            bytes.len(),
+            path.display()
+        );
+        return Ok(());
     }
+    if action != "check" && action != "check-legacy" {
+        return Err(format!(
+            "unknown golden action `{action}` (use write|check|check-legacy)"
+        ));
+    }
+    let committed =
+        std::fs::read(path).map_err(|e| format!("read fixture {}: {e}", path.display()))?;
+    let version = peek_header(&committed)
+        .map_err(|e| format!("peek fixture: {e}"))?
+        .format_version;
+    let restored = restore_any(&committed[..])
+        .map_err(|e| format!("format-v{version} fixture no longer restores: {e}"))?;
+    if action == "check-legacy" {
+        // A legacy fixture is never regenerated: it must keep restoring
+        // to exactly the canonical state, so its current-format re-encode
+        // equals `golden write`'s output byte for byte.
+        if version >= FORMAT_VERSION {
+            return Err(format!(
+                "expected a legacy fixture (format v1–v{}), found version {version}",
+                FORMAT_VERSION - 1
+            ));
+        }
+        if restored.checkpoint_bytes() != bytes {
+            return Err(format!(
+                "v{version} fixture restores to different state than the canonical instance"
+            ));
+        }
+        eprintln!(
+            "snapshot_ci: legacy v{version} fixture ({} bytes) still restores to the canonical \
+             state under format v{FORMAT_VERSION}",
+            committed.len()
+        );
+        return Ok(());
+    }
+    if version != FORMAT_VERSION {
+        return Err(format!(
+            "expected a format-v{FORMAT_VERSION} fixture, found version {version}"
+        ));
+    }
+    if restored.checkpoint_bytes() != committed {
+        return Err("fixture is not a fixed point of checkpoint∘restore".into());
+    }
+    if committed != bytes {
+        // Both wire-format changes and semantic algorithm changes (e.g. a
+        // threshold-formula fix that alters DT state) land here — the
+        // point is that neither may happen *silently*.
+        return Err(format!(
+            "snapshot bytes drifted: rebuilding the canonical instance produces different \
+             bytes than {} — if the change is intentional, regenerate with `snapshot_ci \
+             golden write`; additionally bump FORMAT_VERSION if (and only if) the wire \
+             layout itself changed",
+            path.display()
+        ));
+    }
+    eprintln!(
+        "snapshot_ci: golden fixture matches ({} bytes, restored as {})",
+        bytes.len(),
+        restored.algorithm_name()
+    );
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -400,7 +358,7 @@ fn main() -> ExitCode {
         [cmd, dir] if cmd == "resume" => phase_resume(Path::new(dir)),
         [cmd, action, path] if cmd == "golden" => golden(action, Path::new(path)),
         _ => Err("usage: snapshot_ci checkpoint <dir> | resume <dir> | \
-             golden write|check|check-v3|check-v2|check-v1 <path>"
+             golden write|check|check-legacy <path>"
             .into()),
     };
     match result {

@@ -1,11 +1,10 @@
 //! # dynscan-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (Section 9), plus Criterion micro-benchmarks and the
-//! ablation benches listed in DESIGN.md.
+//! paper's evaluation (Section 9).
 //!
-//! The harness is exposed both as a library (so the Criterion benches and
-//! the integration tests can reuse the runners) and as the `experiments`
+//! The harness is exposed both as a library (so the benches and the
+//! integration tests can reuse the runners) and as the `experiments`
 //! binary:
 //!
 //! ```text

@@ -42,12 +42,13 @@ pub struct ReplicaBenchConfig {
 }
 
 impl ReplicaBenchConfig {
-    /// The default measurement scale.
+    /// The default measurement scale.  Its read phase lasts at least
+    /// ~0.5 s per cell on a 2-vCPU host, long enough to resolve reads/s.
     pub fn default_scale() -> Self {
         ReplicaBenchConfig {
             replica_counts: vec![0, 1, 2],
             prefill_updates: 256,
-            reads_per_reader: 500,
+            reads_per_reader: 30_000,
             readers: 4,
             burst_updates: 64,
             checkpoint_every: 8,
@@ -97,7 +98,7 @@ pub struct ReplicaBenchRow {
 
 impl ReplicaBenchRow {
     /// Average shipped document size — the per-checkpoint replication
-    /// cost the v3 codec shrinks.
+    /// cost the compact codec shrinks.
     pub fn shipped_bytes_per_checkpoint(&self) -> f64 {
         self.shipped_bytes as f64 / (self.shipped_docs as f64).max(1.0)
     }
@@ -326,8 +327,8 @@ fn run_cell(config: &ReplicaBenchConfig, replicas: usize) -> ReplicaBenchRow {
 
     // Shipped-volume accounting: a tailing replica ingests exactly the
     // primary's on-disk chain, so the directory *is* the wire.  Every
-    // document must be a current-format (v3) snapshot, shipped
-    // unchanged — replication never re-encodes.
+    // document must be a current-format snapshot, shipped unchanged —
+    // replication never re-encodes.
     let store = DirCheckpointStore::new(&dir);
     let mut shipped_docs = 0u64;
     let mut shipped_bytes = 0u64;
@@ -336,7 +337,7 @@ fn run_cell(config: &ReplicaBenchConfig, replicas: usize) -> ReplicaBenchRow {
         let header = peek_header(&bytes).expect("shipped document parses");
         assert_eq!(
             header.format_version, FORMAT_VERSION,
-            "shipped checkpoint {seq} is not a v3 document"
+            "shipped checkpoint {seq} is not a v{FORMAT_VERSION} document"
         );
         shipped_docs += 1;
         shipped_bytes += bytes.len() as u64;

@@ -1141,6 +1141,10 @@ impl Session {
         }
     }
 
+    /// Record a finished checkpoint job.  A success republishes the
+    /// epoch, so lock-free readers see the new checkpoint sequence as
+    /// soon as [`Session::checkpoint_now`], [`Session::drain`] or
+    /// [`Session::wait_for_checkpoints`] returns, not at the next write.
     fn absorb_checkpoint_report(&mut self, report: JobReport) {
         match report.result {
             Ok(info) => {
@@ -1149,6 +1153,7 @@ impl Session {
                 // never keep seeing an error the store has recovered from.
                 self.last_checkpoint_error = None;
                 self.last_checkpoint_info = Some(info);
+                self.publish_epoch();
             }
             Err(message) => {
                 self.last_checkpoint_error = Some(message);
@@ -2239,5 +2244,37 @@ mod tests {
             .is_some_and(|e| e.contains("injected open failure")));
         // The session itself keeps working.
         assert_eq!(session.clustering().num_clusters(), 2);
+    }
+
+    /// Lock-free readers see a finished checkpoint's sequence as soon as
+    /// the call that finished it returns — waiting out a background
+    /// write, an explicit checkpoint, or a drain — not at the next write.
+    #[test]
+    fn finished_checkpoints_republish_the_epoch() {
+        let mut session = Session::builder()
+            .backend(Backend::DynStrClu)
+            .params(two_cliques_params().with_exact_labels())
+            .checkpoint_every(8)
+            .background_checkpoints(true)
+            .checkpoint_store(MemCheckpointStore::new())
+            .build()
+            .unwrap();
+        let reads = session.enable_epoch_reads();
+        let published = || reads.load().expect("published").checkpoint_seq;
+        let updates = fixture_inserts();
+        for &u in &updates[..8] {
+            session.apply(u).unwrap();
+        }
+        session.wait_for_checkpoints();
+        assert_eq!(session.last_checkpoint_seq(), Some(0));
+        assert_eq!(published(), Some(0));
+        session.checkpoint_now().unwrap();
+        assert_eq!(published(), Some(1));
+        for &u in &updates[8..12] {
+            session.apply(u).unwrap();
+        }
+        session.drain().unwrap();
+        assert_eq!(session.last_checkpoint_seq(), Some(2));
+        assert_eq!(published(), Some(2));
     }
 }

@@ -22,32 +22,36 @@
 //! * the full distributed-tracking state: shared counters, per-vertex
 //!   checkpoint heaps, and every coordinator's mid-round protocol state.
 //!
-//! A [`DynStrClu`] snapshot appends the per-vertex auxiliary information
-//! (`SimCnt`, core flags, similar / similar-core neighbour sets).  The
-//! `CC-Str(G_core)` connectivity structure is **not** serialised: its
-//! internal HDT hierarchy is history-dependent, but its semantics are a
-//! pure function of the sim-core edge set, so restore rebuilds it
-//! deterministically from the restored labelling + core flags
-//! ([`HdtConnectivity::rebuild_from_edges`]) — the fast path that keeps
-//! snapshots small and the restore linear.
+//! A [`DynStrClu`] snapshot is exactly the DynELM payload under its own
+//! algorithm tag: it adds no section.  Its two extra modules are pure
+//! functions of (labels, μ), so every restore and every delta replay
+//! derives them through one function, `derive_strclu_modules`: the
+//! per-vertex auxiliary information (`SimCnt`, core flags, similar /
+//! similar-core neighbour sets) and the `CC-Str(G_core)` connectivity
+//! structure.  The latter's internal HDT hierarchy is history-dependent,
+//! but its semantics depend only on the sim-core edge set, so it is
+//! rebuilt deterministically ([`HdtConnectivity::rebuild_from_edges`]).
+//! Format v1–v3 full documents still carry a copy of vAuxInfo in a
+//! trailing AUX section; restore reads past its framing without decoding
+//! it, and a v4 document must not carry one.
 //!
 //! # Validation
 //!
 //! Restore cross-checks the sections against each other (labels ↔ edges,
-//! relabel counters ↔ edges, DT instances ↔ edges, aux sets ↔ labels,
-//! core flags ↔ SimCnt/μ) so a corrupt or hand-edited snapshot fails with
-//! a [`SnapshotError`] instead of producing an instance that silently
-//! violates the algorithm's invariants.
+//! relabel counters ↔ edges, DT instances ↔ edges) so a corrupt or
+//! hand-edited snapshot fails with a [`SnapshotError`] instead of
+//! producing an instance that silently violates the algorithm's
+//! invariants.
 
 use crate::aux::VertexAux;
 use crate::elm::{DynElm, ElmStats};
 use crate::params::Params;
-use crate::strclu::DynStrClu;
+use crate::strclu::{core_graph_seed, DynStrClu, DEFAULT_SHARD_FLIP_CUTOFF};
 use dynscan_conn::HdtConnectivity;
 use dynscan_dt::{CoordinatorState, DtRegistry, ParticipantEntry};
 use dynscan_graph::snapshot::{
-    fnv1a, read_document_meta, split_document, write_document_prechecked, DocumentMeta,
-    SnapshotHeader, SnapshotKind,
+    fnv1a, read_document_meta, split_document, write_document, write_document_prechecked,
+    DocumentMeta, SnapshotHeader, SnapshotKind, FORMAT_VERSION,
 };
 use dynscan_graph::{DynGraph, EdgeKey, SnapReader, SnapWriter, SnapshotError, VertexId};
 use dynscan_sim::{EdgeLabel, LabellingStrategy, SimilarityMeasure};
@@ -61,6 +65,7 @@ mod section {
     pub const LABELS: u32 = 0x4c61_6201; // "Lab."
     pub const RELABELS: u32 = 0x5265_6c01; // "Rel."
     pub const DT: u32 = 0x4474_7201; // "Dtr."
+    /// The vAuxInfo copy v1–v3 DynStrClu full payloads append.
     pub const AUX: u32 = 0x4175_7801; // "Aux."
                                       // Differential (v2) sections.
     pub const DELTA_GRAPH: u32 = 0x6447_7201; // "dGr."
@@ -458,7 +463,7 @@ fn rebuild_strategy(params: &Params, invocations: u64, samples: u64) -> Labellin
 }
 
 /// Write every DynELM section into `w` (shared by both algorithms).
-pub(crate) fn write_elm_payload(elm: &DynElm, w: &mut SnapWriter) {
+fn write_elm_payload(elm: &DynElm, w: &mut SnapWriter) {
     write_params(w, &elm.params);
     write_stats_section(elm, w);
     w.section(section::GRAPH, |s| elm.graph.write_snapshot(s));
@@ -786,30 +791,37 @@ fn apply_elm_delta_payload(
     Ok(())
 }
 
-/// Try to capture an ELM-layer delta under the given algorithm tag —
-/// the single source of the delta-capture sequence (sorted dirty sets →
-/// delta payload → chain bookkeeping) shared by [`DynElm`] and
-/// [`DynStrClu`] (whose deltas carry the same sections under tag 2,
-/// with vAuxInfo / `G_core` re-derived on apply).  `None` when no chain
-/// base exists yet.
-pub(crate) fn try_capture_elm_delta(
+/// Capture a checkpoint of an ELM-family instance under `algo_tag`: a
+/// delta against the tracker's chain position when `prefer_delta` and a
+/// base exists, the full DynELM payload otherwise.  DynStrClu documents
+/// are exactly DynELM's (module docs), so both backends capture here.
+pub(crate) fn capture_elm_checkpoint(
     elm: &mut DynElm,
     algo_tag: u32,
+    prefer_delta: bool,
     wall_time_millis: u64,
-) -> Option<CheckpointCapture> {
-    if !elm.dirty.can_delta() {
-        return None;
-    }
-    let vertices = elm.dirty.vertices_sorted();
-    let edges = elm.dirty.edges_sorted();
+) -> CheckpointCapture {
     let mut w = SnapWriter::new();
-    write_elm_delta_payload(elm, &vertices, &edges, &mut w);
-    Some(finish_delta_capture(
-        algo_tag,
-        &mut elm.dirty,
-        w.into_bytes(),
-        wall_time_millis,
-    ))
+    if prefer_delta && elm.dirty.can_delta() {
+        let vertices = elm.dirty.vertices_sorted();
+        let edges = elm.dirty.edges_sorted();
+        write_elm_delta_payload(elm, &vertices, &edges, &mut w);
+        return finish_delta_capture(algo_tag, &mut elm.dirty, w.into_bytes(), wall_time_millis);
+    }
+    write_elm_payload(elm, &mut w);
+    finish_full_capture(algo_tag, &mut elm.dirty, w.into_bytes(), wall_time_millis)
+}
+
+/// Write the deterministic full document of an ELM-family instance under
+/// `algo_tag` (both backends' `checkpoint_to`).
+pub(crate) fn write_elm_document(
+    elm: &DynElm,
+    algo_tag: u32,
+    w: &mut dyn std::io::Write,
+) -> Result<(), SnapshotError> {
+    let mut payload = SnapWriter::new();
+    write_elm_payload(elm, &mut payload);
+    write_document(w, algo_tag, &payload.into_bytes())
 }
 
 /// Apply one ELM-family delta document under `algo_tag` to `elm`, which
@@ -835,6 +847,31 @@ pub(crate) fn apply_elm_delta(
     Ok(())
 }
 
+/// Read a full ELM-family document under `algo_tag`; the instance sits at
+/// the document's chain position, so deltas written after it apply
+/// directly.  `legacy_section` names a section that documents older than
+/// [`FORMAT_VERSION`] append to the ELM sections: its framing must be
+/// there, but its bytes are not decoded (the payload checksum already
+/// covered them).
+fn restore_elm(
+    r: impl std::io::Read,
+    algo_tag: u32,
+    legacy_section: Option<u32>,
+) -> Result<DynElm, SnapshotError> {
+    let (header, payload) = read_document_meta(r, algo_tag)?;
+    if header.kind != SnapshotKind::Full {
+        return Err(SnapshotError::UnexpectedDelta);
+    }
+    let mut reader = SnapReader::for_version(header.format_version, &payload);
+    let mut elm = read_elm_payload(&mut reader)?;
+    if let Some(tag) = legacy_section.filter(|_| header.format_version < FORMAT_VERSION) {
+        reader.section(tag)?;
+    }
+    reader.finish()?;
+    elm.dirty.note_restored(header.checksum, header.sequence);
+    Ok(elm)
+}
+
 impl DynElm {
     /// Algorithm tag stored in DynELM snapshot headers, so a snapshot of
     /// one structure cannot silently restore as another.
@@ -845,151 +882,18 @@ impl DynElm {
     /// resume contract).  The instance sits at the document's chain
     /// position, so deltas written after it apply directly.
     pub fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError> {
-        let (header, payload) = read_document_meta(r, Self::ALGO_TAG)?;
-        if header.kind != SnapshotKind::Full {
-            return Err(SnapshotError::UnexpectedDelta);
-        }
-        let mut reader = SnapReader::for_version(header.format_version, &payload);
-        let mut elm = read_elm_payload(&mut reader)?;
-        reader.finish()?;
-        elm.dirty.note_restored(header.checksum, header.sequence);
-        Ok(elm)
+        restore_elm(r, Self::ALGO_TAG, None)
     }
 }
 
-pub(crate) fn write_aux_payload(algo: &DynStrClu, w: &mut SnapWriter) {
-    w.section(section::AUX, |s| {
-        s.len_prefix(algo.aux.len());
-        for aux in &algo.aux {
-            s.bool(aux.is_core());
-            let mut sims: Vec<VertexId> = aux.similar_neighbours().collect();
-            sims.sort_unstable();
-            s.len_prefix(sims.len());
-            let mut prev: Option<VertexId> = None;
-            for x in sims {
-                s.vertex_seq(&mut prev, x);
-            }
-            let mut cores: Vec<VertexId> = aux.similar_core_neighbours().collect();
-            cores.sort_unstable();
-            s.len_prefix(cores.len());
-            let mut prev: Option<VertexId> = None;
-            for x in cores {
-                s.vertex_seq(&mut prev, x);
-            }
-        }
-    });
-}
-
-fn read_aux_payload(
-    r: &mut SnapReader<'_>,
-    elm: &DynElm,
-    mu: usize,
-) -> Result<Vec<VertexAux>, SnapshotError> {
-    let mut s = r.section(section::AUX)?;
-    let n = s.len_prefix()?;
-    // Live instances keep exactly one aux record per vertex; anything else
-    // (including zero-padded tails) is non-canonical and rejected.
-    if n != elm.graph.num_vertices() {
-        return Err(SnapshotError::Corrupt(
-            "aux vector does not match vertex space",
-        ));
-    }
-    let mut auxes: Vec<VertexAux> = Vec::with_capacity(n);
-    let mut sim_entries = 0usize;
-    for v in 0..n {
-        let is_core = s.bool()?;
-        let mut aux = VertexAux::default();
-        let sim_count = s.len_prefix()?;
-        let mut prev: Option<VertexId> = None;
-        for _ in 0..sim_count {
-            let x = s.vertex_seq(&mut prev)?;
-            if x.index() >= n || x.index() == v {
-                return Err(SnapshotError::Corrupt("similar neighbour out of range"));
-            }
-            let key = EdgeKey::new(VertexId(v as u32), x);
-            if !elm.labels.get(&key).is_some_and(|l| l.is_similar()) {
-                return Err(SnapshotError::Corrupt(
-                    "similar neighbour without a similar edge",
-                ));
-            }
-            if !aux.add_similar(x) {
-                return Err(SnapshotError::Corrupt("duplicate similar neighbour"));
-            }
-        }
-        sim_entries += sim_count;
-        aux.refresh_core(mu);
-        if aux.is_core() != is_core {
-            return Err(SnapshotError::Corrupt(
-                "core flag inconsistent with SimCnt and μ",
-            ));
-        }
-        let core_count = s.len_prefix()?;
-        let mut prev: Option<VertexId> = None;
-        for _ in 0..core_count {
-            let x = s.vertex_seq(&mut prev)?;
-            if !aux.is_similar_neighbour(x) {
-                return Err(SnapshotError::Corrupt(
-                    "similar-core neighbour outside the similar set",
-                ));
-            }
-            aux.set_neighbour_core(x, true);
-        }
-        if aux.similar_core_neighbours().count() != core_count {
-            return Err(SnapshotError::Corrupt("duplicate similar-core neighbour"));
-        }
-        auxes.push(aux);
-    }
-    s.finish()?;
-    if sim_entries != 2 * elm.num_similar_edges() {
-        return Err(SnapshotError::Corrupt(
-            "similar sets do not cover the labelling",
-        ));
-    }
-    // Cross-check the similar-core sets against the freshly validated core
-    // flags (each similar edge towards a core endpoint must be recorded).
-    for aux in &auxes {
-        for x in aux.similar_neighbours() {
-            let expected = auxes[x.index()].is_core();
-            let recorded = aux.is_similar_core_neighbour(x);
-            if expected != recorded {
-                return Err(SnapshotError::Corrupt(
-                    "similar-core set inconsistent with core flags",
-                ));
-            }
-        }
-    }
-    Ok(auxes)
-}
-
-/// Rebuild `CC-Str(G_core)` from a restored labelling + core flags — the
-/// fast path that keeps snapshots small (module docs).  The sim-core
-/// edges are fed in sorted order so the rebuild is reproducible.
-pub(crate) fn rebuild_core_graph(elm: &DynElm, aux: &[VertexAux]) -> HdtConnectivity {
+/// Derive DynStrClu's vAuxInfo and `CC-Str(G_core)` from an ELM state —
+/// the one derivation behind [`DynStrClu::restore`] and delta replay.
+/// The similar sets are exactly the similar-labelled edges, core flags
+/// follow from SimCnt and μ, the similar-core sets from the core flags,
+/// and `G_core` is rebuilt from the similar edges between two cores.
+/// Edges are visited in sorted order, so the rebuild is reproducible.
+pub(crate) fn derive_strclu_modules(elm: &DynElm) -> (Vec<VertexAux>, HdtConnectivity) {
     crate::testing::note_derived_rebuild();
-    let mut sim_core_edges: Vec<EdgeKey> = elm
-        .labels()
-        .filter_map(|(key, label)| {
-            let (a, b) = key.endpoints();
-            (label.is_similar() && aux[a.index()].is_core() && aux[b.index()].is_core())
-                .then_some(key)
-        })
-        .collect();
-    sim_core_edges.sort_unstable();
-    HdtConnectivity::rebuild_from_edges(
-        elm.graph().num_vertices(),
-        crate::strclu::core_graph_seed(elm.params()),
-        sim_core_edges,
-    )
-}
-
-/// Derive the vAuxInfo vector from a restored labelling: the similar sets
-/// are exactly the similar-labelled edges, core flags follow from SimCnt
-/// and μ, and the similar-core sets from the core flags.  This is what
-/// lets a *delta* snapshot skip the aux section entirely — vAuxInfo is a
-/// pure function of (labels, μ).  Insertion happens in globally sorted
-/// edge order, which gives every vertex the same ascending per-set
-/// insertion order as the full decode's sorted aux section.
-pub(crate) fn derive_aux(elm: &DynElm, mu: usize) -> Vec<VertexAux> {
     let n = elm.graph().num_vertices();
     let mut sim_edges: Vec<EdgeKey> = elm
         .labels()
@@ -1003,17 +907,22 @@ pub(crate) fn derive_aux(elm: &DynElm, mu: usize) -> Vec<VertexAux> {
         aux[a.index()].add_similar(b);
         aux[b.index()].add_similar(a);
     }
-    let mut core = vec![false; n];
-    for (v, aux) in aux.iter_mut().enumerate() {
-        aux.refresh_core(mu);
-        core[v] = aux.is_core();
+    for vertex in &mut aux {
+        vertex.refresh_core(elm.params().mu);
     }
+    let mut sim_core_edges = Vec::new();
     for &key in &sim_edges {
         let (a, b) = key.endpoints();
-        aux[a.index()].set_neighbour_core(b, core[b.index()]);
-        aux[b.index()].set_neighbour_core(a, core[a.index()]);
+        let (a_core, b_core) = (aux[a.index()].is_core(), aux[b.index()].is_core());
+        aux[a.index()].set_neighbour_core(b, b_core);
+        aux[b.index()].set_neighbour_core(a, a_core);
+        if a_core && b_core {
+            sim_core_edges.push(key);
+        }
     }
-    aux
+    let core_graph =
+        HdtConnectivity::rebuild_from_edges(n, core_graph_seed(elm.params()), sim_core_edges);
+    (aux, core_graph)
 }
 
 impl DynStrClu {
@@ -1023,26 +932,14 @@ impl DynStrClu {
     /// Rebuild an instance from a full snapshot document of any supported
     /// format version; see [`DynElm::restore`].
     pub fn restore<R: std::io::Read>(r: R) -> Result<Self, SnapshotError> {
-        let (header, payload) = read_document_meta(r, Self::ALGO_TAG)?;
-        if header.kind != SnapshotKind::Full {
-            return Err(SnapshotError::UnexpectedDelta);
-        }
-        let mut reader = SnapReader::for_version(header.format_version, &payload);
-        let mut elm = read_elm_payload(&mut reader)?;
-        let mu = elm.params().mu;
-        let aux = read_aux_payload(&mut reader, &elm, mu)?;
-        reader.finish()?;
-        elm.dirty.note_restored(header.checksum, header.sequence);
-        // Fast path for CC-Str(G_core): rebuild from the restored sim-core
-        // edge set instead of serialising the history-dependent HDT
-        // hierarchy (module docs).
-        let core_graph = rebuild_core_graph(&elm, &aux);
+        let elm = restore_elm(r, Self::ALGO_TAG, Some(section::AUX))?;
+        let (aux, core_graph) = derive_strclu_modules(&elm);
         Ok(DynStrClu {
+            mu: elm.params().mu,
             elm,
             aux,
             core_graph,
-            mu,
-            shard_flip_cutoff: crate::strclu::DEFAULT_SHARD_FLIP_CUTOFF,
+            shard_flip_cutoff: DEFAULT_SHARD_FLIP_CUTOFF,
         })
     }
 }
@@ -1051,7 +948,9 @@ impl DynStrClu {
 mod tests {
     use super::*;
     use crate::fixtures::{two_cliques_params, two_cliques_with_hub};
+    use crate::testing::aux_sets;
     use crate::traits::Clusterer;
+    use dynscan_graph::snapshot::{write_document_meta, HEADER_LEN};
     use dynscan_graph::GraphUpdate;
 
     fn v(i: u32) -> VertexId {
@@ -1137,6 +1036,9 @@ mod tests {
             );
             assert_eq!(restored.sim_count(v(x)), live.sim_count(v(x)));
         }
+        // The document carries no vAuxInfo: the derived similar and
+        // similar-core sets must equal the live ones, vertex by vertex.
+        assert_eq!(aux_sets(&restored), aux_sets(&live));
         // Group-by answers agree as set partitions.
         let all: Vec<VertexId> = live.graph().vertices().collect();
         let as_sets = |groups: Vec<Vec<VertexId>>| {
@@ -1158,6 +1060,83 @@ mod tests {
         for x in live.graph().vertices() {
             assert_eq!(a.role(x), b.role(x));
         }
+    }
+
+    /// The two cliques and their hub, then some churn.
+    fn churn_stream() -> Vec<GraphUpdate> {
+        let mut stream: Vec<GraphUpdate> = two_cliques_with_hub()
+            .edges()
+            .map(|e| GraphUpdate::Insert(e.lo(), e.hi()))
+            .collect();
+        stream.extend([
+            GraphUpdate::Delete(v(4), v(5)),
+            GraphUpdate::Delete(v(0), v(1)),
+            GraphUpdate::Insert(v(0), v(1)),
+        ]);
+        stream
+    }
+
+    #[test]
+    fn strclu_full_payload_is_the_elm_payload() {
+        for params in [
+            two_cliques_params().with_exact_labels(),
+            Params::jaccard(0.3, 3).with_rho(0.2).with_seed(77),
+        ] {
+            let mut elm = DynElm::new(params);
+            let mut strclu = DynStrClu::new(params);
+            for batch in churn_stream().chunks(3) {
+                elm.apply_batch(batch);
+                strclu.apply_batch(batch);
+            }
+            let elm_doc = elm.checkpoint_bytes();
+            let strclu_doc = strclu.checkpoint_bytes();
+            let (_, elm_payload) = split_document(&elm_doc, DynElm::ALGO_TAG).unwrap();
+            let (_, strclu_payload) = split_document(&strclu_doc, DynStrClu::ALGO_TAG).unwrap();
+            assert_eq!(strclu_payload, elm_payload, "byte for byte");
+            // The documents differ in the header's algorithm tag alone.
+            assert_eq!(strclu_doc.len(), elm_doc.len());
+            assert_eq!(strclu_doc[12..16], DynStrClu::ALGO_TAG.to_le_bytes());
+            assert_eq!(strclu_doc[16..], elm_doc[16..]);
+            // The background capture path writes the same payload.
+            let capture = strclu.capture_checkpoint(false, 0);
+            assert_eq!(capture.to_bytes(), strclu_doc);
+        }
+    }
+
+    /// Re-frame `payload` as a full DynStrClu document claiming `version`
+    /// (the header is outside the checksum, so only the payload decides
+    /// what restores).
+    fn doc_with_version(payload: &[u8], version: u32) -> Vec<u8> {
+        let mut doc = Vec::new();
+        write_document_meta(&mut doc, DynStrClu::ALGO_TAG, &Default::default(), payload).unwrap();
+        doc[8..12].copy_from_slice(&version.to_le_bytes());
+        doc
+    }
+
+    #[test]
+    fn aux_section_is_required_before_v4_and_refused_in_v4() {
+        let mut live = build_strclu(two_cliques_params().with_exact_labels());
+        live.delete_edge(v(4), v(5)).unwrap();
+        let canonical = live.checkpoint_bytes();
+        let elm_payload = &canonical[HEADER_LEN..];
+        // A v3 payload: the ELM sections plus an AUX section whose
+        // contents are never decoded (here they are not even vAuxInfo).
+        let mut w = SnapWriter::new();
+        w.section(section::AUX, |s| s.u64(0xdead_beef));
+        let with_aux = [elm_payload, &w.into_bytes()[..]].concat();
+        let legacy = DynStrClu::restore(&doc_with_version(&with_aux, 3)[..]).unwrap();
+        assert_eq!(legacy.checkpoint_bytes(), canonical);
+        assert_eq!(aux_sets(&legacy), aux_sets(&live));
+        // v3 without the section, and v4 with it, are both refused.
+        assert!(DynStrClu::restore(&doc_with_version(elm_payload, 3)[..]).is_err());
+        assert!(matches!(
+            DynStrClu::restore(&doc_with_version(&with_aux, FORMAT_VERSION)[..]),
+            Err(SnapshotError::Corrupt("trailing bytes after expected data"))
+        ));
+        // DynELM documents never carried the section.
+        let mut v3_elm = DynElm::new(two_cliques_params()).checkpoint_bytes();
+        v3_elm[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert!(DynElm::restore(&v3_elm[..]).is_ok());
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! index in `dynscan-baseline` — calls [`note_derived_rebuild`], so a
 //! test can assert that replaying a delta chain derives **once per
 //! replay**, not once per delta (see `crate::restore_any_chain` and the
-//! `Clusterer::apply_delta_chain` fast path).
+//! `Clusterer::apply_delta_chain` fast path).  [`aux_sets`] puts the
+//! vAuxInfo such a derivation produces in a form tests can compare.
 
 use crate::store::{CheckpointStore, TailError, TailedDoc};
-use dynscan_graph::SnapshotKind;
+use crate::strclu::DynStrClu;
+use dynscan_graph::{SnapshotKind, VertexId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +47,24 @@ pub fn note_derived_rebuild() {
 /// process (keep such assertions inside one `#[test]`).
 pub fn derived_rebuilds() -> u64 {
     DERIVED_REBUILDS.load(Ordering::Relaxed)
+}
+
+/// DynStrClu's vAuxInfo in comparable form: per vertex, its core flag and
+/// its sorted similar and similar-core neighbour sets.  Snapshots do not
+/// carry vAuxInfo, so restore and replay tests compare this against the
+/// live instance.
+pub fn aux_sets(algo: &DynStrClu) -> Vec<(bool, Vec<VertexId>, Vec<VertexId>)> {
+    algo.graph()
+        .vertices()
+        .map(|v| {
+            let aux = algo.vertex_aux(v).expect("every vertex has vAuxInfo");
+            let mut similar: Vec<VertexId> = aux.similar_neighbours().collect();
+            let mut cores: Vec<VertexId> = aux.similar_core_neighbours().collect();
+            similar.sort_unstable();
+            cores.sort_unstable();
+            (aux.is_core(), similar, cores)
+        })
+        .collect()
 }
 
 // --------------------------------------------------------------------- //

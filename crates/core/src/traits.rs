@@ -4,12 +4,9 @@
 
 use crate::cluster::{group_by_from_clustering, StrCluResult};
 use crate::elm::{DynElm, ElmStats, FlippedEdge};
-use crate::snapshot::{self, finish_full_capture, CheckpointCapture};
+use crate::snapshot::{self, CheckpointCapture};
 use crate::strclu::{DynStrClu, LiveView};
-use dynscan_graph::snapshot::write_document;
-use dynscan_graph::{
-    GraphError, GraphUpdate, MemoryFootprint, SnapWriter, SnapshotError, VertexId,
-};
+use dynscan_graph::{GraphError, GraphUpdate, MemoryFootprint, SnapshotError, VertexId};
 use std::fmt;
 
 /// Why a single update was rejected, with its cause.
@@ -335,9 +332,7 @@ impl Clusterer for DynElm {
     }
 
     fn checkpoint_to(&self, w: &mut dyn std::io::Write) -> Result<(), SnapshotError> {
-        let mut payload = SnapWriter::new();
-        snapshot::write_elm_payload(self, &mut payload);
-        write_document(w, DynElm::ALGO_TAG, &payload.into_bytes())
+        snapshot::write_elm_document(self, DynElm::ALGO_TAG, w)
     }
 
     fn capture_checkpoint(
@@ -345,21 +340,7 @@ impl Clusterer for DynElm {
         prefer_delta: bool,
         wall_time_millis: u64,
     ) -> CheckpointCapture {
-        if prefer_delta {
-            if let Some(capture) =
-                snapshot::try_capture_elm_delta(self, DynElm::ALGO_TAG, wall_time_millis)
-            {
-                return capture;
-            }
-        }
-        let mut w = SnapWriter::new();
-        snapshot::write_elm_payload(self, &mut w);
-        finish_full_capture(
-            DynElm::ALGO_TAG,
-            &mut self.dirty,
-            w.into_bytes(),
-            wall_time_millis,
-        )
+        snapshot::capture_elm_checkpoint(self, DynElm::ALGO_TAG, prefer_delta, wall_time_millis)
     }
 
     fn apply_delta_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
@@ -439,14 +420,13 @@ impl Clusterer for DynStrClu {
         DynStrClu::cluster_group_by(self, q)
     }
 
+    /// The DynELM payload under DynStrClu's tag: vAuxInfo and `G_core`
+    /// are pure functions of the labelling, re-derived on restore.
     fn checkpoint_to(&self, w: &mut dyn std::io::Write) -> Result<(), SnapshotError> {
-        let mut payload = SnapWriter::new();
-        snapshot::write_elm_payload(&self.elm, &mut payload);
-        snapshot::write_aux_payload(self, &mut payload);
-        write_document(w, DynStrClu::ALGO_TAG, &payload.into_bytes())
+        snapshot::write_elm_document(&self.elm, DynStrClu::ALGO_TAG, w)
     }
 
-    /// The delta payload is the ELM delta alone: vAuxInfo and `G_core`
+    /// Full and delta payloads are DynELM's alone: vAuxInfo and `G_core`
     /// are pure functions of the restored labelling and are re-derived
     /// on apply.
     fn capture_checkpoint(
@@ -454,22 +434,10 @@ impl Clusterer for DynStrClu {
         prefer_delta: bool,
         wall_time_millis: u64,
     ) -> CheckpointCapture {
-        if prefer_delta {
-            if let Some(capture) = snapshot::try_capture_elm_delta(
-                &mut self.elm,
-                DynStrClu::ALGO_TAG,
-                wall_time_millis,
-            ) {
-                return capture;
-            }
-        }
-        let mut w = SnapWriter::new();
-        snapshot::write_elm_payload(&self.elm, &mut w);
-        snapshot::write_aux_payload(self, &mut w);
-        finish_full_capture(
+        snapshot::capture_elm_checkpoint(
+            &mut self.elm,
             DynStrClu::ALGO_TAG,
-            &mut self.elm.dirty,
-            w.into_bytes(),
+            prefer_delta,
             wall_time_millis,
         )
     }
@@ -489,8 +457,7 @@ impl Clusterer for DynStrClu {
         for bytes in docs {
             snapshot::apply_elm_delta(&mut self.elm, DynStrClu::ALGO_TAG, bytes)?;
         }
-        self.aux = snapshot::derive_aux(&self.elm, self.mu);
-        self.core_graph = snapshot::rebuild_core_graph(&self.elm, &self.aux);
+        (self.aux, self.core_graph) = snapshot::derive_strclu_modules(&self.elm);
         Ok(())
     }
 

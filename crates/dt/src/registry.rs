@@ -122,21 +122,6 @@ impl DtRegistry {
         self.drain_ready_inner(v, None)
     }
 
-    /// [`DtRegistry::drain_ready`] with a dirty log for differential
-    /// checkpointing: every edge that received a signal (its coordinator
-    /// state advanced, matured or not) is appended to `log.1`, and every
-    /// vertex *other than `v`* whose heap entry was modified by a round
-    /// restart or a maturity removal is appended to `log.0`.  The drained
-    /// vertex `v` itself is the caller's responsibility — its counter and
-    /// heap are always touched by the surrounding update.
-    pub fn drain_ready_tracked(
-        &mut self,
-        v: VertexId,
-        log: &mut (Vec<VertexId>, Vec<EdgeKey>),
-    ) -> Vec<EdgeKey> {
-        self.drain_ready_inner(v, Some(log))
-    }
-
     fn drain_ready_inner(
         &mut self,
         v: VertexId,
@@ -232,10 +217,14 @@ impl DtRegistry {
         self.drain_ready_batch_inner(vertices, None)
     }
 
-    /// [`DtRegistry::drain_ready_batch`] with the dirty log of
-    /// [`DtRegistry::drain_ready_tracked`]: the batch engine's
-    /// differential checkpointing needs to know every vertex and edge
-    /// whose DT state a drain touched beyond the drained set itself.
+    /// [`DtRegistry::drain_ready_batch`] with a dirty log for the batch
+    /// engine's differential checkpointing: every edge that received a
+    /// signal (its coordinator state advanced, matured or not) is appended
+    /// to `log.1`, and every vertex other than the one being drained
+    /// whose heap entry was modified by a round restart or a maturity
+    /// removal is appended to `log.0`.  The drained vertices themselves
+    /// are the caller's responsibility — the surrounding updates always
+    /// touch their counters and heaps.
     pub fn drain_ready_batch_tracked<I>(
         &mut self,
         vertices: I,

@@ -12,11 +12,11 @@
 //! order, so future sampled label decisions consume identical random bits.
 //!
 //! The format is deliberately simple and fully hand-rolled (the vendored
-//! `serde` is a marker stub).  A **version 3** document is:
+//! `serde` is a marker stub).  A **version 4** document is:
 //!
 //! ```text
 //! magic    : 8 bytes  b"DSCNSNAP"
-//! version  : u32 LE   (FORMAT_VERSION = 3)
+//! version  : u32 LE   (FORMAT_VERSION = 4)
 //! algo     : u32 LE   (which structure the payload describes)
 //! kind     : u32 LE   (0 = full snapshot, 1 = differential snapshot)
 //! sequence : u64 LE   (0 for a full snapshot; k ≥ 1 for the k-th delta
@@ -33,13 +33,13 @@
 //!
 //! # Payload encodings by version
 //!
-//! The header layout is shared by v2 and v3; what changed in v3 is the
-//! **payload encoding** ([`Encoding`]).  Section framing (`tag: u32 LE,
-//! len: u64 LE, bytes`) is fixed-width in every version so the writer can
-//! back-patch section lengths in place; everything *inside* a section is
-//! encoded per the document version:
+//! The header layout is shared by v2, v3 and v4; what changed in v3 is
+//! the **payload encoding** ([`Encoding`]).  Section framing (`tag: u32
+//! LE, len: u64 LE, bytes`) is fixed-width in every version so the writer
+//! can back-patch section lengths in place; everything *inside* a section
+//! is encoded per the document version:
 //!
-//! | primitive        | v1/v2 ([`Encoding::Fixed`])  | v3 ([`Encoding::Compact`])                        |
+//! | primitive        | v1/v2 ([`Encoding::Fixed`])  | v3/v4 ([`Encoding::Compact`])                     |
 //! |------------------|------------------------------|---------------------------------------------------|
 //! | `u8` / `bool`    | 1 byte                       | 1 byte                                            |
 //! | `u32` / `u64`    | 4 / 8 bytes LE               | LEB128 varint (1–5 / 1–10 bytes)                  |
@@ -58,14 +58,21 @@
 //! entry, and adjacency slots of well-clustered graphs sit close enough
 //! together that their zigzag deltas fit one or two bytes.
 //!
+//! | version | header   | primitives | what changed                                         |
+//! |---------|----------|------------|------------------------------------------------------|
+//! | 1       | 32 bytes | fixed      | —                                                    |
+//! | 2       | 60 bytes | fixed      | chain fields: kind, sequence, base, wall clock       |
+//! | 3       | 60 bytes | compact    | payload primitive encoding                           |
+//! | 4       | 60 bytes | compact    | DynStrClu full payloads drop the derived AUX section |
+//!
 //! The legacy **version 1** header (32 bytes: magic, version, algo,
 //! length, checksum — no kind/sequence/base/wallclock) is still *read*:
-//! every v1 document is a full snapshot.  The decoders accept all three
+//! every v1 document is a full snapshot.  The decoders accept all four
 //! versions — [`SnapReader::for_version`] picks the payload encoding from
-//! the header — so committed v1/v2 checkpoints keep restoring.
-//! [`SnapWriter`] and the document writers produce v3 only; the v1/v2
+//! the header — so committed v1–v3 checkpoints keep restoring.
+//! [`SnapWriter`] and the document writers produce v4 only; the v1–v3
 //! decoders are pinned by the committed fixtures under `tests/fixtures`.
-//!
+
 //! # Differential snapshots (since v2)
 //!
 //! A *delta* document (kind = 1) encodes only the state touched since the
@@ -120,16 +127,20 @@ pub const HEADER_LEN: usize = HEADER_LEN_V2;
 /// length + checksum).
 pub const HEADER_LEN_V1: usize = 8 + 4 + 4 + 8 + 8;
 
-/// Size of the version-2 header (shared by version 3 — only the payload
-/// encoding changed in v3).
+/// Size of the version-2 header (shared by versions 3 and 4).
 pub const HEADER_LEN_V2: usize = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
 
 /// Current snapshot format version.  Bump on any incompatible layout
 /// change and regenerate `tests/fixtures/golden_snapshot_v*.bin`.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
-/// The previous format version (v2 header with fixed-width payload
-/// primitives).  Still decoded, no longer written.
+/// The previous format version (compact payload primitives, DynStrClu
+/// full payloads carrying an AUX section).  Still decoded, no longer
+/// written.
+pub const FORMAT_VERSION_V3: u32 = 3;
+
+/// The v2 header with fixed-width payload primitives.  Still decoded, no
+/// longer written.
 pub const FORMAT_VERSION_V2: u32 = 2;
 
 /// The legacy format version the readers still accept (full snapshots
@@ -146,7 +157,7 @@ pub const FORMAT_VERSION_V1: u32 = 1;
 pub enum Encoding {
     /// Fixed-width little-endian primitives — the v1/v2 payload encoding.
     Fixed,
-    /// Varint/zigzag/delta primitives — the v3 payload encoding.
+    /// Varint/zigzag/delta primitives — the v3 and v4 payload encoding.
     #[default]
     Compact,
 }
@@ -371,7 +382,7 @@ fn unzigzag(z: u64) -> i64 {
 }
 
 /// Append-only payload writer in the current format's encoding
-/// ([`Encoding::Compact`], i.e. v3 payload bytes).
+/// ([`Encoding::Compact`], the v3/v4 payload bytes).
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -547,7 +558,7 @@ pub struct SnapReader<'a> {
 
 impl<'a> SnapReader<'a> {
     /// Read from a payload slice in the current format's encoding
-    /// ([`Encoding::Compact`], i.e. v3 payload bytes).
+    /// ([`Encoding::Compact`], the v3/v4 payload bytes).
     pub fn new(buf: &'a [u8]) -> Self {
         SnapReader {
             buf,
@@ -558,7 +569,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read a payload written by a document of the given (already
     /// validated) format version — v1/v2 payloads decode fixed-width,
-    /// v3 compact.
+    /// v3/v4 compact.
     pub fn for_version(version: u32, buf: &'a [u8]) -> Self {
         SnapReader {
             buf,
@@ -567,7 +578,7 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Whether this reader decodes the compact (v3) encoding.  Payload
+    /// Whether this reader decodes the compact (v3/v4) encoding.  Payload
     /// decoders branch on this where v3 changed a section's *structure*
     /// (bit-packed label arrays) rather than just its primitives.
     pub fn compact(&self) -> bool {
@@ -850,7 +861,7 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// Write a deterministic **full** snapshot document (v3 header with
+/// Write a deterministic **full** snapshot document (v4 header with
 /// [`DocumentMeta::default`] + checksummed payload) to `w`.  Equal payload
 /// bytes produce equal documents — the canonical-encoding path every
 /// byte-identity test relies on.
@@ -863,7 +874,7 @@ pub fn write_document(
     Ok(())
 }
 
-/// Write a v3 snapshot document with explicit [`DocumentMeta`] (kind,
+/// Write a v4 snapshot document with explicit [`DocumentMeta`] (kind,
 /// chain position, base checksum, wall-clock stamp).  Returns the payload
 /// checksum, which a chained writer records as the next delta's base.
 pub fn write_document_meta(
@@ -912,7 +923,7 @@ pub fn write_document_prechecked(
 /// defaults (kind [`SnapshotKind::Full`], sequence 0, base 0, unstamped).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SnapshotHeader {
-    /// The writer's format version ([`FORMAT_VERSION_V1`] or
+    /// The writer's format version ([`FORMAT_VERSION_V1`] through
     /// [`FORMAT_VERSION`] after a successful peek; newer versions are
     /// rejected).
     pub format_version: u32,
@@ -943,7 +954,7 @@ impl SnapshotHeader {
 }
 
 /// Decode a snapshot's header without decoding the payload, verifying
-/// magic and version first.  Accepts both format versions; every read is
+/// magic and version first.  Accepts every format version; every read is
 /// length-checked, so arbitrarily short input errors instead of panicking.
 pub fn peek_header(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotError> {
     if bytes.len() < 12 {
@@ -969,7 +980,7 @@ pub fn peek_header(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotError> {
                 checksum: le_u64_at(bytes, 24)?,
             })
         }
-        FORMAT_VERSION_V2 | FORMAT_VERSION => {
+        FORMAT_VERSION_V2 | FORMAT_VERSION_V3 | FORMAT_VERSION => {
             if bytes.len() < HEADER_LEN_V2 {
                 return Err(SnapshotError::Truncated);
             }
@@ -1000,7 +1011,7 @@ pub fn peek_algo_tag(bytes: &[u8]) -> Result<u32, SnapshotError> {
 
 /// Split an in-memory document into its verified header and payload:
 /// magic, version, algorithm tag, declared length and checksum are all
-/// validated.  Accepts both full and delta documents of either format
+/// validated.  Accepts both full and delta documents of any format
 /// version — callers that require a full snapshot check `header.kind`.
 pub fn split_document(
     bytes: &[u8],
@@ -1025,7 +1036,7 @@ pub fn split_document(
 }
 
 /// Read a **full** snapshot document from `r`, verifying magic, version
-/// (v1 or v2), algorithm tag, kind and checksum; returns the payload
+/// (v1–v4), algorithm tag, kind and checksum; returns the payload
 /// bytes.  A differential document is rejected with
 /// [`SnapshotError::UnexpectedDelta`] — restore its base first.
 pub fn read_document(r: impl std::io::Read, algo_tag: u32) -> Result<Vec<u8>, SnapshotError> {
@@ -1055,7 +1066,7 @@ pub fn read_document_meta(
     let version = le_u32_at(&prefix, 8)?;
     let header_len = match version {
         FORMAT_VERSION_V1 => HEADER_LEN_V1,
-        FORMAT_VERSION_V2 | FORMAT_VERSION => HEADER_LEN_V2,
+        FORMAT_VERSION_V2 | FORMAT_VERSION_V3 | FORMAT_VERSION => HEADER_LEN_V2,
         found => return Err(SnapshotError::UnsupportedVersion { found }),
     };
     let rest = prefix

@@ -401,8 +401,6 @@ fn replica_reads_take_the_lock_free_epoch_path() {
         let ours = reader.cluster_of(VertexId(v)).expect("replica cluster-of");
         let theirs = writer.cluster_of(VertexId(v)).expect("primary cluster-of");
         assert_eq!((ours.epoch, ours.groups), (theirs.epoch, theirs.groups));
-        // (The primary's lock-free `last_checkpoint_seq` may lag its
-        // explicit checkpoint until the next write, so it is not compared.)
         let ours = reader.stats(false).expect("replica stats");
         let theirs = writer.stats(false).expect("primary stats");
         assert_eq!(
@@ -410,13 +408,15 @@ fn replica_reads_take_the_lock_free_epoch_path() {
                 ours.algorithm,
                 ours.epoch,
                 ours.num_vertices,
-                ours.num_edges
+                ours.num_edges,
+                ours.last_checkpoint_seq
             ),
             (
                 theirs.algorithm,
                 theirs.epoch,
                 theirs.num_vertices,
-                theirs.num_edges
+                theirs.num_edges,
+                theirs.last_checkpoint_seq
             )
         );
         reads += 3;

@@ -1,5 +1,5 @@
 //! Decoder robustness: arbitrary truncations and single-byte corruptions
-//! of valid snapshot documents — v1, v2 and v3, full and delta — must
+//! of valid snapshot documents — v1 to v4, full and delta — must
 //! always yield an `Err`, never a panic and never a silently-wrong
 //! restore.
 //!
@@ -21,11 +21,12 @@ fn v(i: u32) -> VertexId {
     VertexId(i)
 }
 
-/// The pristine documents every case corrupts: a v3 (current-format)
-/// full snapshot, a v3 delta on top of it, the committed legacy v2 and
-/// v1 golden fixtures, the committed v2 delta on top of the v2 fixture,
-/// and the canonical re-encode of each document's state.
+/// The pristine documents every case corrupts: a v4 (current-format)
+/// full snapshot, a v4 delta on top of it, the committed legacy v3, v2
+/// and v1 golden fixtures, the committed v2 delta on top of the v2
+/// fixture, and the canonical re-encode of each document's state.
 struct Fixture {
+    base_v4: Vec<u8>,
     base_v3: Vec<u8>,
     base_v2: Vec<u8>,
     base_v1: Vec<u8>,
@@ -35,7 +36,7 @@ struct Fixture {
     base_state: Vec<u8>,
     /// `checkpoint_bytes` of the state after the delta.
     delta_state: Vec<u8>,
-    /// The state both legacy fixtures hold: the v3 golden fixture.
+    /// The state every legacy fixture holds: the v4 golden fixture.
     legacy_state: Vec<u8>,
     /// `checkpoint_bytes` of the v2 base after the v2 delta.
     delta_v2_state: Vec<u8>,
@@ -65,7 +66,7 @@ fn fixture() -> &'static Fixture {
             GraphUpdate::Delete(v(1), v(2)),
             GraphUpdate::Insert(v(0), v(9)),
         ]);
-        let base_v3 = live.capture_checkpoint(false, 0).to_bytes();
+        let base_v4 = live.capture_checkpoint(false, 0).to_bytes();
         let base_state = live.checkpoint_bytes();
         // A delta with graph churn, label flips and tombstones.
         live.apply_batch(&[
@@ -75,21 +76,22 @@ fn fixture() -> &'static Fixture {
         ]);
         let delta = live.capture_checkpoint(true, 0).to_bytes();
         let delta_state = live.checkpoint_bytes();
-        // The legacy documents: no writer produces v1/v2 any more, so the
+        // The legacy documents: no writer produces v1–v3 any more, so the
         // committed fixtures are the pristine inputs.
         let base_v2 = golden("golden_snapshot_v2.bin");
         let delta_v2 = golden("golden_delta_v2.bin");
         let mut replayed = DynStrClu::restore(&base_v2[..]).unwrap();
         replayed.apply_delta_bytes(&delta_v2).unwrap();
         Fixture {
-            base_v3,
+            base_v4,
+            base_v3: golden("golden_snapshot_v3.bin"),
             base_v2,
             base_v1: golden("golden_snapshot_v1.bin"),
             delta,
             delta_v2,
             base_state,
             delta_state,
-            legacy_state: golden("golden_snapshot_v3.bin"),
+            legacy_state: golden("golden_snapshot_v4.bin"),
             delta_v2_state: replayed.checkpoint_bytes(),
         }
     })
@@ -131,33 +133,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Truncation at every possible length: always an error, never a
-    /// panic, for both format versions and both kinds.
+    /// panic, for every format version and both kinds.
     #[test]
     fn truncations_never_panic_and_never_restore(scale in 0u32..10_000) {
         let fx = fixture();
-        for doc in [&fx.base_v3, &fx.base_v2, &fx.base_v1] {
+        for doc in [&fx.base_v4, &fx.base_v3, &fx.base_v2, &fx.base_v1] {
             let cut = doc.len() * scale as usize / 10_000;
             prop_assert!(DynStrClu::restore(&doc[..cut]).is_err());
             prop_assert!(restore_any(&doc[..cut]).is_err());
         }
         let cut = fx.delta.len() * scale as usize / 10_000;
-        let mut base = DynStrClu::restore(&fx.base_v3[..]).unwrap();
+        let mut base = DynStrClu::restore(&fx.base_v4[..]).unwrap();
         prop_assert!(base.apply_delta_bytes(&fx.delta[..cut]).is_err());
         let cut = fx.delta_v2.len() * scale as usize / 10_000;
         let mut base = DynStrClu::restore(&fx.base_v2[..]).unwrap();
         prop_assert!(base.apply_delta_bytes(&fx.delta_v2[..cut]).is_err());
     }
 
-    /// Single-byte corruption at every offset of the v3 full document
+    /// Single-byte corruption at every offset of the v4 full document
     /// — the compact codec's varint/delta/bit-packed decoders must
     /// reject every flip the checksum lets through to them.
+    #[test]
+    fn v4_full_bit_flips_are_caught(index in 0usize..8192, flip in 1u8..=255) {
+        let fx = fixture();
+        let mut bad = fx.base_v4.clone();
+        let index = index % bad.len();
+        bad[index] ^= flip;
+        check_full_document(&bad, &fx.base_state);
+    }
+
+    /// Single-byte corruption of the legacy v3 document, whose AUX
+    /// section restore reads past without decoding.
     #[test]
     fn v3_full_bit_flips_are_caught(index in 0usize..8192, flip in 1u8..=255) {
         let fx = fixture();
         let mut bad = fx.base_v3.clone();
         let index = index % bad.len();
         bad[index] ^= flip;
-        check_full_document(&bad, &fx.base_state);
+        check_full_document(&bad, &fx.legacy_state);
     }
 
     /// Single-byte corruption at every offset of the v2 full document.
@@ -180,7 +193,7 @@ proptest! {
         check_full_document(&bad, &fx.legacy_state);
     }
 
-    /// Single-byte corruption of a v3 delta document, applied to a
+    /// Single-byte corruption of a v4 delta document, applied to a
     /// pristine base: errors (base mismatch, checksum, kind, sequence,
     /// payload validation) or restores faithfully (header stamp bytes
     /// only).
@@ -190,7 +203,7 @@ proptest! {
         let mut bad = fx.delta.clone();
         let index = index % bad.len();
         bad[index] ^= flip;
-        check_delta_document(&bad, &fx.base_v3, &fx.delta_state);
+        check_delta_document(&bad, &fx.base_v4, &fx.delta_state);
     }
 
     /// Single-byte corruption of the committed v2 delta document,
@@ -212,20 +225,21 @@ proptest! {
         doc.extend_from_slice(&bytes);
         prop_assert!(DynStrClu::restore(&doc[..]).is_err());
         prop_assert!(restore_any(&doc).is_err());
-        let mut base = DynStrClu::restore(&fixture().base_v3[..]).unwrap();
+        let mut base = DynStrClu::restore(&fixture().base_v4[..]).unwrap();
         prop_assert!(base.apply_delta_bytes(&doc).is_err());
     }
 }
 
-/// Deterministic sweep of every header byte of the v3 and v2 documents
-/// (the proptests above sample; this nails the fixed-size header — the
-/// same 60-byte layout in both versions — completely).
+/// Deterministic sweep of every header byte of the v4, v3 and v2
+/// documents (the proptests above sample; this nails the fixed-size
+/// header — the same 60-byte layout in all three versions — completely).
 #[test]
 fn every_header_byte_flip_is_handled() {
     let fx = fixture();
     for index in 0..HEADER_LEN_V2 {
         for (doc, state) in [
-            (&fx.base_v3, &fx.base_state),
+            (&fx.base_v4, &fx.base_state),
+            (&fx.base_v3, &fx.legacy_state),
             (&fx.base_v2, &fx.legacy_state),
         ] {
             let mut bad = doc.clone();
@@ -233,7 +247,7 @@ fn every_header_byte_flip_is_handled() {
             check_full_document(&bad, state);
         }
         for (delta, base, state) in [
-            (&fx.delta, &fx.base_v3, &fx.delta_state),
+            (&fx.delta, &fx.base_v4, &fx.delta_state),
             (&fx.delta_v2, &fx.base_v2, &fx.delta_v2_state),
         ] {
             let mut bad = delta.clone();

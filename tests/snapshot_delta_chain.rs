@@ -13,6 +13,7 @@
 //! dirty-tracking gap in the engines would surface here as divergence).
 
 use dynscan_baseline::{ExactDynScan, IndexedDynScan};
+use dynscan_core::testing::aux_sets;
 use dynscan_core::{
     restore_any, restore_any_chain, Clusterer, DynElm, DynStrClu, GraphUpdate, Params, VertexId,
 };
@@ -37,17 +38,20 @@ fn to_updates(ops: &[(bool, u32, u32)]) -> Vec<GraphUpdate> {
 }
 
 /// Drive `live` through `stream` in batches; after `warm` batches capture
-/// the chain base, then one delta per remaining batch.  Replay the chain
-/// into a restored twin and require byte-identity plus identical
-/// continuation behaviour.
-fn assert_chain_equals_full<A>(make: impl Fn() -> A, stream: &[GraphUpdate], batch: usize)
+/// the chain base, then one delta per remaining batch.  Returns the live
+/// instance and the chain, or `None` for an empty stream.
+fn build_chain<A>(
+    make: impl Fn() -> A,
+    stream: &[GraphUpdate],
+    batch: usize,
+) -> Option<(A, Vec<Vec<u8>>)>
 where
     A: Clusterer,
 {
     let batch = batch.max(1);
     let batches: Vec<&[GraphUpdate]> = stream.chunks(batch).collect();
     if batches.is_empty() {
-        return;
+        return None;
     }
     let warm = batches.len() / 2;
     let mut live = make();
@@ -58,23 +62,27 @@ where
     let mut docs: Vec<Vec<u8>> = Vec::new();
     let base = live.capture_checkpoint(false, 0);
     assert_eq!(base.kind(), SnapshotKind::Full);
-    docs.push({
-        let mut buf = Vec::new();
-        base.write_to(&mut buf).unwrap();
-        buf
-    });
+    docs.push(base.to_bytes());
     // One delta per remaining batch.
     for (i, chunk) in batches[warm..].iter().enumerate() {
         live.apply_batch(chunk);
         let delta = live.capture_checkpoint(true, 0);
         assert_eq!(delta.kind(), SnapshotKind::Delta, "delta #{i}");
         assert_eq!(delta.sequence(), (i + 1) as u64, "chain position #{i}");
-        docs.push({
-            let mut buf = Vec::new();
-            delta.write_to(&mut buf).unwrap();
-            buf
-        });
+        docs.push(delta.to_bytes());
     }
+    Some((live, docs))
+}
+
+/// Replay the chain [`build_chain`] captures into a restored twin and
+/// require byte-identity plus identical continuation behaviour.
+fn assert_chain_equals_full<A>(make: impl Fn() -> A, stream: &[GraphUpdate], batch: usize)
+where
+    A: Clusterer,
+{
+    let Some((mut live, docs)) = build_chain(make, stream, batch) else {
+        return;
+    };
     // Replay one delta at a time: restore the base, apply the deltas in
     // order.
     dynscan_baseline::install();
@@ -109,6 +117,29 @@ where
     assert_eq!(restored.checkpoint_bytes(), live.checkpoint_bytes());
 }
 
+/// Deltas carry no vAuxInfo, so DynStrClu derives it after a replay.
+/// Replayed one delta at a time and as one chain, through the typed
+/// restore, the derived modules must equal the live ones: every vertex's
+/// similar and similar-core sets, and a group-by over all vertices.
+fn assert_strclu_chain_equals_full(params: Params, stream: &[GraphUpdate], batch: usize) {
+    assert_chain_equals_full(|| DynStrClu::new(params), stream, batch);
+    let Some((mut live, docs)) = build_chain(|| DynStrClu::new(params), stream, batch) else {
+        return;
+    };
+    let mut one_by_one = DynStrClu::restore(&docs[0][..]).expect("base restores");
+    for delta in &docs[1..] {
+        one_by_one.apply_delta_bytes(delta).expect("delta applies");
+    }
+    let mut chained = DynStrClu::restore(&docs[0][..]).expect("base restores");
+    let deltas: Vec<&[u8]> = docs[1..].iter().map(Vec::as_slice).collect();
+    chained.apply_delta_chain(&deltas).expect("chain applies");
+    let all: Vec<VertexId> = live.graph().vertices().collect();
+    for replayed in [&mut one_by_one, &mut chained] {
+        assert_eq!(aux_sets(replayed), aux_sets(&live), "derived vAuxInfo");
+        assert_eq!(replayed.cluster_group_by(&all), live.cluster_group_by(&all));
+    }
+}
+
 fn exact_params() -> Params {
     Params::jaccard(0.35, 3)
         .with_rho(0.0)
@@ -130,7 +161,7 @@ proptest! {
         batch in 1usize..16,
     ) {
         let stream = to_updates(&ops);
-        assert_chain_equals_full(|| DynStrClu::new(sampled_params()), &stream, batch);
+        assert_strclu_chain_equals_full(sampled_params(), &stream, batch);
     }
 
     /// DynStrClu, exact mode.
@@ -140,7 +171,7 @@ proptest! {
         batch in 1usize..16,
     ) {
         let stream = to_updates(&ops);
-        assert_chain_equals_full(|| DynStrClu::new(exact_params()), &stream, batch);
+        assert_strclu_chain_equals_full(exact_params(), &stream, batch);
     }
 
     /// DynELM (sampled) and both exact baselines.

@@ -13,6 +13,7 @@
 //! changes, the fixture test fails and `FORMAT_VERSION` must be bumped.
 
 use dynscan_baseline::ExactDynScan;
+use dynscan_core::testing::aux_sets;
 use dynscan_core::{
     restore_any, Clusterer, DynElm, DynStrClu, GraphUpdate, Params, SnapshotError, VertexId,
 };
@@ -72,6 +73,36 @@ fn assert_resumes_bit_identically<A>(
     assert_eq!(live.updates_applied(), restored.updates_applied());
 }
 
+/// Documents carry no vAuxInfo, so a restored DynStrClu derives it.
+/// Through the typed restore, at the cut and after the continuation, the
+/// derived modules must equal the live ones: every vertex's similar and
+/// similar-core sets, and a group-by over all vertices.
+fn assert_strclu_derives_live_modules(
+    params: Params,
+    stream: &[GraphUpdate],
+    cut: usize,
+    batch: usize,
+) {
+    assert_resumes_bit_identically(|| DynStrClu::new(params), stream, cut, batch);
+    let (prefix, suffix) = stream.split_at(cut.min(stream.len()));
+    let mut live = DynStrClu::new(params);
+    for chunk in prefix.chunks(batch.max(1)) {
+        live.apply_batch(chunk);
+    }
+    let mut restored = DynStrClu::restore(&live.checkpoint_bytes()[..]).expect("restores");
+    let check = |live: &mut DynStrClu, restored: &mut DynStrClu| {
+        assert_eq!(aux_sets(restored), aux_sets(live), "derived vAuxInfo");
+        let all: Vec<VertexId> = live.graph().vertices().collect();
+        assert_eq!(restored.cluster_group_by(&all), live.cluster_group_by(&all));
+    };
+    check(&mut live, &mut restored);
+    for chunk in suffix.chunks(batch.max(1)) {
+        live.apply_batch(chunk);
+        restored.apply_batch(chunk);
+    }
+    check(&mut live, &mut restored);
+}
+
 fn exact_params() -> Params {
     Params::jaccard(0.35, 3)
         .with_rho(0.0)
@@ -96,12 +127,7 @@ proptest! {
         batch in 1usize..20,
     ) {
         let stream = to_updates(&ops);
-        assert_resumes_bit_identically(
-            || DynStrClu::new(exact_params()),
-            &stream,
-            cut,
-            batch,
-        );
+        assert_strclu_derives_live_modules(exact_params(), &stream, cut, batch);
     }
 
     /// Sampled mode (the real algorithm): the continuation draws estimator
@@ -114,12 +140,7 @@ proptest! {
         batch in 1usize..20,
     ) {
         let stream = to_updates(&ops);
-        assert_resumes_bit_identically(
-            || DynStrClu::new(sampled_params()),
-            &stream,
-            cut,
-            batch,
-        );
+        assert_strclu_derives_live_modules(sampled_params(), &stream, cut, batch);
     }
 
     /// The same property at the DynELM layer and for the exact baseline.
@@ -203,83 +224,89 @@ fn group_by_partitions_agree_after_restore() {
 
 /// The committed golden fixtures pin the format story across versions:
 ///
-/// * `golden_snapshot_v3.bin` (current format) restores to a fixed point
+/// * `golden_snapshot_v4.bin` (current format) restores to a fixed point
 ///   of checkpoint∘restore — any accidental change to the encoding *or*
 ///   to the serialised algorithm state breaks this; intentional changes
 ///   regenerate it (`snapshot_ci golden write
-///   tests/fixtures/golden_snapshot_v3.bin`) and bump `FORMAT_VERSION`
+///   tests/fixtures/golden_snapshot_v4.bin`) and bump `FORMAT_VERSION`
 ///   if the wire layout itself changed.
-/// * `golden_snapshot_v2.bin` and `golden_snapshot_v1.bin` (legacy
-///   formats, never regenerated — no writer produces either any more)
-///   are the backward-compat decode gates: both must keep restoring,
-///   and re-encoding either under the current format must reproduce the
-///   v3 fixture byte for byte — proof that all three fixtures hold the
-///   same semantic state.
-/// * The v3 document must be **at least 3× smaller** than the v2
+/// * `golden_snapshot_v3.bin`, `golden_snapshot_v2.bin` and
+///   `golden_snapshot_v1.bin` (legacy formats, never regenerated — no
+///   writer produces any of them any more) are the backward-compat decode
+///   gates: each must keep restoring, and re-encoding it under the current
+///   format must reproduce the v4 fixture byte for byte — proof that all
+///   four fixtures hold the same semantic state.  The v1–v3 documents
+///   still carry the AUX section that v4 dropped.
+/// * The v4 document must be **at least 3× smaller** than the v2
 ///   document of the identical state — the compression floor the codec
 ///   migration promised.
 #[test]
 fn golden_snapshot_fixtures_are_stable() {
-    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let committed_v3 = std::fs::read(fixtures.join("golden_snapshot_v3.bin"))
-        .expect("v3 golden fixture is committed");
+    let committed_v4 = fixture("golden_snapshot_v4.bin");
     assert_eq!(
-        dynscan_graph::snapshot::peek_header(&committed_v3)
-            .expect("v3 header peeks")
+        dynscan_graph::snapshot::peek_header(&committed_v4)
+            .expect("v4 header peeks")
             .format_version,
         dynscan_graph::snapshot::FORMAT_VERSION
     );
-    let restored = DynStrClu::restore(&committed_v3[..])
-        .expect("committed v3 fixture must restore under the current format");
+    let restored = DynStrClu::restore(&committed_v4[..])
+        .expect("committed v4 fixture must restore under the current format");
     assert_eq!(
         restored.checkpoint_bytes(),
-        committed_v3,
-        "v3 fixture must be a fixed point of checkpoint∘restore"
+        committed_v4,
+        "v4 fixture must be a fixed point of checkpoint∘restore"
     );
     // Pin a few semantic facts so the fixture is more than opaque bytes.
     assert_eq!(restored.graph().num_vertices(), 11);
     assert_eq!(restored.graph().num_edges(), 23);
     assert_eq!(restored.clustering().num_clusters(), 1);
     assert!(restored.is_core(v(0)) && restored.is_core(v(5)));
+    // The derived vAuxInfo equals the live instance's.
+    let mut rebuilt = DynStrClu::new(Params::jaccard(0.35, 3).with_rho(0.2).with_seed(0x601d));
+    for batch in golden_updates().chunks(7) {
+        rebuilt.apply_batch(batch);
+    }
+    assert_eq!(rebuilt.checkpoint_bytes(), committed_v4);
+    assert_eq!(aux_sets(&restored), aux_sets(&rebuilt));
 
-    // Backward compatibility: both legacy documents still decode and
-    // hold exactly the same state as the v3 fixture.
-    let committed_v2 = std::fs::read(fixtures.join("golden_snapshot_v2.bin"))
-        .expect("v2 golden fixture is committed");
-    assert_eq!(
-        dynscan_graph::snapshot::peek_header(&committed_v2)
-            .expect("v2 header peeks")
-            .format_version,
-        dynscan_graph::snapshot::FORMAT_VERSION_V2
-    );
-    let from_v2 =
-        DynStrClu::restore(&committed_v2[..]).expect("legacy v2 fixture must keep restoring");
-    assert_eq!(
-        from_v2.checkpoint_bytes(),
-        committed_v3,
-        "re-encoding the v2 fixture must reproduce the v3 fixture"
-    );
+    // Backward compatibility: every legacy document still decodes and
+    // holds exactly the same state as the v4 fixture.
+    for (name, version) in [
+        (
+            "golden_snapshot_v3.bin",
+            dynscan_graph::snapshot::FORMAT_VERSION_V3,
+        ),
+        (
+            "golden_snapshot_v2.bin",
+            dynscan_graph::snapshot::FORMAT_VERSION_V2,
+        ),
+        (
+            "golden_snapshot_v1.bin",
+            dynscan_graph::snapshot::FORMAT_VERSION_V1,
+        ),
+    ] {
+        let committed = fixture(name);
+        assert_eq!(
+            dynscan_graph::snapshot::peek_header(&committed)
+                .expect("legacy header peeks")
+                .format_version,
+            version
+        );
+        let legacy = DynStrClu::restore(&committed[..])
+            .unwrap_or_else(|e| panic!("legacy {name} must keep restoring: {e}"));
+        assert_eq!(
+            legacy.checkpoint_bytes(),
+            committed_v4,
+            "re-encoding {name} must reproduce the v4 fixture"
+        );
+        assert_eq!(aux_sets(&legacy), aux_sets(&rebuilt));
+    }
+    let committed_v2 = fixture("golden_snapshot_v2.bin");
     assert!(
-        committed_v3.len() * 3 <= committed_v2.len(),
-        "v3 document ({} B) must be at least 3x smaller than v2 ({} B)",
-        committed_v3.len(),
+        committed_v4.len() * 3 <= committed_v2.len(),
+        "v4 document ({} B) must be at least 3x smaller than v2 ({} B)",
+        committed_v4.len(),
         committed_v2.len()
-    );
-
-    let committed_v1 = std::fs::read(fixtures.join("golden_snapshot_v1.bin"))
-        .expect("v1 golden fixture is committed");
-    assert_eq!(
-        dynscan_graph::snapshot::peek_header(&committed_v1)
-            .expect("v1 header peeks")
-            .format_version,
-        dynscan_graph::snapshot::FORMAT_VERSION_V1
-    );
-    let from_v1 =
-        DynStrClu::restore(&committed_v1[..]).expect("legacy v1 fixture must keep restoring");
-    assert_eq!(
-        from_v1.checkpoint_bytes(),
-        committed_v3,
-        "re-encoding the v1 fixture must reproduce the v3 fixture"
     );
 }
 
@@ -333,7 +360,7 @@ fn golden_v2_pscan_fixture_restores_to_the_rebuilt_state() {
 
 /// `golden_delta_v2.bin` — a DynStrClu delta written by the retired v2
 /// writer on top of `golden_snapshot_v2.bin` after three updates —
-/// applies to the restored v2 base and lands on the state the v3 fixture
+/// applies to the restored v2 base and lands on the state the v4 fixture
 /// reaches through the same three updates.
 #[test]
 fn golden_v2_delta_applies_to_the_v2_base() {
@@ -348,7 +375,7 @@ fn golden_v2_delta_applies_to_the_v2_base() {
     replayed
         .apply_delta_bytes(&delta)
         .expect("v2 delta applies");
-    let mut expected = DynStrClu::restore(&fixture("golden_snapshot_v3.bin")[..]).unwrap();
+    let mut expected = DynStrClu::restore(&fixture("golden_snapshot_v4.bin")[..]).unwrap();
     for update in [
         GraphUpdate::Insert(v(5), v(9)),
         GraphUpdate::Delete(v(0), v(10)),
@@ -357,9 +384,10 @@ fn golden_v2_delta_applies_to_the_v2_base() {
         expected.try_apply(update).unwrap();
     }
     assert_eq!(replayed.checkpoint_bytes(), expected.checkpoint_bytes());
-    // The v3 base sits at a different chain position, so the v2 delta
+    assert_eq!(aux_sets(&replayed), aux_sets(&expected));
+    // The v4 base sits at a different chain position, so the v2 delta
     // refuses it.
-    let mut wrong_base = DynStrClu::restore(&fixture("golden_snapshot_v3.bin")[..]).unwrap();
+    let mut wrong_base = DynStrClu::restore(&fixture("golden_snapshot_v4.bin")[..]).unwrap();
     assert!(matches!(
         wrong_base.apply_delta_bytes(&delta),
         Err(SnapshotError::DeltaBaseMismatch { .. })
