@@ -49,7 +49,6 @@ const FACADED_MODULES: &[&str] = &[
     "crates/serve/src/conn.rs",
     "crates/serve/src/drain.rs",
     "crates/serve/src/server.rs",
-    "crates/serve/src/publish.rs",
     "crates/serve/src/replica.rs",
 ];
 

@@ -12,13 +12,16 @@
 //! the **resume chain** back: the newest full snapshot plus every delta
 //! written after it, in order — exactly what
 //! [`crate::restore_any_chain`] consumes.  The fresh-process `snapshot_ci`
-//! gate drives this end to end.
+//! gate drives this end to end.  It can also be tailed
+//! ([`DirCheckpointStore::poll_since`]): the directory is the one
+//! replication feed, read both by tailing replicas and by the primary's
+//! replication streams.
 
 use dynscan_graph::SnapshotKind;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One checkpoint document returned by [`CheckpointStore::poll_since`]:
+/// One checkpoint document returned by [`DirCheckpointStore::poll_since`]:
 /// its chain sequence number, kind, and full encoded payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TailedDoc {
@@ -30,7 +33,7 @@ pub struct TailedDoc {
     pub bytes: Vec<u8>,
 }
 
-/// Why a [`CheckpointStore::poll_since`] tail poll failed.
+/// Why a [`DirCheckpointStore::poll_since`] tail poll failed.
 #[derive(Debug)]
 pub enum TailError {
     /// The reader's chain position no longer connects to what the store
@@ -45,8 +48,6 @@ pub enum TailError {
     },
     /// Reading the store failed for an ordinary I/O reason.
     Io(io::Error),
-    /// The store cannot be tailed (e.g. a write-only sink).
-    Unsupported,
 }
 
 impl std::fmt::Display for TailError {
@@ -57,7 +58,6 @@ impl std::fmt::Display for TailError {
                 "chain gap: the tail position was pruned away (oldest retained: {oldest_retained:?}); full resync required"
             ),
             TailError::Io(e) => write!(f, "i/o error while tailing: {e}"),
-            TailError::Unsupported => write!(f, "this checkpoint store cannot be tailed"),
         }
     }
 }
@@ -95,27 +95,6 @@ pub trait CheckpointStore: Send {
     /// directory grow without bound.
     fn existing_documents(&self) -> Vec<(u64, SnapshotKind)> {
         Vec::new()
-    }
-
-    /// The tailing API read replicas are built on: every document the
-    /// store holds *after* the reader's position, in sequence order.
-    ///
-    /// * `after == Some(s)` — the reader has applied the document with
-    ///   sequence `s`.  If the store still retains `s`, the returned run
-    ///   extends the reader's chain exactly (the session's
-    ///   chain-restart-after-failure discipline guarantees every on-store
-    ///   document chains onto the previous on-store document).  If `s`
-    ///   was pruned away — retention racing the tail — the poll fails
-    ///   with [`TailError::ChainGap`] and the reader must resync.
-    /// * `after == None` — a full resync: the newest full snapshot plus
-    ///   every document after it (the resume chain), or empty when the
-    ///   store holds no full snapshot yet.
-    ///
-    /// The default implementation refuses ([`TailError::Unsupported`]):
-    /// write-only sinks cannot be tailed.
-    fn poll_since(&self, after: Option<u64>) -> Result<Vec<TailedDoc>, TailError> {
-        let _ = after;
-        Err(TailError::Unsupported)
     }
 }
 
@@ -198,13 +177,66 @@ impl DirCheckpointStore {
                 Ok(docs) => return Ok(docs.into_iter().map(|d| d.bytes).collect()),
                 Err(TailError::ChainGap { .. }) => continue,
                 Err(TailError::Io(e)) => return Err(e),
-                Err(TailError::Unsupported) => unreachable!("DirCheckpointStore supports tailing"),
             }
         }
         Err(io::Error::other(format!(
             "chain in {} kept changing under concurrent pruning",
             self.dir.display()
         )))
+    }
+
+    /// The tailing API read replicas and replication streams are built
+    /// on: every document the directory holds *after* the reader's
+    /// position, in sequence order.
+    ///
+    /// * `after == Some(s)` — the reader has applied the document with
+    ///   sequence `s`.  If the directory still retains `s`, the returned
+    ///   run extends the reader's chain exactly (the session's
+    ///   chain-restart-after-failure discipline guarantees every on-store
+    ///   document chains onto the previous on-store document).  If `s`
+    ///   was pruned away — retention racing the tail — the poll fails
+    ///   with [`TailError::ChainGap`] and the reader must resync.
+    /// * `after == None` — a full resync: the newest full snapshot plus
+    ///   every document after it (the resume chain), or empty when the
+    ///   directory holds no full snapshot yet.
+    ///
+    /// A listed document's rename may not be durable yet (its writer
+    /// fsyncs the directory after the rename); a reader that must not
+    /// hand out anything a power loss could take back calls
+    /// [`Self::sync`] before it does.
+    pub fn poll_since(&self, after: Option<u64>) -> Result<Vec<TailedDoc>, TailError> {
+        let listed = self.list()?;
+        match after {
+            Some(s) => {
+                // The reader's base must still be retained: pruning only
+                // ever removes a prefix below a full-snapshot cutoff, so
+                // "seq s is listed" is exactly "everything after s still
+                // chains onto s".
+                if !listed.iter().any(|&(seq, _, _)| seq == s) {
+                    return Err(TailError::ChainGap {
+                        oldest_retained: listed.first().map(|&(seq, _, _)| seq),
+                    });
+                }
+                let newer: Vec<_> = listed.into_iter().filter(|&(seq, _, _)| seq > s).collect();
+                self.read_listed(&newer)
+            }
+            None => {
+                let Some(base) = listed
+                    .iter()
+                    .rposition(|&(_, kind, _)| kind == SnapshotKind::Full)
+                else {
+                    return Ok(Vec::new());
+                };
+                self.read_listed(&listed[base..])
+            }
+        }
+    }
+
+    /// Make every document the directory lists durable: fsync the
+    /// directory, so the renames that published them survive a power
+    /// loss.
+    pub fn sync(&self) -> io::Result<()> {
+        sync_dir(&self.dir)
     }
 
     /// Read the bytes of every listed document, mapping a file that
@@ -317,34 +349,6 @@ impl CheckpointStore for DirCheckpointStore {
         self.list()
             .map(|docs| docs.into_iter().map(|(seq, kind, _)| (seq, kind)).collect())
             .unwrap_or_default()
-    }
-
-    fn poll_since(&self, after: Option<u64>) -> Result<Vec<TailedDoc>, TailError> {
-        let listed = self.list()?;
-        match after {
-            Some(s) => {
-                // The reader's base must still be retained: pruning only
-                // ever removes a prefix below a full-snapshot cutoff, so
-                // "seq s is listed" is exactly "everything after s still
-                // chains onto s".
-                if !listed.iter().any(|&(seq, _, _)| seq == s) {
-                    return Err(TailError::ChainGap {
-                        oldest_retained: listed.first().map(|&(seq, _, _)| seq),
-                    });
-                }
-                let newer: Vec<_> = listed.into_iter().filter(|&(seq, _, _)| seq > s).collect();
-                self.read_listed(&newer)
-            }
-            None => {
-                let Some(base) = listed
-                    .iter()
-                    .rposition(|&(_, kind, _)| kind == SnapshotKind::Full)
-                else {
-                    return Ok(Vec::new());
-                };
-                self.read_listed(&listed[base..])
-            }
-        }
     }
 }
 

@@ -21,7 +21,7 @@
 //! `Clusterer::apply_delta_chain` fast path).  [`aux_sets`] puts the
 //! vAuxInfo such a derivation produces in a form tests can compare.
 
-use crate::store::{CheckpointStore, TailError, TailedDoc};
+use crate::store::CheckpointStore;
 use crate::strclu::DynStrClu;
 use dynscan_graph::{SnapshotKind, VertexId};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -326,44 +326,6 @@ impl CheckpointStore for MemCheckpointStore {
             .iter()
             .map(|(&seq, &(kind, _))| (seq, kind))
             .collect()
-    }
-
-    fn poll_since(&self, after: Option<u64>) -> Result<Vec<TailedDoc>, TailError> {
-        let docs = self.docs.lock().unwrap_or_else(|p| p.into_inner());
-        match after {
-            Some(s) => {
-                if !docs.contains_key(&s) {
-                    return Err(TailError::ChainGap {
-                        oldest_retained: docs.keys().next().copied(),
-                    });
-                }
-                Ok(docs
-                    .range(s + 1..)
-                    .map(|(&seq, (kind, bytes))| TailedDoc {
-                        seq,
-                        kind: *kind,
-                        bytes: bytes.clone(),
-                    })
-                    .collect())
-            }
-            None => {
-                let Some((&base, _)) = docs
-                    .iter()
-                    .rev()
-                    .find(|(_, (kind, _))| *kind == SnapshotKind::Full)
-                else {
-                    return Ok(Vec::new());
-                };
-                Ok(docs
-                    .range(base..)
-                    .map(|(&seq, (kind, bytes))| TailedDoc {
-                        seq,
-                        kind: *kind,
-                        bytes: bytes.clone(),
-                    })
-                    .collect())
-            }
-        }
     }
 }
 

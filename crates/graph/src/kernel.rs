@@ -14,9 +14,10 @@
 //!   tightly enough, AND the word arrays and popcount.  The loop is
 //!   plain `u64` chunks with no data-dependent branches, exactly the
 //!   shape LLVM auto-vectorises.
-//! * **merge / gallop** — for the sorted CSR slices: linear merge when
-//!   degrees are balanced, exponential (galloping) probes into the
-//!   larger slice when they are skewed by [`GALLOP_RATIO`] or more.
+//! * **merge / gallop** — for two ascending-sorted slices
+//!   ([`sorted_intersection_size`]): linear merge when degrees are
+//!   balanced, exponential (galloping) probes into the larger slice when
+//!   they are skewed by [`GALLOP_RATIO`] or more.
 //!
 //! ## Kernel selection and the `DYNSCAN_KERNEL` override
 //!
@@ -311,8 +312,8 @@ fn gallop_count(small: &[VertexId], large: &[VertexId]) -> usize {
     count
 }
 
-/// `|a ∩ b|` over two ascending-sorted slices (the CSR shape), with the
-/// merge/gallop selection of the module docs.
+/// `|a ∩ b|` over two ascending-sorted slices, with the merge/gallop
+/// selection of the module docs.
 pub fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if adaptive() && !small.is_empty() && large.len() >= GALLOP_RATIO * small.len() {

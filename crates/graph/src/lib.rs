@@ -14,9 +14,10 @@
 //!   directly rather than forcing callers to copy neighbour lists.
 //! * [`DynGraph`] — an undirected simple graph under edge insertions and
 //!   deletions, with closed-neighbourhood membership tests and degree
-//!   queries in O(1).
-//! * [`CsrGraph`] — an immutable compressed-sparse-row snapshot used by the
-//!   O(n + m) clustering-result extraction and the static SCAN baseline.
+//!   queries in O(1).  Every consumer walks it directly, the O(n + m)
+//!   clustering-result extraction and the static SCAN baseline included.
+//! * [`NeighbourhoodView`] — the read-only neighbourhood primitives the
+//!   similarity estimator samples through.
 //! * [`batch`] — batch application of update slices ([`BatchApplication`],
 //!   [`touched_vertices`]) for graph-only consumers, mirroring the
 //!   topology semantics of the batch update engine in `dynscan-core`
@@ -36,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod csr;
 pub mod dynamic_graph;
 pub mod edge;
 pub mod error;
@@ -49,7 +49,6 @@ pub mod vertex;
 pub mod view;
 
 pub use batch::{touched_vertices, BatchApplication};
-pub use csr::CsrGraph;
 pub use dynamic_graph::{default_memory_budget, DynGraph, NeighbourIter, NeighbourhoodRef};
 pub use edge::EdgeKey;
 pub use error::GraphError;

@@ -4,11 +4,9 @@
 //! primitives about a vertex neighbourhood: its size, positional access
 //! (for O(1) uniform sampling), closed-neighbourhood membership, and the
 //! exact closed intersection for the low-degree shortcut.  [`NeighbourhoodView`]
-//! captures those, so the estimation code can run against the live
-//! [`DynGraph`] (the batch engine's path) or an immutable [`CsrGraph`]
-//! snapshot, with one sampling contract for both.
+//! captures those, so the estimation code is written once against the
+//! contract and runs on the live [`DynGraph`].
 
-use crate::csr::CsrGraph;
 use crate::dynamic_graph::DynGraph;
 use crate::vertex::VertexId;
 use rand::Rng;
@@ -109,30 +107,6 @@ impl NeighbourhoodView for DynGraph {
     #[inline]
     fn closed_intersection_size(&self, u: VertexId, v: VertexId) -> usize {
         DynGraph::closed_intersection_size(self, u, v)
-    }
-}
-
-/// The CSR snapshot as a [`NeighbourhoodView`]: slot order is the sorted
-/// neighbour order, so the kernel's merge/gallop paths apply directly.
-impl NeighbourhoodView for CsrGraph {
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        CsrGraph::degree(self, v)
-    }
-
-    #[inline]
-    fn neighbour_at(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        self.neighbours(v).get(i).copied()
-    }
-
-    #[inline]
-    fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        CsrGraph::has_edge(self, u, v)
-    }
-
-    #[inline]
-    fn closed_intersection_size(&self, u: VertexId, v: VertexId) -> usize {
-        CsrGraph::closed_intersection_size(self, u, v)
     }
 }
 

@@ -1,9 +1,8 @@
 //! Whole-stack differential test of the adaptive intersection kernel:
-//! for the same topology, both backends of [`NeighbourhoodView`] (the
-//! live [`DynGraph`] and the [`CsrGraph`] snapshot) must report
-//! byte-identical closed intersection and union sizes under
-//! `KernelMode::Scalar` and `KernelMode::Adaptive` — the
-//! kernel is a pure performance knob, never an observable one.
+//! for the same topology, [`DynGraph`] — directly and through
+//! [`NeighbourhoodView`] — must report byte-identical closed intersection
+//! and union sizes under `KernelMode::Scalar` and `KernelMode::Adaptive`
+//! — the kernel is a pure performance knob, never an observable one.
 //!
 //! The kernel's unit proptests pin each code path (merge, gallop,
 //! bitset probe, popcount) against brute force; this test pins the
@@ -16,7 +15,7 @@
 //! that also flips the mode.
 
 use dynscan_graph::kernel::{self, KernelMode};
-use dynscan_graph::{CsrGraph, DynGraph, NeighbourhoodView, VertexId};
+use dynscan_graph::{DynGraph, NeighbourhoodView, VertexId};
 
 fn v(i: u32) -> VertexId {
     VertexId(i)
@@ -63,13 +62,14 @@ fn build_graph(edges: &[(VertexId, VertexId)], n: u32) -> DynGraph {
     g
 }
 
-/// Both backends' answers for `(u, v)`, in a fixed order.
-fn answers(g: &DynGraph, csr: &CsrGraph, u: VertexId, w: VertexId) -> [usize; 4] {
+/// The graph's answers for `(u, v)`, inherent and through the view, in
+/// a fixed order.
+fn answers(g: &DynGraph, u: VertexId, w: VertexId) -> [usize; 4] {
     [
         g.closed_intersection_size(u, w),
+        g.closed_union_size(u, w),
+        NeighbourhoodView::closed_intersection_size(g, u, w),
         NeighbourhoodView::closed_union_size(g, u, w),
-        csr.closed_intersection_size(u, w),
-        csr.closed_union_size(u, w),
     ]
 }
 
@@ -91,18 +91,17 @@ fn all_backends_agree_across_kernel_modes() {
         // Build *under* the mode, so summary construction (adaptive) and
         // its absence (scalar) are both part of what is being compared.
         let g = build_graph(&edges, N);
-        let csr = CsrGraph::from_dyn(&g);
         let mut all = Vec::with_capacity(probes.len());
         for &(a, b) in &probes {
-            let got = answers(&g, &csr, a, b);
-            // Within one mode, every backend agrees with the first.
+            let got = answers(&g, a, b);
+            // Within one mode, both entry points agree.
             assert!(
                 got.iter().step_by(2).all(|&x| x == got[0]),
-                "mode {mode:?}: backends disagree on intersection({a:?},{b:?}): {got:?}"
+                "mode {mode:?}: entry points disagree on intersection({a:?},{b:?}): {got:?}"
             );
             assert!(
                 got.iter().skip(1).step_by(2).all(|&x| x == got[1]),
-                "mode {mode:?}: backends disagree on union({a:?},{b:?}): {got:?}"
+                "mode {mode:?}: entry points disagree on union({a:?},{b:?}): {got:?}"
             );
             if a == b {
                 assert_eq!(got[0], g.degree(a) + 1, "self pair is |N[v]| = d + 1");

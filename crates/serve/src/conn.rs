@@ -11,7 +11,9 @@
 //!   either cap can never fit and gets a `ServerError` naming its weight
 //!   and the cap instead, so no client retries it.  A client that
 //!   pipelines is held back by TCP flow control, not by a server-side
-//!   queue.
+//!   queue.  A replication stream reads its documents from the
+//!   checkpoint directory and holds at most one poll's worth; a slow
+//!   subscriber is held back by TCP flow control too.
 //! * **Ordered replies, read-your-writes** — requests are answered in
 //!   the order they were read, and a read never observes an epoch below
 //!   the connection's own acknowledged writes.
@@ -37,7 +39,9 @@ use crate::proto::{
 use crate::server::{Role, Shared};
 use dynscan_core::sync::atomic::Ordering;
 use dynscan_core::sync::{Arc, MutexGuard};
-use dynscan_core::{EpochSnapshot, GraphUpdate, Session, VertexId};
+use dynscan_core::{
+    DirCheckpointStore, EpochSnapshot, GraphUpdate, Session, TailError, TailedDoc, VertexId,
+};
 use dynscan_graph::snapshot::fnv1a;
 use std::io::Read;
 use std::net::{Shutdown, TcpStream};
@@ -184,8 +188,8 @@ pub(crate) fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             ) => ResponseBody::ReadOnly,
             (Role::Primary(_), RequestBody::Subscribe { from_seq }) => {
                 // The stream owns the connection from here on; whatever
-                // ends it (drain, lag, a gone peer) ends the connection
-                // too.
+                // ends it (drain, an unreadable directory, a gone peer)
+                // ends the connection too.
                 run_subscription(request.id, from_seq, &mut stream, shared);
                 break false;
             }
@@ -299,40 +303,43 @@ fn load_epoch(shared: &Shared, acked_floor: u64) -> Option<Arc<EpochSnapshot>> {
     Some(snapshot)
 }
 
-/// How often an idle replication stream polls its hub queue (and the
-/// drain latch).
+/// How often a replication stream with nothing new to ship polls the
+/// checkpoint directory (and the drain latch).
 const STREAM_POLL: Duration = Duration::from_millis(10);
 
 /// Ship one document, refusing (with a typed error to the peer) any
 /// document too large for the protocol instead of panicking in encode.
-fn ship(
-    stream: &mut TcpStream,
-    id: u64,
-    seq: u64,
-    kind: dynscan_core::SnapshotKind,
-    payload: Vec<u8>,
-) -> Result<(), WireError> {
-    if payload.len() > crate::proto::MAX_SHIP_DOC_BYTES {
+fn ship(stream: &mut TcpStream, id: u64, doc: TailedDoc) -> Result<(), WireError> {
+    if doc.bytes.len() > crate::proto::MAX_SHIP_DOC_BYTES {
         server_error(
             stream,
             id,
-            format!("checkpoint document {seq} exceeds the shippable size"),
+            format!("checkpoint document {} exceeds the shippable size", doc.seq),
         );
         return Err(WireError::Malformed("document exceeds ship cap"));
     }
     send(
         stream,
         id,
-        ResponseBody::ShipDocument { seq, kind, payload },
+        ResponseBody::ShipDocument {
+            seq: doc.seq,
+            kind: doc.kind,
+            payload: doc.bytes,
+        },
     )
 }
 
-/// Turn the connection into a replication stream: subscribe to the hub
-/// **first**, ship the backlog from the checkpoint directory, mark
-/// catch-up, then forward hub documents (deduplicated by sequence
-/// number against the backlog) until drain, lag, or a gone peer.
+/// Turn the connection into a replication stream read from the primary's
+/// checkpoint directory: ship what [`DirCheckpointStore::poll_since`]
+/// lists after the subscriber's position, mark catch-up after the first
+/// poll, and keep polling until drain or a gone peer.  A position the
+/// directory no longer retains (pruned before the subscriber connected
+/// or while it streamed) continues from a full resync — the newest full
+/// snapshot onward, which the replica applies wholesale.  The directory
+/// is fsync'd before anything a poll listed ships, so a document leaves
+/// the primary only once it is durable there, and the stream holds at
+/// most one poll's documents.
 fn run_subscription(id: u64, from_seq: Option<u64>, stream: &mut TcpStream, shared: &Shared) {
-    use dynscan_core::{CheckpointStore as _, DirCheckpointStore, TailError};
     let Some(dir) = shared.cfg.checkpoint_dir.as_ref() else {
         server_error(
             stream,
@@ -341,71 +348,55 @@ fn run_subscription(id: u64, from_seq: Option<u64>, stream: &mut TcpStream, shar
         );
         return;
     };
-    let subscription = shared.hub.subscribe();
     let store = DirCheckpointStore::new(dir);
-    // Backlog: extend the subscriber's chain if its position survives
-    // retention, otherwise fall back to a full resync — the same
-    // contract `poll_since` gives a store-tailing replica.  `pos` tracks
-    // the last sequence the subscriber is known to hold.
+    // The last sequence the subscriber is known to hold.
     let mut pos = from_seq;
-    let mut backlog = store.poll_since(from_seq);
-    if matches!(backlog, Err(TailError::ChainGap { .. })) && from_seq.is_some() {
-        pos = None;
-        backlog = store.poll_since(None);
-    }
-    // A transient gap can also hit the resync read itself (pruning races
-    // the directory scan); retry a few times before giving up.
-    let mut retries = 0;
-    while matches!(backlog, Err(TailError::ChainGap { .. })) && retries < 8 {
-        retries += 1;
-        backlog = store.poll_since(None);
-        pos = None;
-    }
-    let backlog = match backlog {
-        Ok(docs) => docs,
-        Err(e) => {
-            server_error(
-                stream,
-                id,
-                format!("reading the checkpoint backlog failed: {e}"),
-            );
-            return;
-        }
-    };
-    for doc in backlog {
-        if ship(stream, id, doc.seq, doc.kind, doc.bytes).is_err() {
-            return;
-        }
-        pos = Some(doc.seq);
-    }
-    if send(stream, id, ResponseBody::ReplicaCaughtUp { seq: pos }).is_err() {
-        return;
-    }
-    // Live phase: forward hub publications.  Documents the backlog read
-    // already covered (published between `subscribe` and the directory
-    // scan) are skipped by sequence number.
-    loop {
-        if shared.drain.is_tripped() {
-            let _ = send(stream, UNSOLICITED_ID, ResponseBody::Draining);
-            return;
-        }
-        match subscription.poll() {
-            Ok(Some(doc)) => {
-                if pos.is_some_and(|p| doc.seq <= p) {
-                    continue;
-                }
-                if ship(stream, id, doc.seq, doc.kind, (*doc.bytes).clone()).is_err() {
-                    return;
-                }
-                pos = Some(doc.seq);
+    let mut caught_up = false;
+    while !shared.drain.is_tripped() {
+        let docs = match store.poll_since(pos) {
+            Ok(docs) => docs,
+            Err(TailError::ChainGap { .. }) => {
+                pos = None;
+                continue;
             }
-            Ok(None) => dynscan_core::sync::thread::sleep(STREAM_POLL),
-            Err(lagged) => {
-                server_error(stream, id, lagged.to_string());
+            Err(TailError::Io(e)) => {
+                server_error(
+                    stream,
+                    id,
+                    format!("reading the checkpoint directory failed: {e}"),
+                );
+                return;
+            }
+        };
+        let idle = docs.is_empty();
+        if !idle {
+            if let Err(e) = store.sync() {
+                server_error(
+                    stream,
+                    id,
+                    format!("syncing the checkpoint directory failed: {e}"),
+                );
                 return;
             }
         }
+        for doc in docs {
+            let seq = doc.seq;
+            if ship(stream, id, doc).is_err() {
+                return;
+            }
+            pos = Some(seq);
+        }
+        if !caught_up {
+            caught_up = true;
+            if send(stream, id, ResponseBody::ReplicaCaughtUp { seq: pos }).is_err() {
+                return;
+            }
+        }
+        if idle {
+            dynscan_core::sync::thread::sleep(STREAM_POLL);
+        }
     }
+    let _ = send(stream, UNSOLICITED_ID, ResponseBody::Draining);
 }
 
 /// Perform one operation against the engine.  For writes, the returned

@@ -79,18 +79,21 @@
 //!
 //! Protocol version 2 adds the primary side of snapshot-shipping
 //! replication: a `Subscribe{from_seq}` request turns the connection
-//! into a push stream — the server ships the checkpoint backlog
-//! (`ShipDocument` frames, byte-identical to the on-disk documents),
-//! marks the backlog's end with `ReplicaCaughtUp`, then forwards every
-//! newly completed checkpoint as it is teed out of the engine's store.
-//! Documents are published to subscribers only **after** they are
-//! durable on the primary, so a replica can never apply state the
-//! primary could lose; a subscriber that falls behind its bounded queue
-//! is told to resync (the same typed-gap contract as
-//! `CheckpointStore::poll_since` under retention pruning).  Query
-//! replies (`Groups`, `Stats`) carry the answering engine's checkpoint
-//! sequence alongside the epoch, giving routing layers a precise
-//! bounded-staleness signal.
+//! into a push stream read from the primary's checkpoint directory, the
+//! one replication feed.  The stream polls the directory
+//! (`DirCheckpointStore::poll_since`) and ships what it lists after the
+//! subscriber's position (`ShipDocument` frames, byte-identical to the
+//! on-disk documents), marks the end of its first poll with
+//! `ReplicaCaughtUp`, then keeps shipping new documents as the primary
+//! writes them.  A position the directory no longer retains — pruned
+//! by retention before the subscriber connected or while it streamed —
+//! continues from the newest full snapshot, which the replica applies
+//! wholesale.  The directory is fsync'd before a poll's documents ship,
+//! so a replica can never apply state the primary could lose; and a
+//! stream holds at most one poll's documents, so a slow subscriber
+//! costs the primary no memory beyond that.  Query replies (`Groups`,
+//! `Stats`) carry the answering engine's checkpoint sequence alongside
+//! the epoch, giving routing layers a precise bounded-staleness signal.
 //!
 //! ## Replicas
 //!
@@ -105,9 +108,9 @@
 //! against a sequential oracle.  Documents arrive on one of two paths:
 //!
 //! * **Tail** ([`ReplicaSource::Tail`]) — poll a checkpoint directory
-//!   shared with the primary.  Retention pruning racing the tail
-//!   surfaces as a typed chain gap and triggers a full resync from the
-//!   newest full snapshot.
+//!   shared with the primary, the same reads a replication stream makes.
+//!   Retention pruning racing the tail surfaces as a typed chain gap and
+//!   triggers a full resync from the newest full snapshot.
 //! * **Subscribe** ([`ReplicaSource::Subscribe`]) — the replication
 //!   stream above.  With a mirror directory configured, every applied
 //!   document is also written locally, producing an on-disk chain a
@@ -137,7 +140,6 @@ pub mod conn;
 pub mod drain;
 pub mod frame;
 pub mod proto;
-mod publish;
 mod replica;
 mod route;
 pub mod server;

@@ -74,8 +74,8 @@ pub enum RequestBody {
     /// (`ShipDocument` frames, all echoing this request's id), marks the
     /// end of the backlog with `ReplicaCaughtUp`, and keeps pushing new
     /// documents as checkpoints complete until drain.  A subscriber whose
-    /// position was pruned away receives a fresh resync chain (newest
-    /// full snapshot onward) instead.
+    /// position was pruned away, at connect or mid-stream, receives a
+    /// fresh resync chain (newest full snapshot onward) instead.
     Subscribe {
         /// The sequence number of the last document the subscriber has
         /// applied, or `None` for a full resync from the newest full

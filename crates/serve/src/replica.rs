@@ -7,14 +7,18 @@
 //! one [`EpochSnapshot`] of it, so the server answers reads from that
 //! snapshot exactly as it does on a primary, without the state lock.
 //!
-//! Documents reach the state by tailing a shared [`CheckpointStore`]
+//! Documents reach the state by tailing the primary's checkpoint
 //! directory ([`tail_loop`]) or by subscribing to the primary's
-//! replication stream over TCP ([`subscribe_loop`]).  Both loops share
-//! one recovery discipline: any gap — a pruned tail position, a delta
-//! that does not extend the applied chain, a lagged or broken stream —
-//! resets the replica and resyncs from the newest full snapshot.
-//! Progress is therefore monotone: the replica's state is always the
-//! replay of *some* prefix of a primary chain, never a splice of two.
+//! replication stream over TCP ([`subscribe_loop`]), which the primary
+//! feeds from that same directory.  A document that does not extend the
+//! applied chain resets the replica, which then resyncs from the newest
+//! full snapshot; a pruned tail position does the same.  A subscriber
+//! whose position was pruned needs no reset: the primary resyncs it
+//! in-stream with a newer full snapshot, which replaces the engine
+//! wholesale.  A dropped stream — or a `ServerError` on one — keeps the
+//! applied state and reconnects from its position.  Progress is
+//! therefore monotone: the replica's state is always the replay of
+//! *some* prefix of a primary chain, never a splice of two.
 
 use crate::conn::{read_frame_polling, FrameRead};
 use crate::drain::DrainFlag;
@@ -119,9 +123,8 @@ impl ReplicaState {
     /// engine wholesale (that is what makes pruning-forced resyncs and
     /// primary chain restarts safe); a delta must extend the current
     /// engine and chain position exactly.  Documents at or below the
-    /// applied position are skipped (`Ok` — the subscribe path can see
-    /// a backlog/live overlap).  An applied document publishes a new
-    /// epoch.
+    /// applied position are skipped (`Ok`), so a document sent twice is
+    /// harmless.  An applied document publishes a new epoch.
     pub(crate) fn apply_doc(
         &mut self,
         seq: u64,
@@ -262,7 +265,7 @@ fn tail_loop(
                 locked(&state).reset_for_resync();
                 continue; // resync immediately, no sleep
             }
-            Err(TailError::Io(_)) | Err(TailError::Unsupported) => {}
+            Err(TailError::Io(_)) => {}
         }
         thread::sleep(poll_interval);
     }
@@ -285,37 +288,25 @@ fn subscribe_loop(
     while !stop.is_tripped() {
         request_id += 1;
         let from_seq = locked(&state).applied_seq();
-        match stream_once(
+        stream_once(
             &primary_addr,
             request_id,
             from_seq,
             &state,
             &stop,
             &mut mirror,
-        ) {
-            StreamEnd::Stale => {
-                // The primary cannot extend our position (lagged stream
-                // or pruned backlog): resync from scratch.
-                locked(&state).reset_for_resync();
-            }
-            StreamEnd::Disconnected => {}
-        }
+        );
         if !stop.is_tripped() {
             thread::sleep(RECONNECT_BACKOFF);
         }
     }
 }
 
-enum StreamEnd {
-    /// The stream ended because our position is no longer extendable.
-    Stale,
-    /// The connection dropped, the primary is draining, or `stop`
-    /// tripped; reconnect from the current position.
-    Disconnected,
-}
-
-/// One connection lifetime: subscribe, apply shipped documents until the
-/// stream ends.
+/// One connection lifetime: subscribe and apply shipped documents until
+/// the stream ends.  The caller then resubscribes from the state's
+/// position: the applied one after a dropped connection, a drain or a
+/// `ServerError`, and none after a document that did not extend the
+/// chain, which resets the state.
 fn stream_once(
     addr: &str,
     request_id: u64,
@@ -323,36 +314,33 @@ fn stream_once(
     state: &Arc<Mutex<ReplicaState>>,
     stop: &DrainFlag,
     mirror: &mut Option<DirCheckpointStore>,
-) -> StreamEnd {
+) {
     let Ok(mut stream) = TcpStream::connect(addr) else {
-        return StreamEnd::Disconnected;
+        return;
     };
     if stream.set_read_timeout(Some(STREAM_READ_TIMEOUT)).is_err()
         || stream.set_nodelay(true).is_err()
     {
-        return StreamEnd::Disconnected;
+        return;
     }
     let request = Request {
         id: request_id,
         body: RequestBody::Subscribe { from_seq },
     };
     if crate::proto::write_request(&mut stream, &request).is_err() {
-        return StreamEnd::Disconnected;
+        return;
     }
     loop {
-        let payload = match read_frame_polling(&mut stream, stop) {
-            Ok(FrameRead::Frame(payload)) => payload,
-            Ok(FrameRead::Eof) | Ok(FrameRead::Drained) | Err(_) => {
-                return StreamEnd::Disconnected;
-            }
+        let Ok(FrameRead::Frame(payload)) = read_frame_polling(&mut stream, stop) else {
+            return;
         };
         let Ok(response) = Response::decode(&payload) else {
-            return StreamEnd::Disconnected;
+            return;
         };
         match response.body {
             ResponseBody::ShipDocument { seq, kind, payload } => {
                 if apply_or_reset(state, seq, kind, &payload) {
-                    return StreamEnd::Stale;
+                    return;
                 }
                 if let Some(dir) = mirror.as_mut() {
                     // Mirror only documents the engine actually holds;
@@ -368,15 +356,14 @@ fn stream_once(
                     }
                 }
             }
-            // The end of the backlog: the live phase follows.
+            // The end of the first directory poll: live documents follow.
             ResponseBody::ReplicaCaughtUp { .. } => {}
-            ResponseBody::Draining => return StreamEnd::Disconnected,
-            // A server error on an established stream means the hub
-            // declared us lagged (or the backlog is unreadable): the
-            // position is not extendable.
-            ResponseBody::ServerError { .. } => return StreamEnd::Stale,
-            // Anything else is a protocol violation; drop and retry.
-            _ => return StreamEnd::Disconnected,
+            // `Draining`, or a `ServerError`: the primary resyncs a
+            // pruned position in-stream, so an error means it could not
+            // read its directory or a document exceeds the ship cap, and
+            // dropping the applied state would fix neither.  Anything
+            // else is a protocol violation.  Reconnect either way.
+            _ => return,
         }
     }
 }

@@ -23,7 +23,11 @@
 //! `build_resuming_from_chain`), and a graceful drain finishes with a
 //! full checkpoint through [`Session::drain`] — so `SIGTERM` never loses
 //! acknowledged updates, and a hard kill loses at most the acknowledged
-//! suffix since the last completed checkpoint.
+//! suffix since the last completed checkpoint.  The session writes its
+//! checkpoints straight into that directory, and the directory is also
+//! the primary's one replication feed: a `Subscribe` connection streams
+//! from it ([`conn`]), exactly as a tailing replica polls it, so nothing
+//! is buffered for subscribers in the primary's memory.
 //!
 //! A replica ([`ServeConfig::replica_of`]) builds no session.  Its
 //! ingest thread replays the primary's checkpoint documents into a
@@ -34,7 +38,6 @@
 
 use crate::conn;
 use crate::drain::{install_sigterm_handler, DrainFlag};
-use crate::publish::{PublishHub, PublishingStore};
 use crate::replica::{self, ReplicaSource, ReplicaState};
 use dynscan_core::sync::atomic::{AtomicU64, Ordering};
 use dynscan_core::sync::{Arc, Mutex};
@@ -188,10 +191,6 @@ pub(crate) struct Shared {
     pub(crate) connections: AtomicU64,
     /// The drain latch (also observes SIGTERM).
     pub(crate) drain: DrainFlag,
-    /// Fan-out of completed checkpoint documents to replication streams
-    /// (fed by the [`PublishingStore`] wrapped around the engine's
-    /// checkpoint store; idle without a checkpoint directory).
-    pub(crate) hub: Arc<PublishHub>,
     /// Overload caps, the vertex bound and timeouts.
     pub(crate) cfg: ServeConfig,
 }
@@ -213,13 +212,12 @@ impl Server {
         // The chain may have been written by any registered backend.
         dynscan_baseline::install();
         install_sigterm_handler();
-        let hub = Arc::new(PublishHub::new());
         // Publication must be live before the first connection: every
         // later mutation (or applied document) republishes, so the
         // handle's readers are never more than one batch behind.
         let (role, epoch, feed) = match &cfg.replica_of {
             None => {
-                let mut session = build_session(&cfg, &hub)?;
+                let mut session = build_session(&cfg)?;
                 let epoch = session.enable_epoch_reads();
                 (Role::Primary(Box::new(Mutex::new(session))), epoch, None)
             }
@@ -250,7 +248,6 @@ impl Server {
             queued: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             drain,
-            hub,
             cfg,
         });
         let accept_shared = Arc::clone(&shared);
@@ -299,10 +296,9 @@ impl Server {
 }
 
 /// Resume from the checkpoint directory's chain when one exists, build
-/// fresh otherwise.  The store is wrapped in a [`PublishingStore`] so
-/// every completed checkpoint fans out to subscribed replication
-/// streams.
-fn build_session(cfg: &ServeConfig, hub: &Arc<PublishHub>) -> Result<Session, ServeError> {
+/// fresh otherwise.  Checkpoints go straight into the directory, which
+/// replication streams read from as well.
+fn build_session(cfg: &ServeConfig) -> Result<Session, ServeError> {
     let mut builder = Session::builder()
         .backend(cfg.backend)
         .params(cfg.params)
@@ -322,14 +318,13 @@ fn build_session(cfg: &ServeConfig, hub: &Arc<PublishHub>) -> Result<Session, Se
     };
     std::fs::create_dir_all(dir)?;
     let store = DirCheckpointStore::new(dir);
-    let publishing = PublishingStore::new(DirCheckpointStore::new(dir), Arc::clone(hub));
     match store.read_chain() {
         Ok(docs) => Ok(builder
-            .checkpoint_store(publishing)
+            .checkpoint_store(store)
             .build_resuming_from_chain(&docs)?),
         // No full snapshot yet: a fresh start writing into the same dir.
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            Ok(builder.checkpoint_store(publishing).build()?)
+            Ok(builder.checkpoint_store(store).build()?)
         }
         Err(e) => Err(ServeError::Io(e)),
     }

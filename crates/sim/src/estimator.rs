@@ -43,8 +43,7 @@ pub fn sample_size(measure: SimilarityMeasure, eps: f64, delta_cap: f64, delta: 
 /// Draw `samples` instances of the biased indicator `X` and return their
 /// mean `X̄` (an unbiased estimate of `2a / (a + b)`).
 ///
-/// Generic over [`NeighbourhoodView`], so the same code runs against the
-/// live graph or a CSR snapshot; views with identical slot orders
+/// Generic over [`NeighbourhoodView`]: views with identical slot orders
 /// consume identical random bits.
 pub fn intersection_fraction_estimate<G: NeighbourhoodView, R: Rng + ?Sized>(
     graph: &G,

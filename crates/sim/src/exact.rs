@@ -1,7 +1,7 @@
 //! Exact structural similarity.
 
 use crate::SimilarityMeasure;
-use dynscan_graph::{CsrGraph, NeighbourhoodView, VertexId};
+use dynscan_graph::{NeighbourhoodView, VertexId};
 
 /// Exact structural similarity between `u` and `v` under `measure`.
 ///
@@ -16,10 +16,9 @@ use dynscan_graph::{CsrGraph, NeighbourhoodView, VertexId};
 /// sizes, `σc = |N\[u\] ∩ N\[v\]| / √(|N\[u\]|·|N\[v\]|)`, so the value always lies
 /// in `[0, 1]`.
 ///
-/// Cost: O(min(d\[u\], d\[v\])) membership probes.
-///
-/// Generic over [`NeighbourhoodView`]: the live `DynGraph` and a
-/// `CsrGraph` snapshot compute identical values.
+/// Cost: O(min(d\[u\], d\[v\])) membership probes.  The engines, the
+/// static SCAN baseline and the quality metrics all call it on the live
+/// `DynGraph`.
 pub fn exact_similarity<G: NeighbourhoodView>(
     graph: &G,
     u: VertexId,
@@ -39,32 +38,6 @@ pub fn exact_similarity<G: NeighbourhoodView>(
         SimilarityMeasure::Cosine => {
             let nu = graph.closed_degree(u) as f64;
             let nv = graph.closed_degree(v) as f64;
-            a / (nu * nv).sqrt()
-        }
-    }
-}
-
-/// Exact similarity on a CSR snapshot (used by the static SCAN baseline and
-/// the quality metrics; O(d\[u\] + d\[v\]) via sorted-merge).
-pub fn exact_similarity_csr(
-    graph: &CsrGraph,
-    u: VertexId,
-    v: VertexId,
-    measure: SimilarityMeasure,
-) -> f64 {
-    let a = graph.closed_intersection_size(u, v) as f64;
-    match measure {
-        SimilarityMeasure::Jaccard => {
-            let b = (graph.degree(u) + 1 + graph.degree(v) + 1) as f64 - a;
-            if b == 0.0 {
-                0.0
-            } else {
-                a / b
-            }
-        }
-        SimilarityMeasure::Cosine => {
-            let nu = (graph.degree(u) + 1) as f64;
-            let nv = (graph.degree(v) + 1) as f64;
             a / (nu * nv).sqrt()
         }
     }
@@ -139,24 +112,10 @@ mod tests {
         assert!(exact_similarity(&g, v(2), v(2), SimilarityMeasure::Cosine) <= 1.0);
     }
 
-    #[test]
-    fn csr_matches_dynamic() {
-        let g = toy();
-        let csr = CsrGraph::from_dyn(&g);
-        for e in g.edges().collect::<Vec<_>>() {
-            let (u, w) = e.endpoints();
-            for m in [SimilarityMeasure::Jaccard, SimilarityMeasure::Cosine] {
-                let a = exact_similarity(&g, u, w, m);
-                let b = exact_similarity_csr(&csr, u, w, m);
-                assert!((a - b).abs() < 1e-12, "mismatch on {e:?} under {m}");
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// On random graphs: Jaccard ∈ [0, 1], symmetric, and the CSR and
-        /// dynamic computations agree.
+        /// On random graphs: Jaccard ∈ [0, 1] and symmetric, and cosine
+        /// ∈ [Jaccard, 1].
         #[test]
         fn random_graph_invariants(
             edges in prop::collection::hash_set((0u32..16, 0u32..16), 1..80)
@@ -164,17 +123,14 @@ mod tests {
             let edges: Vec<_> = edges.into_iter().filter(|(a, b)| a != b)
                 .map(|(a, b)| (v(a), v(b))).collect();
             let (g, _) = DynGraph::from_edges(edges);
-            let csr = CsrGraph::from_dyn(&g);
             for e in g.edges().collect::<Vec<_>>() {
                 let (u, w) = e.endpoints();
                 let j = exact_similarity(&g, u, w, SimilarityMeasure::Jaccard);
                 prop_assert!((0.0..=1.0).contains(&j));
                 prop_assert!((j - exact_similarity(&g, w, u, SimilarityMeasure::Jaccard)).abs() < 1e-12);
-                prop_assert!((j - exact_similarity_csr(&csr, u, w, SimilarityMeasure::Jaccard)).abs() < 1e-12);
                 let c = exact_similarity(&g, u, w, SimilarityMeasure::Cosine);
                 prop_assert!(c >= j - 1e-12);
                 prop_assert!((0.0..=1.0 + 1e-12).contains(&c));
-                prop_assert!((c - exact_similarity_csr(&csr, u, w, SimilarityMeasure::Cosine)).abs() < 1e-12);
             }
         }
     }

@@ -1,10 +1,14 @@
-//! The (Δ, δ)-labelling strategy with the per-invocation δ schedule.
+//! The (Δ, δ)-labelling strategy with a per-edge δ schedule.
 //!
-//! DynELM labels edges with the (½ρε, δᵢ)-strategy, where the `i`-th
-//! invocation uses `δᵢ = δ*/(i·(i+1))`.  The δᵢ telescope to at most δ*, so
-//! by a union bound *every* label ever produced is ρ-approximately valid
-//! with probability at least 1 − δ* — regardless of how long the update
-//! sequence runs (Section 6.1, third bullet of Theorem 6.1).
+//! DynELM labels edges with the (½ρε, δₖ)-strategy.  The paper numbers
+//! invocations globally: the `i`-th overall uses `δᵢ = δ*/(i·(i+1))`,
+//! and the δᵢ telescope to at most δ*, so by a union bound *every* label
+//! ever produced is ρ-approximately valid with probability at least
+//! 1 − δ* (Section 6.1, third bullet of Theorem 6.1).  This crate numbers
+//! them per edge instead ([`LabellingStrategy::label_deterministic`]):
+//! the same schedule over an edge's own invocation count `k`, which keeps
+//! a parallel batch bit-identical to any sequential order and bounds the
+//! failure probability by δ* per edge.
 
 use crate::affordability::tracking_threshold;
 use crate::estimator::{estimate_similarity, sample_size};
@@ -13,7 +17,6 @@ use crate::label::EdgeLabel;
 use crate::rng::EdgeRng;
 use crate::SimilarityMeasure;
 use dynscan_graph::{EdgeKey, NeighbourhoodView, VertexId};
-use rand::Rng;
 
 /// The result of one deterministic labelling-strategy invocation
 /// (see [`LabellingStrategy::label_deterministic`]).
@@ -35,7 +38,8 @@ pub struct LabellingStrategy {
     eps: f64,
     rho: f64,
     delta_star: f64,
-    /// Number of strategy invocations so far (the `i` of the δ schedule).
+    /// Invocations recorded so far (diagnostic, folded in by
+    /// [`Self::record_invocations`]).
     invocations: u64,
     /// Total similarity samples drawn (diagnostic; drives the cost model).
     samples_drawn: u64,
@@ -109,7 +113,7 @@ impl LabellingStrategy {
         self.exact_mode
     }
 
-    /// Number of strategy invocations so far.
+    /// Number of strategy invocations recorded so far.
     pub fn invocations(&self) -> u64 {
         self.invocations
     }
@@ -124,64 +128,11 @@ impl LabellingStrategy {
         0.5 * self.rho * self.eps
     }
 
-    /// The failure probability δᵢ that the *next* invocation will use.
-    pub fn next_delta(&self) -> f64 {
-        let i = (self.invocations + 1) as f64;
-        self.delta_star / (i * (i + 1.0))
-    }
-
-    /// Number of samples the next invocation would draw.
-    pub fn next_sample_size(&self) -> usize {
-        if self.exact_mode || self.rho == 0.0 {
-            0
-        } else {
-            sample_size(self.measure, self.eps, self.delta_cap(), self.next_delta())
-        }
-    }
-
-    /// Label the edge `(u, v)` with the (½ρε, δᵢ)-strategy and also return
-    /// the estimated (or exact) similarity used for the decision.
-    ///
-    /// When the prescribed sample size `Lᵢ` is at least as large as the
-    /// smaller neighbourhood, sampling cannot be cheaper than the exact
-    /// O(min-degree) computation, so the similarity is computed exactly
-    /// instead.  The exact value trivially satisfies the (Δ, δ) accuracy
-    /// requirement, so every guarantee of the strategy is preserved; this
-    /// is the standard engineering refinement for low-degree edges.
-    pub fn label_with_value<G: NeighbourhoodView, R: Rng + ?Sized>(
-        &mut self,
-        graph: &G,
-        u: VertexId,
-        v: VertexId,
-        rng: &mut R,
-    ) -> (EdgeLabel, f64) {
-        self.invocations += 1;
-        let sigma = if self.exact_mode || self.rho == 0.0 {
-            exact_similarity(graph, u, v, self.measure)
-        } else {
-            let i = self.invocations as f64;
-            let delta_i = self.delta_star / (i * (i + 1.0));
-            let samples = sample_size(self.measure, self.eps, self.delta_cap(), delta_i);
-            let exact_cost = graph.closed_degree(u).min(graph.closed_degree(v));
-            if samples >= exact_cost {
-                exact_similarity(graph, u, v, self.measure)
-            } else {
-                self.samples_drawn += samples as u64;
-                estimate_similarity(graph, u, v, self.measure, self.eps, samples, rng)
-            }
-        };
-        (EdgeLabel::from_similarity(sigma, self.eps), sigma)
-    }
-
-    /// Label the edge `(u, v)` (see [`Self::label_with_value`]).
-    pub fn label<G: NeighbourhoodView, R: Rng + ?Sized>(
-        &mut self,
-        graph: &G,
-        u: VertexId,
-        v: VertexId,
-        rng: &mut R,
-    ) -> EdgeLabel {
-        self.label_with_value(graph, u, v, rng).0
+    /// The failure probability `δₖ = δ*/(k·(k+1))` of an edge's `k`-th
+    /// invocation.
+    fn delta_at(&self, invocation: u64) -> f64 {
+        let k = invocation as f64;
+        self.delta_star / (k * (k + 1.0))
     }
 
     /// Label the edge with the (½ρε, δₖ)-strategy **deterministically and
@@ -200,9 +151,13 @@ impl LabellingStrategy {
     /// δ* = 1/n keeps that at average-degree scale, and callers needing the
     /// global bound can divide δ* by an edge-count estimate).
     ///
-    /// The low-degree exact shortcut of [`Self::label_with_value`] applies
-    /// unchanged: it depends only on `(k, degrees)`, so it is itself
-    /// deterministic.
+    /// When the prescribed sample size `Lₖ` is at least as large as the
+    /// smaller closed neighbourhood, sampling cannot be cheaper than the
+    /// exact O(min-degree) computation, so the similarity is computed
+    /// exactly instead.  The exact value trivially satisfies the (Δ, δ)
+    /// accuracy requirement, so every guarantee of the strategy is
+    /// preserved; and the shortcut depends only on `(k, degrees)`, so it
+    /// is itself deterministic.
     pub fn label_deterministic<G: NeighbourhoodView>(
         &self,
         graph: &G,
@@ -215,9 +170,12 @@ impl LabellingStrategy {
         let (sigma, samples_drawn) = if self.exact_mode || self.rho == 0.0 {
             (exact_similarity(graph, u, v, self.measure), 0)
         } else {
-            let k = invocation as f64;
-            let delta_k = self.delta_star / (k * (k + 1.0));
-            let samples = sample_size(self.measure, self.eps, self.delta_cap(), delta_k);
+            let samples = sample_size(
+                self.measure,
+                self.eps,
+                self.delta_cap(),
+                self.delta_at(invocation),
+            );
             let exact_cost = graph.closed_degree(u).min(graph.closed_degree(v));
             if samples >= exact_cost {
                 (exact_similarity(graph, u, v, self.measure), 0)
@@ -260,26 +218,22 @@ impl LabellingStrategy {
 mod tests {
     use super::*;
     use dynscan_graph::DynGraph;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
     }
 
-    fn clique_pair() -> DynGraph {
-        let mut g = DynGraph::with_vertices(10);
-        for a in 0..5u32 {
-            for b in (a + 1)..5 {
-                g.insert_edge(v(a), v(b)).unwrap();
+    /// Two `k`-cliques joined by the bridge edge `(k − 1, k)`.
+    fn clique_pair(k: u32) -> DynGraph {
+        let mut g = DynGraph::with_vertices(2 * k as usize);
+        for base in [0, k] {
+            for a in base..base + k {
+                for b in (a + 1)..base + k {
+                    g.insert_edge(v(a), v(b)).unwrap();
+                }
             }
         }
-        for a in 5..10u32 {
-            for b in (a + 1)..10 {
-                g.insert_edge(v(a), v(b)).unwrap();
-            }
-        }
-        g.insert_edge(v(4), v(5)).unwrap();
+        g.insert_edge(v(k - 1), v(k)).unwrap();
         g
     }
 
@@ -309,76 +263,84 @@ mod tests {
     #[test]
     fn delta_schedule_telescopes_below_delta_star() {
         let strategy = LabellingStrategy::new(SimilarityMeasure::Jaccard, 0.2, 0.1, 0.05);
-        let mut total = 0.0;
-        for i in 1..=10_000u64 {
-            let i = i as f64;
-            total += strategy.delta_star() / (i * (i + 1.0));
-        }
+        let total: f64 = (1..=10_000u64).map(|k| strategy.delta_at(k)).sum();
         assert!(total <= 0.05 + 1e-12);
     }
 
     #[test]
     fn sample_size_grows_with_invocations() {
-        let mut s = LabellingStrategy::new(SimilarityMeasure::Jaccard, 0.2, 0.1, 0.01);
-        let g = clique_pair();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let first = s.next_sample_size();
-        s.label(&g, v(0), v(1), &mut rng);
-        let second = s.next_sample_size();
+        let s = LabellingStrategy::new(SimilarityMeasure::Jaccard, 0.2, 0.1, 0.01);
+        let size = |k| sample_size(s.measure(), s.eps(), s.delta_cap(), s.delta_at(k));
         assert!(
-            second >= first,
-            "later invocations use smaller δᵢ, hence more samples"
+            size(2) >= size(1) && size(100) > size(1),
+            "later invocations use smaller δₖ, hence more samples"
         );
-        assert_eq!(s.invocations(), 1);
-        // On this tiny graph the exact shortcut applies, so no samples were
-        // actually drawn even though the schedule advanced.
-        assert_eq!(s.samples_drawn(), 0);
+        // On this tiny graph the exact shortcut applies at every
+        // invocation, so no samples are drawn even as the schedule
+        // advances.
+        let g = clique_pair(5);
+        for k in 1..=3 {
+            let outcome = s.label_deterministic(&g, EdgeKey::new(v(0), v(1)), k, 1);
+            assert_eq!(outcome.samples_drawn, 0);
+        }
     }
 
     #[test]
     fn exact_mode_labels_match_ground_truth() {
-        let g = clique_pair();
-        let mut s =
+        let g = clique_pair(5);
+        let s =
             LabellingStrategy::new(SimilarityMeasure::Jaccard, 0.5, 0.01, 0.01).with_exact_labels();
-        let mut rng = SmallRng::seed_from_u64(2);
         for e in g.edges().collect::<Vec<_>>() {
             let (a, b) = e.endpoints();
-            let (label, sigma) = s.label_with_value(&g, a, b, &mut rng);
+            let outcome = s.label_deterministic(&g, e, 1, 2);
             let exact = exact_similarity(&g, a, b, SimilarityMeasure::Jaccard);
-            assert_eq!(sigma, exact);
-            assert_eq!(label, EdgeLabel::from_similarity(exact, 0.5));
+            assert_eq!(outcome.sigma, exact);
+            assert_eq!(outcome.label, EdgeLabel::from_similarity(exact, 0.5));
+            assert_eq!(outcome.samples_drawn, 0, "exact mode draws no samples");
         }
-        assert_eq!(s.samples_drawn(), 0, "exact mode draws no samples");
     }
 
     #[test]
     fn sampled_labels_respect_rho_approximation() {
-        // Every clique-internal edge has Jaccard well above (1 + ρ)ε and the
-        // bridge-adjacent edges well below (1 − ρ)ε for ε = 0.55, so with
-        // overwhelming probability the sampled labels agree with the exact
-        // labels; a handful of deterministic seeds keeps the test stable.
-        let g = clique_pair();
-        let eps = 0.55;
-        let rho = 0.1;
-        for seed in 0..5u64 {
-            let mut s = LabellingStrategy::new(SimilarityMeasure::Jaccard, eps, rho, 0.001);
-            let mut rng = SmallRng::seed_from_u64(seed);
+        // ε = 0.5, ρ = 0.9, δ* = 0.5 prescribe L₁ = 83 samples, below the
+        // closed degree 100 of every vertex of two 100-cliques, so the
+        // first invocation samples instead of taking the exact shortcut.
+        // Clique-internal edges have Jaccard ≥ 0.99 ≥ (1 + ρ)ε and the
+        // bridge 1/100 < (1 − ρ)ε, so every sampled label must agree with
+        // the exact one; the per-edge streams make each seed
+        // deterministic.
+        let g = clique_pair(100);
+        let (eps, rho) = (0.5, 0.9);
+        let s = LabellingStrategy::new(SimilarityMeasure::Jaccard, eps, rho, 0.5);
+        for seed in 0..3u64 {
+            let mut samples = 0;
             for e in g.edges().collect::<Vec<_>>() {
                 let (a, b) = e.endpoints();
                 let exact = exact_similarity(&g, a, b, SimilarityMeasure::Jaccard);
-                let label = s.label(&g, a, b, &mut rng);
+                let outcome = s.label_deterministic(&g, e, 1, seed);
+                samples += outcome.samples_drawn;
                 if exact >= (1.0 + rho) * eps {
-                    assert_eq!(label, EdgeLabel::Similar, "edge {e:?} σ = {exact}");
+                    assert_eq!(outcome.label, EdgeLabel::Similar, "edge {e:?} σ = {exact}");
                 } else if exact < (1.0 - rho) * eps {
-                    assert_eq!(label, EdgeLabel::Dissimilar, "edge {e:?} σ = {exact}");
+                    assert_eq!(
+                        outcome.label,
+                        EdgeLabel::Dissimilar,
+                        "edge {e:?} σ = {exact}"
+                    );
+                } else {
+                    panic!("edge {e:?} σ = {exact} falls inside the ρ-band");
                 }
             }
+            assert!(
+                samples > 0,
+                "seed {seed}: every label took the exact shortcut"
+            );
         }
     }
 
     #[test]
     fn threshold_uses_current_degrees() {
-        let g = clique_pair();
+        let g = clique_pair(5);
         let s = LabellingStrategy::new(SimilarityMeasure::Jaccard, 0.2, 0.5, 0.01);
         let t = s.threshold(&g, v(4), v(5));
         assert_eq!(
