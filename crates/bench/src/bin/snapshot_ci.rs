@@ -28,14 +28,15 @@
 //! checkpoint chain itself.
 //!
 //! ```text
-//! # Maintain the committed current-format (v4) fixture:
-//! snapshot_ci golden write tests/fixtures/golden_snapshot_v4.bin
-//! snapshot_ci golden check tests/fixtures/golden_snapshot_v4.bin
-//! # Backward-compat decode gate for the immutable v1–v3 fixtures (no
+//! # Maintain the committed current-format (v5) fixture:
+//! snapshot_ci golden write tests/fixtures/golden_snapshot_v5.bin
+//! snapshot_ci golden check tests/fixtures/golden_snapshot_v5.bin
+//! # Backward-compat decode gate for the immutable v1–v4 fixtures (no
 //! # writer produces any of them any more): the version comes from the
 //! # header, and the fixture must keep restoring to exactly the canonical
-//! # state (its v4 re-encode equals `golden write`'s output byte for
+//! # state (its v5 re-encode equals `golden write`'s output byte for
 //! # byte):
+//! snapshot_ci golden check-legacy tests/fixtures/golden_snapshot_v4.bin
 //! snapshot_ci golden check-legacy tests/fixtures/golden_snapshot_v3.bin
 //! snapshot_ci golden check-legacy tests/fixtures/golden_snapshot_v2.bin
 //! snapshot_ci golden check-legacy tests/fixtures/golden_snapshot_v1.bin

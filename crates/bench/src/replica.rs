@@ -83,9 +83,10 @@ pub struct ReplicaBenchRow {
     pub reads_per_sec: f64,
     /// Reads served by replicas (vs primary fallbacks) across readers.
     pub replica_reads: u64,
-    /// Worst replication lag observed right after the write burst,
-    /// in checkpoint documents.
-    pub max_lag_checkpoints: u64,
+    /// Milliseconds from the write burst's `checkpoint_now` returning
+    /// until the slowest replica reports that checkpoint (0 without
+    /// replicas).
+    pub lag_ms: f64,
     /// Milliseconds for a SIGKILLed replica to catch back up
     /// (`None` when no binary path was configured or `replicas == 0`).
     pub catchup_ms: Option<u64>,
@@ -301,24 +302,32 @@ fn run_cell(config: &ReplicaBenchConfig, replicas: usize) -> ReplicaBenchRow {
     let reads: usize = per_reader.iter().map(|o| o.0).sum();
     let replica_reads: u64 = per_reader.iter().map(|o| o.1).sum();
 
-    // Lag probe: burst writes, then sample each replica's position
-    // immediately — the distance to the primary's newest checkpoint is
-    // the replication lag in documents.
+    // Lag probe: burst writes, checkpoint, then poll each replica every
+    // millisecond until it reports that checkpoint.  Every replica is
+    // timed from the same instant, so polling them one after another
+    // still yields the slowest one's lag.
+    let mut probes: Vec<Client> = replica_addrs
+        .iter()
+        .map(|&addr| Client::connect_with(addr, policy(33)).expect("connect"))
+        .collect();
     apply_path(&mut writer, &mut next, config.burst_updates);
     let primary_seq = writer.checkpoint_now().expect("checkpoint").sequence;
-    let max_lag_checkpoints = replica_addrs
-        .iter()
-        .map(|&addr| {
-            let mut probe = Client::connect_with(addr, policy(33)).expect("connect");
-            let seq = probe
-                .stats(false)
-                .expect("stats")
-                .last_checkpoint_seq
-                .unwrap_or(0);
-            primary_seq.saturating_sub(seq)
+    let checkpointed = Instant::now();
+    let lag_ms = probes
+        .iter_mut()
+        .map(|probe| loop {
+            let seq = probe.stats(false).expect("stats").last_checkpoint_seq;
+            if seq.is_some_and(|seq| seq >= primary_seq) {
+                break checkpointed.elapsed().as_secs_f64() * 1e3;
+            }
+            assert!(
+                checkpointed.elapsed() < Duration::from_secs(60),
+                "timed out waiting for a replica to reach seq {primary_seq}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
         })
-        .max()
-        .unwrap_or(0);
+        .fold(0.0, f64::max);
+    drop(probes);
     // Row gate: every replica converges to the post-burst prefix,
     // byte-identically.
     for (i, &addr) in replica_addrs.iter().enumerate() {
@@ -370,7 +379,7 @@ fn run_cell(config: &ReplicaBenchConfig, replicas: usize) -> ReplicaBenchRow {
         secs,
         reads_per_sec: reads as f64 / secs.max(f64::EPSILON),
         replica_reads,
-        max_lag_checkpoints,
+        lag_ms,
         catchup_ms,
         shipped_docs,
         shipped_bytes,
@@ -411,7 +420,7 @@ pub fn replica_rows_to_json(config: &ReplicaBenchConfig, rows: &[ReplicaBenchRow
             out,
             "    {{\"replicas\": {}, \"reads\": {}, \"secs\": {:.6}, \
              \"reads_per_sec\": {:.1}, \"replica_reads\": {}, \
-             \"max_lag_checkpoints\": {}, \"catchup_ms\": {}, \
+             \"lag_ms\": {:.1}, \"catchup_ms\": {}, \
              \"shipped_docs\": {}, \"shipped_bytes\": {}, \
              \"shipped_bytes_per_checkpoint\": {:.1}}}",
             row.replicas,
@@ -419,7 +428,7 @@ pub fn replica_rows_to_json(config: &ReplicaBenchConfig, rows: &[ReplicaBenchRow
             row.secs,
             row.reads_per_sec,
             row.replica_reads,
-            row.max_lag_checkpoints,
+            row.lag_ms,
             catchup,
             row.shipped_docs,
             row.shipped_bytes,
@@ -441,7 +450,7 @@ pub fn replica_rows_to_table(rows: &[ReplicaBenchRow]) -> String {
         "reads",
         "reads/s",
         "replica_reads",
-        "lag(ckpt)",
+        "lag_ms",
         "catchup_ms",
         "ship_docs",
         "ship_B/ckpt"
@@ -449,12 +458,12 @@ pub fn replica_rows_to_table(rows: &[ReplicaBenchRow]) -> String {
     for row in rows {
         let _ = writeln!(
             out,
-            "{:>8} {:>8} {:>12.0} {:>14} {:>10} {:>11} {:>9} {:>11.0}",
+            "{:>8} {:>8} {:>12.0} {:>14} {:>10.1} {:>11} {:>9} {:>11.0}",
             row.replicas,
             row.reads,
             row.reads_per_sec,
             row.replica_reads,
-            row.max_lag_checkpoints,
+            row.lag_ms,
             row.catchup_ms.map_or("-".to_string(), |ms| ms.to_string()),
             row.shipped_docs,
             row.shipped_bytes_per_checkpoint(),
@@ -478,6 +487,7 @@ mod tests {
             assert!(row.reads_per_sec > 0.0);
             if n == 0 {
                 assert_eq!(row.replica_reads, 0, "no replicas, no replica reads");
+                assert_eq!(row.lag_ms, 0.0, "no replicas, no lag");
             }
             assert!(row.catchup_ms.is_none(), "no binary path configured");
             assert!(
@@ -489,6 +499,7 @@ mod tests {
         let json = replica_rows_to_json(&config, &rows);
         assert!(json.contains("\"benchmark\": \"replica_scaling\""));
         assert!(json.contains("\"catchup_ms\": null"));
+        assert!(json.contains("\"lag_ms\""));
         assert!(json.contains("\"shipped_bytes_per_checkpoint\""));
         assert!(json.trim_end().ends_with('}'));
         assert!(replica_rows_to_table(&rows).contains("replicas"));

@@ -172,7 +172,7 @@ where
     let mut restored = restored.expect("three restore runs happened");
 
     // Rebuild-from-edge-stream: what a restart without persistence costs.
-    // The live state (labels, DT counters, invocation schedules) is a
+    // The live state (labels, DT counters, labelling counter) is a
     // function of the full update history, so the no-snapshot restart is a
     // log replay: the initial edges plus every warmup burst, fed through
     // the batch engine — the fastest replay path this workspace has.

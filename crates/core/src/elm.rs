@@ -14,28 +14,28 @@
 //!    incident to a busy vertex is re-estimated once per batch instead of
 //!    once per update.
 //! 3. **Parallel re-estimation** — the deduplicated affected set (matured
-//!    edges ∪ surviving new edges) is relabelled in parallel with rayon
-//!    against the post-batch topology.  Every invocation uses a
-//!    deterministic per-edge random stream
-//!    (`seed ⊕ batch-epoch ⊕ edge ⊕ invocation`, see
-//!    [`dynscan_sim::EdgeRng`]) and the per-edge δ schedule
-//!    `δₖ = δ*/(k(k+1))`, so the result is bit-identical regardless of
-//!    thread scheduling or batch partitioning of the relabel work.
+//!    edges ∪ surviving new edges) is sorted and relabelled in parallel
+//!    against the post-batch topology.  Labellings are numbered over the
+//!    whole run, as in the paper: the job at 1-based rank `r` of the
+//!    sorted list is labelling `i = (labellings before the batch) + r`,
+//!    sized with `δᵢ = δ*/(i(i+1))` and drawing from the deterministic
+//!    stream `seed ⊕ batch-epoch ⊕ edge ⊕ i` (see
+//!    [`dynscan_sim::EdgeRng`]).  Both are fixed before the parallel map,
+//!    so the result is bit-identical at every thread count and under any
+//!    scheduling of the relabel work.
 //! 4. **Coalesced flips** — the returned [`FlippedEdge`] set is the *net*
 //!    label change of the batch relative to the pre-batch labelling
 //!    (an edge that flips twice inside a batch cancels out), ready to be
 //!    fed to vAuxInfo and `G_core` maintenance exactly once.
 //!
 //! Every label produced this way is computed against the post-batch graph
-//! with the full (½ρε, δₖ)-strategy accuracy and every affected edge's DT
+//! with the full (½ρε, δᵢ)-strategy accuracy and every affected edge's DT
 //! instance restarts with a threshold for its post-batch degrees, so the
-//! maintained labelling is ρ-approximately valid after the batch.  Note
-//! that the per-edge δ schedule telescopes to δ* **per edge** rather than
-//! over all invocations as the paper's global schedule does, so the
-//! whole-run failure probability is bounded by (#distinct edges) · δ*
-//! instead of δ* — callers needing the paper's global bound should divide
-//! δ* by an edge-count estimate (see
-//! [`LabellingStrategy::label_deterministic`]).  Relabelling *when* inside
+//! maintained labelling is ρ-approximately valid after the batch.  The δᵢ
+//! telescope to at most δ* over the whole run, so every label the run ever
+//! produces is ρ-approximately valid with probability at least 1 − δ*
+//! (Theorem 6.1; see [`LabellingStrategy::label_deterministic`]).
+//! Relabelling *when* inside
 //! the batch window an edge is examined is where batching differs from
 //! one-at-a-time processing: a sampled-mode edge that matures mid-batch is
 //! re-examined against the final topology rather than an intermediate one
@@ -90,7 +90,7 @@ pub struct ElmStats {
 pub(crate) struct BatchScratch {
     /// Endpoints touched by the current batch (sorted + deduped in place).
     touched: Vec<VertexId>,
-    /// Relabel jobs: affected edge and its per-edge invocation number.
+    /// Relabel jobs: affected edge and its labelling number in the run.
     jobs: Vec<(EdgeKey, u64)>,
     /// `(edge, label at first touch)` log; first occurrence per key is the
     /// edge's pre-batch label.
@@ -129,15 +129,9 @@ pub struct DynElm {
     pub(crate) graph: DynGraph,
     pub(crate) labels: HashMap<EdgeKey, EdgeLabel>,
     pub(crate) dt: DtRegistry,
+    /// The labelling strategy; its invocation counter numbers every
+    /// labelling of the run (the δᵢ schedule position).
     pub(crate) strategy: LabellingStrategy,
-    /// Invocation count per **live** edge: drives the per-edge δ schedule
-    /// and, together with the batch epoch mixed into the stream seed,
-    /// the deterministic random stream of each re-estimation.  Entries are
-    /// dropped on deletion — stream reuse across a delete/re-insert is
-    /// prevented by the epoch, not by keeping tombstones, so memory is
-    /// bounded by the *current* edge count rather than every edge ever
-    /// seen.
-    pub(crate) relabel_counts: HashMap<EdgeKey, u64>,
     pub(crate) scratch: BatchScratch,
     pub(crate) stats: ElmStats,
     /// Dirty-state bookkeeping for differential checkpoints: which
@@ -167,7 +161,6 @@ impl DynElm {
             labels: HashMap::new(),
             dt: DtRegistry::new(0),
             strategy,
-            relabel_counts: HashMap::new(),
             scratch: BatchScratch::default(),
             stats: ElmStats::default(),
             dirty: crate::snapshot::DirtyTracker::new(),
@@ -222,6 +215,7 @@ impl DynElm {
     /// Work counters.
     pub fn stats(&self) -> ElmStats {
         ElmStats {
+            labellings: self.strategy.invocations(),
             samples_drawn: self.strategy.samples_drawn(),
             ..self.stats
         }
@@ -339,10 +333,6 @@ impl DynElm {
             } else {
                 self.graph.delete_edge(u, w).expect("existence checked");
                 self.labels.remove(&key);
-                // Keep the invocation map bounded by live edges; the batch
-                // epoch in the stream seed prevents a re-inserted edge from
-                // ever reusing a random stream.
-                self.relabel_counts.remove(&key);
                 // New edges are only DT-registered at the end of the batch,
                 // so deregister is a no-op for a cancelled in-batch insert.
                 self.dt.deregister(key);
@@ -364,32 +354,27 @@ impl DynElm {
         let mut affected = matured;
         affected.extend(new_edges.iter().copied());
         affected.sort_unstable();
-        for &key in &affected {
+        // The job at 1-based rank r is labelling number `before + r` of
+        // the run.
+        let before = self.strategy.invocations();
+        for (&key, invocation) in affected.iter().zip(before + 1..) {
             // Re-registration in phase 4 rewrites the edge's label,
-            // invocation counter, coordinator and both endpoints' heap
-            // entries.
+            // coordinator and both endpoints' heap entries.
             let (a, b) = key.endpoints();
             self.dirty.mark_update(a, b, key);
             pre_labels.push((key, self.labels.get(&key).copied()));
-            let k = self
-                .relabel_counts
-                .entry(key)
-                .and_modify(|c| *c += 1)
-                .or_insert(1);
-            jobs.push((key, *k));
+            jobs.push((key, invocation));
         }
 
         // Phase 3 — re-estimate the deduplicated affected set in parallel
         // on the persistent work-stealing pool.  Each job's result is a
-        // pure function of (seed, batch epoch, edge, invocation,
+        // pure function of (seed, batch epoch, edge, labelling number,
         // post-batch graph), so the outcome vector is deterministic no
         // matter how the pool schedules or steals the work — and identical
         // to the sequential fallback used for small jobs, where even the
         // pool's cheap dispatch would cost more than the re-estimation
-        // itself.  Mixing the batch epoch into the stream seed is what
-        // lets `relabel_counts` forget deleted edges without ever reusing
-        // a stream: an edge is relabelled at most once per batch, so
-        // (epoch, edge) alone already never repeats.
+        // itself.  Labelling numbers never repeat in a run, so no two
+        // labellings share a stream.
         let graph = &self.graph;
         let strategy = &self.strategy;
         let seed = self.params.seed ^ self.stats.batches.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -412,7 +397,6 @@ impl DynElm {
             let tau = self.strategy.threshold(&self.graph, a, b);
             self.dt.register(key, tau);
         }
-        self.stats.labellings += jobs.len() as u64;
         self.strategy.record_invocations(jobs.len() as u64, samples);
         self.scratch.jobs = jobs;
         self.scratch.touched = touched;
@@ -461,7 +445,6 @@ impl MemoryFootprint for DynElm {
         self.graph.memory_bytes()
             + dynscan_graph::footprint::hashmap_bytes(&self.labels)
             + self.dt.memory_bytes()
-            + dynscan_graph::footprint::hashmap_bytes(&self.relabel_counts)
             + self.scratch.memory_bytes()
             + std::mem::size_of::<LabellingStrategy>()
             + std::mem::size_of::<ElmStats>()

@@ -11,14 +11,14 @@
 //!
 //! * the algorithm parameters (ε, μ, ρ, δ*, measure, mode, seed);
 //! * the work counters, **including the batch epoch** that is mixed into
-//!   every estimator stream seed — restoring it is what makes future
-//!   sampled relabel decisions draw the same random bits as the
-//!   uninterrupted instance;
+//!   every estimator stream seed and the one labelling counter that
+//!   numbers every labelling of the run (the δᵢ schedule position and
+//!   stream-derivation input of the next batch's jobs) — restoring them
+//!   is what makes future sampled relabel decisions draw the same random
+//!   bits as the uninterrupted instance;
 //! * the graph topology with its exact adjacency slot order (positional
 //!   uniform sampling must resume on identical slot sequences);
 //! * the ρ-approximate edge labelling;
-//! * the per-edge estimator invocation counters (the δₖ schedule position
-//!   and stream-derivation input of every edge);
 //! * the full distributed-tracking state: shared counters, per-vertex
 //!   checkpoint heaps, and every coordinator's mid-round protocol state.
 //!
@@ -33,15 +33,20 @@
 //! rebuilt deterministically ([`HdtConnectivity::rebuild_from_edges`]).
 //! Format v1–v3 full documents still carry a copy of vAuxInfo in a
 //! trailing AUX section; restore reads past its framing without decoding
-//! it, and a v4 document must not carry one.
+//! it, and a v4 or later document must not carry one.
+//!
+//! Format v1–v4 ELM payloads also carry per-edge invocation counters, from
+//! when the δ schedule ran per edge: a RELABELS section in full payloads,
+//! a counter in every live delta edge record, and a second copy of the
+//! labelling count in STATS.  Restore reads past all three; a v5 document
+//! carries none of them.
 //!
 //! # Validation
 //!
 //! Restore cross-checks the sections against each other (labels ↔ edges,
-//! relabel counters ↔ edges, DT instances ↔ edges) so a corrupt or
-//! hand-edited snapshot fails with a [`SnapshotError`] instead of
-//! producing an instance that silently violates the algorithm's
-//! invariants.
+//! DT instances ↔ edges) so a corrupt or hand-edited snapshot fails with
+//! a [`SnapshotError`] instead of producing an instance that silently
+//! violates the algorithm's invariants.
 
 use crate::aux::VertexAux;
 use crate::elm::{DynElm, ElmStats};
@@ -51,7 +56,7 @@ use dynscan_conn::HdtConnectivity;
 use dynscan_dt::{CoordinatorState, DtRegistry, ParticipantEntry};
 use dynscan_graph::snapshot::{
     fnv1a, read_document_meta, split_document, write_document, write_document_prechecked,
-    DocumentMeta, SnapshotHeader, SnapshotKind, FORMAT_VERSION,
+    DocumentMeta, SnapshotHeader, SnapshotKind, FORMAT_VERSION_V3, FORMAT_VERSION_V4,
 };
 use dynscan_graph::{DynGraph, EdgeKey, SnapReader, SnapWriter, SnapshotError, VertexId};
 use dynscan_sim::{EdgeLabel, LabellingStrategy, SimilarityMeasure};
@@ -63,6 +68,7 @@ mod section {
     pub const STATS: u32 = 0x5374_6101; // "Sta."
     pub const GRAPH: u32 = 0x4772_6101; // "Gra."
     pub const LABELS: u32 = 0x4c61_6201; // "Lab."
+    /// The per-edge invocation counters v1–v4 ELM payloads carry.
     pub const RELABELS: u32 = 0x5265_6c01; // "Rel."
     pub const DT: u32 = 0x4474_7201; // "Dtr."
     /// The vAuxInfo copy v1–v3 DynStrClu full payloads append.
@@ -89,10 +95,10 @@ pub struct ChainPosition {
 ///
 /// Between two checkpoints the owning structure marks every vertex whose
 /// per-vertex state (adjacency slots, DT counter/heap) changed and every
-/// edge whose per-edge state (label, invocation counter, DT coordinator,
-/// existence) changed.  A delta capture then serialises exactly the marked
-/// subset; writing (or restoring) a checkpoint clears the marks and
-/// records the new [`ChainPosition`].
+/// edge whose per-edge state (label, DT coordinator, existence) changed.
+/// A delta capture then serialises exactly the marked subset; writing (or
+/// restoring) a checkpoint clears the marks and records the new
+/// [`ChainPosition`].
 ///
 /// A fresh instance starts in the *all-dirty* state: it has no base to
 /// delta against, so marking is skipped entirely (zero overhead on the
@@ -417,38 +423,49 @@ fn read_params(r: &mut SnapReader<'_>) -> Result<Params, SnapshotError> {
     Ok(params)
 }
 
+/// Whether a document of `format_version` carries the per-edge invocation
+/// counters (module docs).
+fn has_invocation_counters(format_version: u32) -> bool {
+    format_version <= FORMAT_VERSION_V4
+}
+
 /// Write the work-counter section (identical layout in full and delta
-/// payloads).
+/// payloads).  The labelling count is the strategy's invocation counter.
 fn write_stats_section(elm: &DynElm, w: &mut SnapWriter) {
-    let stats = elm.stats;
-    let strategy = &elm.strategy;
+    let stats = elm.stats();
     w.section(section::STATS, |s| {
         s.u64(stats.updates);
         s.u64(stats.labellings);
         s.u64(stats.dt_maturities);
         s.u64(stats.label_flips);
         s.u64(stats.batches);
-        s.u64(strategy.invocations());
-        s.u64(strategy.samples_drawn());
+        s.u64(stats.samples_drawn);
     });
 }
 
 /// Read the work-counter section; returns the stats plus the strategy's
 /// (invocations, samples) counters.
-fn read_stats_section(r: &mut SnapReader<'_>) -> Result<(ElmStats, u64, u64), SnapshotError> {
+fn read_stats_section(
+    r: &mut SnapReader<'_>,
+    format_version: u32,
+) -> Result<(ElmStats, u64, u64), SnapshotError> {
     let mut s = r.section(section::STATS)?;
+    let updates = s.u64()?;
+    let invocations = s.u64()?;
     let stats = ElmStats {
-        updates: s.u64()?,
-        labellings: s.u64()?,
+        updates,
         dt_maturities: s.u64()?,
         label_flips: s.u64()?,
         batches: s.u64()?,
-        samples_drawn: 0,
+        ..ElmStats::default()
     };
-    let strategy_invocations = s.u64()?;
-    let strategy_samples = s.u64()?;
+    if has_invocation_counters(format_version) {
+        // The strategy's copy of the labelling count.
+        s.u64()?;
+    }
+    let samples = s.u64()?;
     s.finish()?;
-    Ok((stats, strategy_invocations, strategy_samples))
+    Ok((stats, invocations, samples))
 }
 
 /// Rebuild the labelling strategy from restored parameters and counters.
@@ -479,24 +496,14 @@ fn write_elm_payload(elm: &DynElm, w: &mut SnapWriter) {
         }
         s.packed_bools(labels.iter().map(|&(_, l)| l.is_similar()));
     });
-    w.section(section::RELABELS, |s| {
-        let mut counts: Vec<(EdgeKey, u64)> =
-            elm.relabel_counts.iter().map(|(&k, &c)| (k, c)).collect();
-        counts.sort_unstable_by_key(|&(k, _)| k);
-        s.len_prefix(counts.len());
-        let mut prev: Option<EdgeKey> = None;
-        for (key, count) in counts {
-            s.edge_key_seq(&mut prev, key);
-            s.u64(count);
-        }
-    });
     w.section(section::DT, |s| elm.dt.write_snapshot(s));
 }
 
-/// Read every DynELM section from `r` and reassemble the instance.
-fn read_elm_payload(r: &mut SnapReader<'_>) -> Result<DynElm, SnapshotError> {
+/// Read every DynELM section from `r`, a payload of a document of
+/// `format_version`, and reassemble the instance.
+fn read_elm_payload(r: &mut SnapReader<'_>, format_version: u32) -> Result<DynElm, SnapshotError> {
     let params = read_params(r)?;
-    let (stats, strategy_invocations, strategy_samples) = read_stats_section(r)?;
+    let (stats, strategy_invocations, strategy_samples) = read_stats_section(r, format_version)?;
 
     let mut s = r.section(section::GRAPH)?;
     let graph = DynGraph::read_snapshot(&mut s)?;
@@ -538,28 +545,8 @@ fn read_elm_payload(r: &mut SnapReader<'_>) -> Result<DynElm, SnapshotError> {
         return Err(SnapshotError::Corrupt("edge without a label"));
     }
 
-    let mut s = r.section(section::RELABELS)?;
-    let count = s.len_prefix()?;
-    let mut relabel_counts: HashMap<EdgeKey, u64> = HashMap::with_capacity(count);
-    let mut prev: Option<EdgeKey> = None;
-    for _ in 0..count {
-        let key = s.edge_key_seq(&mut prev)?;
-        let invocations = s.u64()?;
-        if !graph.has_edge(key.lo(), key.hi()) {
-            return Err(SnapshotError::Corrupt(
-                "invocation counter for a non-existent edge",
-            ));
-        }
-        if invocations == 0 {
-            return Err(SnapshotError::Corrupt("zero invocation counter"));
-        }
-        if relabel_counts.insert(key, invocations).is_some() {
-            return Err(SnapshotError::Corrupt("duplicate invocation counter"));
-        }
-    }
-    s.finish()?;
-    if relabel_counts.len() != graph.num_edges() {
-        return Err(SnapshotError::Corrupt("edge without an invocation counter"));
+    if has_invocation_counters(format_version) {
+        r.section(section::RELABELS)?;
     }
 
     let mut s = r.section(section::DT)?;
@@ -569,7 +556,7 @@ fn read_elm_payload(r: &mut SnapReader<'_>) -> Result<DynElm, SnapshotError> {
             "DT instance count does not match edge count",
         ));
     }
-    for key in relabel_counts.keys() {
+    for key in labels.keys() {
         if !dt.is_tracked(*key) {
             return Err(SnapshotError::Corrupt("live edge without a DT instance"));
         }
@@ -583,7 +570,6 @@ fn read_elm_payload(r: &mut SnapReader<'_>) -> Result<DynElm, SnapshotError> {
         labels,
         dt,
         strategy,
-        relabel_counts,
         scratch: Default::default(),
         stats,
         // Runtime configuration, not serialised state: a restored
@@ -607,12 +593,11 @@ fn read_elm_payload(r: &mut SnapReader<'_>) -> Result<DynElm, SnapshotError> {
 ///   its shared counter (counters are the only per-vertex DT state an
 ///   update can touch without touching an incident edge);
 /// * `DELTA_EDGES` — per dirty edge either a tombstone (the edge is gone)
-///   or its label, invocation counter, DT coordinator state and its two
-///   participant heap entries.  Heap entries ride on the *edge*, not the
-///   vertex: a signal, re-registration or deletion changes exactly the
-///   signalled edge's entries, so a hotspot vertex with thousands of
-///   untouched incident edges costs the delta nothing beyond its counter
-///   and adjacency.
+///   or its label, DT coordinator state and its two participant heap
+///   entries.  Heap entries ride on the *edge*, not the vertex: a signal,
+///   re-registration or deletion changes exactly the signalled edge's
+///   entries, so a hotspot vertex with thousands of untouched incident
+///   edges costs the delta nothing beyond its counter and adjacency.
 fn write_elm_delta_payload(
     elm: &DynElm,
     vertices: &[VertexId],
@@ -642,7 +627,6 @@ fn write_elm_delta_payload(
             if present {
                 let label = elm.labels[&key];
                 s.bool(label.is_similar());
-                s.u64(elm.relabel_counts[&key]);
                 let state = elm
                     .dt
                     .coordinator_state(key)
@@ -676,7 +660,8 @@ fn apply_elm_delta_payload(
     payload: &[u8],
 ) -> Result<(), SnapshotError> {
     let mut r = SnapReader::for_version(format_version, payload);
-    let (stats, strategy_invocations, strategy_samples) = read_stats_section(&mut r)?;
+    let (stats, strategy_invocations, strategy_samples) =
+        read_stats_section(&mut r, format_version)?;
 
     let mut s = r.section(section::DELTA_GRAPH)?;
     elm.graph.apply_snapshot_delta(&mut s)?;
@@ -723,9 +708,8 @@ fn apply_elm_delta_payload(
             } else {
                 EdgeLabel::Dissimilar
             };
-            let invocations = s.u64()?;
-            if invocations == 0 {
-                return Err(SnapshotError::Corrupt("zero invocation counter"));
+            if has_invocation_counters(format_version) {
+                s.u64()?;
             }
             let state = CoordinatorState {
                 remaining: s.u64()?,
@@ -736,7 +720,6 @@ fn apply_elm_delta_payload(
                 messages: s.u64()?,
             };
             elm.labels.insert(key, label);
-            elm.relabel_counts.insert(key, invocations);
             elm.dt.delta_set_coordinator(key, state)?;
             for (me, other) in [(key.lo(), key.hi()), (key.hi(), key.lo())] {
                 let entry = ParticipantEntry {
@@ -750,7 +733,6 @@ fn apply_elm_delta_payload(
                 return Err(SnapshotError::Corrupt("delta tombstones a live edge"));
             }
             elm.labels.remove(&key);
-            elm.relabel_counts.remove(&key);
             elm.dt.delta_remove_coordinator(key);
             elm.dt.delta_remove_entry(key.lo(), key.hi());
             elm.dt.delta_remove_entry(key.hi(), key.lo());
@@ -765,9 +747,6 @@ fn apply_elm_delta_payload(
     if elm.labels.len() != elm.graph.num_edges() {
         return Err(SnapshotError::Corrupt("edge without a label"));
     }
-    if elm.relabel_counts.len() != elm.graph.num_edges() {
-        return Err(SnapshotError::Corrupt("edge without an invocation counter"));
-    }
     if elm.dt.num_tracked() != elm.graph.num_edges() {
         return Err(SnapshotError::Corrupt(
             "DT instance count does not match edge count",
@@ -776,9 +755,6 @@ fn apply_elm_delta_payload(
     for key in elm.labels.keys() {
         if !elm.graph.has_edge(key.lo(), key.hi()) {
             return Err(SnapshotError::Corrupt("label for a non-existent edge"));
-        }
-        if !elm.relabel_counts.contains_key(key) {
-            return Err(SnapshotError::Corrupt("edge without an invocation counter"));
         }
         if !elm.dt.is_tracked(*key) {
             return Err(SnapshotError::Corrupt("live edge without a DT instance"));
@@ -849,10 +825,9 @@ pub(crate) fn apply_elm_delta(
 
 /// Read a full ELM-family document under `algo_tag`; the instance sits at
 /// the document's chain position, so deltas written after it apply
-/// directly.  `legacy_section` names a section that documents older than
-/// [`FORMAT_VERSION`] append to the ELM sections: its framing must be
-/// there, but its bytes are not decoded (the payload checksum already
-/// covered them).
+/// directly.  `legacy_section` names a section that v1–v3 documents
+/// append to the ELM sections: its framing must be there, but its bytes
+/// are not decoded (the payload checksum already covered them).
 fn restore_elm(
     r: impl std::io::Read,
     algo_tag: u32,
@@ -863,8 +838,8 @@ fn restore_elm(
         return Err(SnapshotError::UnexpectedDelta);
     }
     let mut reader = SnapReader::for_version(header.format_version, &payload);
-    let mut elm = read_elm_payload(&mut reader)?;
-    if let Some(tag) = legacy_section.filter(|_| header.format_version < FORMAT_VERSION) {
+    let mut elm = read_elm_payload(&mut reader, header.format_version)?;
+    if let Some(tag) = legacy_section.filter(|_| header.format_version <= FORMAT_VERSION_V3) {
         reader.section(tag)?;
     }
     reader.finish()?;
@@ -948,9 +923,10 @@ impl DynStrClu {
 mod tests {
     use super::*;
     use crate::fixtures::{two_cliques_params, two_cliques_with_hub};
+    use crate::session::restore_any;
     use crate::testing::aux_sets;
     use crate::traits::Clusterer;
-    use dynscan_graph::snapshot::{write_document_meta, HEADER_LEN};
+    use dynscan_graph::snapshot::{write_document_meta, FORMAT_VERSION};
     use dynscan_graph::GraphUpdate;
 
     fn v(i: u32) -> VertexId {
@@ -990,9 +966,11 @@ mod tests {
 
     #[test]
     fn elm_resumes_bit_identically_in_sampled_mode() {
-        // Sampled mode with a ρ wide enough that estimator streams are
-        // actually consumed; the restored instance must make identical
-        // future decisions, flip for flip.
+        // Sampled-mode parameters, but on this 10-vertex graph every
+        // labelling takes the exact shortcut (L far exceeds every closed
+        // degree), so no estimator stream is consumed; the restored
+        // instance must still make identical future decisions, flip for
+        // flip.  `tests/sampled_labelling.rs` resumes runs that do sample.
         let params = Params::jaccard(0.3, 3).with_rho(0.2).with_seed(2024);
         let mut live = DynElm::new(params);
         let mut stream = Vec::new();
@@ -1103,40 +1081,130 @@ mod tests {
         }
     }
 
-    /// Re-frame `payload` as a full DynStrClu document claiming `version`
-    /// (the header is outside the checksum, so only the payload decides
-    /// what restores).
-    fn doc_with_version(payload: &[u8], version: u32) -> Vec<u8> {
+    /// Frame `payload` as a full document under `algo_tag` claiming
+    /// `version` (the header is outside the checksum, so only the payload
+    /// decides what restores).
+    fn doc_with_version(algo_tag: u32, payload: &[u8], version: u32) -> Vec<u8> {
         let mut doc = Vec::new();
-        write_document_meta(&mut doc, DynStrClu::ALGO_TAG, &Default::default(), payload).unwrap();
+        write_document_meta(&mut doc, algo_tag, &Default::default(), payload).unwrap();
         doc[8..12].copy_from_slice(&version.to_le_bytes());
         doc
     }
 
-    #[test]
-    fn aux_section_is_required_before_v4_and_refused_in_v4() {
+    /// `elm`'s canonical payload with legacy parts spliced in: `stats_copy`
+    /// adds the strategy's copy of the labelling count to STATS,
+    /// `relabels` a RELABELS section (counter 1 per edge) after LABELS,
+    /// and `aux` a trailing AUX section.  Restore never decodes RELABELS
+    /// or AUX, so the AUX contents here are not even vAuxInfo.  All three
+    /// together make a v1–v3 DynStrClu payload; the first two a v4 one.
+    fn spliced_payload(elm: &DynElm, stats_copy: bool, relabels: bool, aux: bool) -> Vec<u8> {
+        let mut canonical = SnapWriter::new();
+        write_elm_payload(elm, &mut canonical);
+        let canonical = canonical.into_bytes();
+        let mut out = SnapWriter::new();
+        let mut rest = &canonical[..];
+        while !rest.is_empty() {
+            let tag = u32::from_le_bytes(rest[..4].try_into().unwrap());
+            let len = u64::from_le_bytes(rest[4..12].try_into().unwrap()) as usize;
+            let body = &rest[12..12 + len];
+            rest = &rest[12 + len..];
+            out.section(tag, |s| {
+                if tag == section::STATS && stats_copy {
+                    let mut r = SnapReader::new(body);
+                    let c: Vec<u64> = (0..6).map(|_| r.u64().unwrap()).collect();
+                    for x in [c[0], c[1], c[2], c[3], c[4], c[1], c[5]] {
+                        s.u64(x);
+                    }
+                } else {
+                    for &byte in body {
+                        s.u8(byte);
+                    }
+                }
+            });
+            if tag == section::LABELS && relabels {
+                let mut keys: Vec<EdgeKey> = elm.labels().map(|(k, _)| k).collect();
+                keys.sort_unstable();
+                out.section(section::RELABELS, |s| {
+                    s.len_prefix(keys.len());
+                    let mut prev = None;
+                    for key in keys {
+                        s.edge_key_seq(&mut prev, key);
+                        s.u64(1);
+                    }
+                });
+            }
+        }
+        if aux {
+            out.section(section::AUX, |s| s.u64(0xdead_beef));
+        }
+        out.into_bytes()
+    }
+
+    fn churned_strclu() -> DynStrClu {
         let mut live = build_strclu(two_cliques_params().with_exact_labels());
         live.delete_edge(v(4), v(5)).unwrap();
+        live
+    }
+
+    #[test]
+    fn aux_section_is_required_before_v4_and_refused_in_v4() {
+        let live = churned_strclu();
         let canonical = live.checkpoint_bytes();
-        let elm_payload = &canonical[HEADER_LEN..];
-        // A v3 payload: the ELM sections plus an AUX section whose
-        // contents are never decoded (here they are not even vAuxInfo).
-        let mut w = SnapWriter::new();
-        w.section(section::AUX, |s| s.u64(0xdead_beef));
-        let with_aux = [elm_payload, &w.into_bytes()[..]].concat();
-        let legacy = DynStrClu::restore(&doc_with_version(&with_aux, 3)[..]).unwrap();
+        let doc = |stats_copy, relabels, aux, version| {
+            let payload = spliced_payload(&live.elm, stats_copy, relabels, aux);
+            DynStrClu::restore(&doc_with_version(DynStrClu::ALGO_TAG, &payload, version)[..])
+        };
+        // A v3 payload: the ELM sections with the invocation counters,
+        // plus an AUX section.
+        let legacy = doc(true, true, true, 3).unwrap();
         assert_eq!(legacy.checkpoint_bytes(), canonical);
         assert_eq!(aux_sets(&legacy), aux_sets(&live));
-        // v3 without the section, and v4 with it, are both refused.
-        assert!(DynStrClu::restore(&doc_with_version(elm_payload, 3)[..]).is_err());
-        assert!(matches!(
-            DynStrClu::restore(&doc_with_version(&with_aux, FORMAT_VERSION)[..]),
-            Err(SnapshotError::Corrupt("trailing bytes after expected data"))
-        ));
+        // v3 without the section, and v4 and v5 with it, are refused.
+        assert!(doc(true, true, false, 3).is_err());
+        for (stats_copy, relabels, version) in [(true, true, 4), (false, false, FORMAT_VERSION)] {
+            assert!(matches!(
+                doc(stats_copy, relabels, true, version),
+                Err(SnapshotError::Corrupt("trailing bytes after expected data"))
+            ));
+        }
         // DynELM documents never carried the section.
-        let mut v3_elm = DynElm::new(two_cliques_params()).checkpoint_bytes();
-        v3_elm[8..12].copy_from_slice(&3u32.to_le_bytes());
-        assert!(DynElm::restore(&v3_elm[..]).is_ok());
+        let elm_v3 = spliced_payload(&live.elm, true, true, false);
+        assert!(DynElm::restore(&doc_with_version(DynElm::ALGO_TAG, &elm_v3, 3)[..]).is_ok());
+    }
+
+    #[test]
+    fn relabels_section_is_required_before_v5_and_refused_in_v5() {
+        let live = churned_strclu();
+        for (tag, canonical) in [
+            (DynElm::ALGO_TAG, live.elm.checkpoint_bytes()),
+            (DynStrClu::ALGO_TAG, live.checkpoint_bytes()),
+        ] {
+            let doc = |stats_copy, relabels, version| {
+                let payload = spliced_payload(&live.elm, stats_copy, relabels, false);
+                restore_any(&doc_with_version(tag, &payload, version)[..])
+            };
+            // A v4 document restores to the canonical state: its counters
+            // are read past, and the labelling count comes from STATS.
+            let legacy = doc(true, true, FORMAT_VERSION_V4).unwrap();
+            assert_eq!(legacy.checkpoint_bytes(), canonical);
+            assert_eq!(legacy.elm_stats(), Some(live.stats()));
+            // A v4 document without RELABELS, and a v5 one with it, are
+            // refused.
+            assert!(matches!(
+                doc(true, false, FORMAT_VERSION_V4),
+                Err(SnapshotError::UnexpectedSection {
+                    expected: section::RELABELS,
+                    found: section::DT
+                })
+            ));
+            assert!(matches!(
+                doc(false, true, FORMAT_VERSION),
+                Err(SnapshotError::UnexpectedSection {
+                    expected: section::DT,
+                    found: section::RELABELS
+                })
+            ));
+        }
     }
 
     #[test]

@@ -120,9 +120,10 @@ impl From<GraphError> for UpdateError {
 /// to `restore(checkpoint(A))` must produce exactly the state that feeding
 /// `S` to `A` itself would have — the same edge labels, the same DT
 /// counters and in-flight protocol rounds, and (in sampled mode) the same
-/// future random draws, because the per-edge invocation counters and the
-/// adjacency slot order that positional neighbourhood sampling depends on
-/// are both part of the snapshot.  A restarted service therefore continues
+/// future random draws, because the run's labelling counter and batch
+/// epoch (which number and seed every future labelling) and the adjacency
+/// slot order that positional neighbourhood sampling depends on are all
+/// part of the snapshot.  A restarted service therefore continues
 /// as if it never stopped, rather than paying a full rebuild and drifting
 /// onto a different (even if equally valid) labelling trajectory.
 ///

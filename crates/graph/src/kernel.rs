@@ -2,7 +2,7 @@
 //!
 //! Every re-estimation in the paper's tracking loop bottoms out in
 //! `a = |N[u] ∩ N[v]|`; this module is the one place that computes it.
-//! Three strategies are selected **by degree/size thresholds only** —
+//! Two strategies are selected **by degree/size thresholds only** —
 //! no RNG, no clocks — so every path returns the same exact count and
 //! the choice can never perturb a sampled bit-stream:
 //!
@@ -14,16 +14,12 @@
 //!   tightly enough, AND the word arrays and popcount.  The loop is
 //!   plain `u64` chunks with no data-dependent branches, exactly the
 //!   shape LLVM auto-vectorises.
-//! * **merge / gallop** — for two ascending-sorted slices
-//!   ([`sorted_intersection_size`]): linear merge when degrees are
-//!   balanced, exponential (galloping) probes into the larger slice when
-//!   they are skewed by [`GALLOP_RATIO`] or more.
 //!
 //! ## Kernel selection and the `DYNSCAN_KERNEL` override
 //!
 //! [`KernelMode::Adaptive`] is the default.  `DYNSCAN_KERNEL=scalar`
 //! (read once per process, like `RAYON_NUM_THREADS`) pins every call to
-//! the scalar probe/merge baseline; [`set_mode`]
+//! the scalar hash-probe baseline; [`set_mode`]
 //! switches at runtime so benches can measure both kernels in one
 //! process.  Because all paths are exact, the mode is a pure performance
 //! knob: flips, checkpoints and group-by answers are byte-identical
@@ -49,9 +45,9 @@ use std::sync::OnceLock;
 /// Which intersection kernel the process uses (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelMode {
-    /// The pre-kernel baseline: hash probes and linear merges.
+    /// The pre-kernel baseline: hash probes.
     Scalar,
-    /// Threshold-selected probe / popcount / gallop (the default).
+    /// Threshold-selected probe / popcount (the default).
     Adaptive,
 }
 
@@ -117,9 +113,6 @@ pub const SUMMARY_MAX_ID: u32 = 1 << 22;
 /// this many per element of the smaller side (a word-AND+popcount costs
 /// about half a probe).
 pub const POPCOUNT_WORDS_PER_ELEM: usize = 2;
-/// Gallop into the larger sorted slice when it is at least this many
-/// times longer than the smaller one.
-pub const GALLOP_RATIO: usize = 8;
 
 /// Chunked-`u64` bitmap over the dense vertex-id space: bit `v` set iff
 /// `v` is a member.  Maintained incrementally by [`IndexedSet`] for hub
@@ -256,73 +249,6 @@ pub fn closed_intersection_sets(
     open + 2 * usize::from(adj_v.contains(u))
 }
 
-/// `|a ∩ b|` over two ascending-sorted slices: linear merge.
-fn merge_count(a: &[VertexId], b: &[VertexId]) -> usize {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut count = 0usize;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
-/// `|small ∩ large|` over two ascending-sorted slices with
-/// `|large| ≫ |small|`: for each element of the smaller slice, advance
-/// through the larger with an exponential (galloping) probe followed by
-/// a binary search in the located window — O(|small| · log |large|).
-fn gallop_count(small: &[VertexId], large: &[VertexId]) -> usize {
-    let mut lo = 0usize;
-    let mut count = 0usize;
-    for &x in small {
-        if lo >= large.len() {
-            break;
-        }
-        // Exponential probe: grow [lo, hi] until large[hi] reaches x (the
-        // element at hi itself may equal x, so the window is inclusive).
-        let mut step = 1usize;
-        let mut hi = lo;
-        while hi < large.len() && large[hi] < x {
-            hi += step;
-            step <<= 1;
-        }
-        let end = if hi < large.len() {
-            hi + 1
-        } else {
-            large.len()
-        };
-        let window = &large[lo..end];
-        match window.binary_search(&x) {
-            Ok(pos) => {
-                count += 1;
-                lo += pos + 1;
-            }
-            Err(pos) => {
-                lo += pos;
-            }
-        }
-    }
-    count
-}
-
-/// `|a ∩ b|` over two ascending-sorted slices, with the merge/gallop
-/// selection of the module docs.
-pub fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if adaptive() && !small.is_empty() && large.len() >= GALLOP_RATIO * small.len() {
-        gallop_count(small, large)
-    } else {
-        merge_count(small, large)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,20 +297,6 @@ mod tests {
         assert_eq!(s.and_popcount(&s.clone()), 3);
     }
 
-    #[test]
-    fn gallop_matches_merge_on_skewed_slices() {
-        let small: Vec<VertexId> = [3u32, 64, 65, 900, 901].map(v).to_vec();
-        let large: Vec<VertexId> = (0..1000u32).filter(|i| i % 3 == 0).map(v).collect();
-        assert_eq!(
-            gallop_count(&small, &large),
-            merge_count(&small, &large),
-            "gallop and merge must agree"
-        );
-        // Degenerate shapes.
-        assert_eq!(gallop_count(&[], &large), 0);
-        assert_eq!(gallop_count(&small, &[]), 0);
-    }
-
     proptest! {
         /// Every open-intersection path — scalar hash probe, bit probe,
         /// popcount — returns the brute-force count, regardless of which
@@ -408,22 +320,6 @@ mod tests {
             prop_assert_eq!(wa.and_popcount(&wb), expected);
             prop_assert_eq!(bit_probe_count(sa.as_slice(), &wb), expected);
             prop_assert_eq!(bit_probe_count(sb.as_slice(), &wa), expected);
-        }
-
-        /// Merge and gallop agree on arbitrary sorted slices.
-        #[test]
-        fn sorted_paths_agree(
-            a in prop::collection::hash_set(0u32..2048, 0..300),
-            b in prop::collection::hash_set(0u32..2048, 0..40),
-        ) {
-            let mut a: Vec<VertexId> = a.into_iter().map(v).collect();
-            let mut b: Vec<VertexId> = b.into_iter().map(v).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            let expected = merge_count(&b, &a);
-            prop_assert_eq!(merge_count(&a, &b), expected);
-            prop_assert_eq!(gallop_count(&b, &a), expected);
-            prop_assert_eq!(sorted_intersection_size(&a, &b), expected);
         }
 
         /// The closed-count decomposition holds against a brute-force

@@ -15,9 +15,8 @@
 //! * [`DynGraph`] — an undirected simple graph under edge insertions and
 //!   deletions, with closed-neighbourhood membership tests and degree
 //!   queries in O(1).  Every consumer walks it directly, the O(n + m)
-//!   clustering-result extraction and the static SCAN baseline included.
-//! * [`NeighbourhoodView`] — the read-only neighbourhood primitives the
-//!   similarity estimator samples through.
+//!   clustering-result extraction, the static SCAN baseline and the
+//!   similarity estimator included.
 //! * [`batch`] — batch application of update slices ([`BatchApplication`],
 //!   [`touched_vertices`]) for graph-only consumers, mirroring the
 //!   topology semantics of the batch update engine in `dynscan-core`
@@ -46,7 +45,6 @@ pub mod kernel;
 pub mod snapshot;
 pub mod update;
 pub mod vertex;
-pub mod view;
 
 pub use batch::{touched_vertices, BatchApplication};
 pub use dynamic_graph::{default_memory_budget, DynGraph, NeighbourIter, NeighbourhoodRef};
@@ -60,4 +58,3 @@ pub use snapshot::{
 };
 pub use update::GraphUpdate;
 pub use vertex::VertexId;
-pub use view::NeighbourhoodView;

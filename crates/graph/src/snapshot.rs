@@ -12,11 +12,11 @@
 //! order, so future sampled label decisions consume identical random bits.
 //!
 //! The format is deliberately simple and fully hand-rolled (the vendored
-//! `serde` is a marker stub).  A **version 4** document is:
+//! `serde` is a marker stub).  A **version 5** document is:
 //!
 //! ```text
 //! magic    : 8 bytes  b"DSCNSNAP"
-//! version  : u32 LE   (FORMAT_VERSION = 4)
+//! version  : u32 LE   (FORMAT_VERSION = 5)
 //! algo     : u32 LE   (which structure the payload describes)
 //! kind     : u32 LE   (0 = full snapshot, 1 = differential snapshot)
 //! sequence : u64 LE   (0 for a full snapshot; k ≥ 1 for the k-th delta
@@ -33,13 +33,13 @@
 //!
 //! # Payload encodings by version
 //!
-//! The header layout is shared by v2, v3 and v4; what changed in v3 is
+//! The header layout is shared by v2–v5; what changed in v3 is
 //! the **payload encoding** ([`Encoding`]).  Section framing (`tag: u32
 //! LE, len: u64 LE, bytes`) is fixed-width in every version so the writer
 //! can back-patch section lengths in place; everything *inside* a section
 //! is encoded per the document version:
 //!
-//! | primitive        | v1/v2 ([`Encoding::Fixed`])  | v3/v4 ([`Encoding::Compact`])                     |
+//! | primitive        | v1/v2 ([`Encoding::Fixed`])  | v3–v5 ([`Encoding::Compact`])                     |
 //! |------------------|------------------------------|---------------------------------------------------|
 //! | `u8` / `bool`    | 1 byte                       | 1 byte                                            |
 //! | `u32` / `u64`    | 4 / 8 bytes LE               | LEB128 varint (1–5 / 1–10 bytes)                  |
@@ -64,13 +64,14 @@
 //! | 2       | 60 bytes | fixed      | chain fields: kind, sequence, base, wall clock       |
 //! | 3       | 60 bytes | compact    | payload primitive encoding                           |
 //! | 4       | 60 bytes | compact    | DynStrClu full payloads drop the derived AUX section |
+//! | 5       | 60 bytes | compact    | ELM payloads drop the per-edge invocation counters   |
 //!
 //! The legacy **version 1** header (32 bytes: magic, version, algo,
 //! length, checksum — no kind/sequence/base/wallclock) is still *read*:
-//! every v1 document is a full snapshot.  The decoders accept all four
+//! every v1 document is a full snapshot.  The decoders accept all five
 //! versions — [`SnapReader::for_version`] picks the payload encoding from
-//! the header — so committed v1–v3 checkpoints keep restoring.
-//! [`SnapWriter`] and the document writers produce v4 only; the v1–v3
+//! the header — so committed v1–v4 checkpoints keep restoring.
+//! [`SnapWriter`] and the document writers produce v5 only; the v1–v4
 //! decoders are pinned by the committed fixtures under `tests/fixtures`.
 
 //! # Differential snapshots (since v2)
@@ -127,16 +128,19 @@ pub const HEADER_LEN: usize = HEADER_LEN_V2;
 /// length + checksum).
 pub const HEADER_LEN_V1: usize = 8 + 4 + 4 + 8 + 8;
 
-/// Size of the version-2 header (shared by versions 3 and 4).
+/// Size of the version-2 header (shared by versions 3 to 5).
 pub const HEADER_LEN_V2: usize = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
 
 /// Current snapshot format version.  Bump on any incompatible layout
 /// change and regenerate `tests/fixtures/golden_snapshot_v*.bin`.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
-/// The previous format version (compact payload primitives, DynStrClu
-/// full payloads carrying an AUX section).  Still decoded, no longer
-/// written.
+/// The previous format version (ELM payloads carrying per-edge invocation
+/// counters).  Still decoded, no longer written.
+pub const FORMAT_VERSION_V4: u32 = 4;
+
+/// Compact payload primitives, DynStrClu full payloads carrying an AUX
+/// section.  Still decoded, no longer written.
 pub const FORMAT_VERSION_V3: u32 = 3;
 
 /// The v2 header with fixed-width payload primitives.  Still decoded, no
@@ -157,7 +161,7 @@ pub const FORMAT_VERSION_V1: u32 = 1;
 pub enum Encoding {
     /// Fixed-width little-endian primitives — the v1/v2 payload encoding.
     Fixed,
-    /// Varint/zigzag/delta primitives — the v3 and v4 payload encoding.
+    /// Varint/zigzag/delta primitives — the v3–v5 payload encoding.
     #[default]
     Compact,
 }
@@ -382,7 +386,7 @@ fn unzigzag(z: u64) -> i64 {
 }
 
 /// Append-only payload writer in the current format's encoding
-/// ([`Encoding::Compact`], the v3/v4 payload bytes).
+/// ([`Encoding::Compact`], the v3–v5 payload bytes).
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -558,7 +562,7 @@ pub struct SnapReader<'a> {
 
 impl<'a> SnapReader<'a> {
     /// Read from a payload slice in the current format's encoding
-    /// ([`Encoding::Compact`], the v3/v4 payload bytes).
+    /// ([`Encoding::Compact`], the v3–v5 payload bytes).
     pub fn new(buf: &'a [u8]) -> Self {
         SnapReader {
             buf,
@@ -569,7 +573,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read a payload written by a document of the given (already
     /// validated) format version — v1/v2 payloads decode fixed-width,
-    /// v3/v4 compact.
+    /// v3–v5 compact.
     pub fn for_version(version: u32, buf: &'a [u8]) -> Self {
         SnapReader {
             buf,
@@ -578,7 +582,7 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Whether this reader decodes the compact (v3/v4) encoding.  Payload
+    /// Whether this reader decodes the compact (v3–v5) encoding.  Payload
     /// decoders branch on this where v3 changed a section's *structure*
     /// (bit-packed label arrays) rather than just its primitives.
     pub fn compact(&self) -> bool {
@@ -861,7 +865,7 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// Write a deterministic **full** snapshot document (v4 header with
+/// Write a deterministic **full** snapshot document (v5 header with
 /// [`DocumentMeta::default`] + checksummed payload) to `w`.  Equal payload
 /// bytes produce equal documents — the canonical-encoding path every
 /// byte-identity test relies on.
@@ -874,7 +878,7 @@ pub fn write_document(
     Ok(())
 }
 
-/// Write a v4 snapshot document with explicit [`DocumentMeta`] (kind,
+/// Write a v5 snapshot document with explicit [`DocumentMeta`] (kind,
 /// chain position, base checksum, wall-clock stamp).  Returns the payload
 /// checksum, which a chained writer records as the next delta's base.
 pub fn write_document_meta(
@@ -980,7 +984,7 @@ pub fn peek_header(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotError> {
                 checksum: le_u64_at(bytes, 24)?,
             })
         }
-        FORMAT_VERSION_V2 | FORMAT_VERSION_V3 | FORMAT_VERSION => {
+        FORMAT_VERSION_V2 | FORMAT_VERSION_V3 | FORMAT_VERSION_V4 | FORMAT_VERSION => {
             if bytes.len() < HEADER_LEN_V2 {
                 return Err(SnapshotError::Truncated);
             }
@@ -1036,7 +1040,7 @@ pub fn split_document(
 }
 
 /// Read a **full** snapshot document from `r`, verifying magic, version
-/// (v1–v4), algorithm tag, kind and checksum; returns the payload
+/// (v1–v5), algorithm tag, kind and checksum; returns the payload
 /// bytes.  A differential document is rejected with
 /// [`SnapshotError::UnexpectedDelta`] — restore its base first.
 pub fn read_document(r: impl std::io::Read, algo_tag: u32) -> Result<Vec<u8>, SnapshotError> {
@@ -1066,7 +1070,7 @@ pub fn read_document_meta(
     let version = le_u32_at(&prefix, 8)?;
     let header_len = match version {
         FORMAT_VERSION_V1 => HEADER_LEN_V1,
-        FORMAT_VERSION_V2 | FORMAT_VERSION_V3 | FORMAT_VERSION => HEADER_LEN_V2,
+        FORMAT_VERSION_V2 | FORMAT_VERSION_V3 | FORMAT_VERSION_V4 | FORMAT_VERSION => HEADER_LEN_V2,
         found => return Err(SnapshotError::UnsupportedVersion { found }),
     };
     let rest = prefix

@@ -1,6 +1,6 @@
 //! Replica-scaling benchmark: read throughput at 0/1/2 read replicas
-//! over real sockets, replication lag in checkpoint documents under a
-//! write burst, and catch-up time after SIGKILLing a subscribing
+//! over real sockets, replication lag in milliseconds after a write
+//! burst's checkpoint, and catch-up time after SIGKILLing a subscribing
 //! `dynscan-served --primary` replica mid-stream.  Every row passes the byte-identity
 //! gate (replica checksum == sequential oracle at the replica's epoch)
 //! inside the harness — a divergent replica fails the bench, it does not

@@ -154,8 +154,8 @@ fn primary_with_two_replicas_is_byte_identical_and_survives_kill_and_promote() {
     let ckpt_dir = temp_dir("primary-ckpts");
     let mirror_dir = temp_dir("mirror");
 
-    // The primary: checkpoints every 4 updates, published to the hub as
-    // they complete.
+    // The primary: checkpoints every 4 updates into its checkpoint
+    // directory, which the subscription stream and the tail replica read.
     let mut cfg = ServeConfig::new("127.0.0.1:0");
     cfg.checkpoint_dir = Some(ckpt_dir.clone());
     cfg.checkpoint_every = Some(CHECKPOINT_EVERY);

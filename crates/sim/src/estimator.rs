@@ -14,7 +14,7 @@
 //! over Min-Hash in the dynamic setting.
 
 use crate::SimilarityMeasure;
-use dynscan_graph::{NeighbourhoodView, VertexId};
+use dynscan_graph::{DynGraph, VertexId};
 use rand::Rng;
 
 /// Number of samples needed so that the similarity estimate is within `Δ`
@@ -43,10 +43,11 @@ pub fn sample_size(measure: SimilarityMeasure, eps: f64, delta_cap: f64, delta: 
 /// Draw `samples` instances of the biased indicator `X` and return their
 /// mean `X̄` (an unbiased estimate of `2a / (a + b)`).
 ///
-/// Generic over [`NeighbourhoodView`]: views with identical slot orders
-/// consume identical random bits.
-pub fn intersection_fraction_estimate<G: NeighbourhoodView, R: Rng + ?Sized>(
-    graph: &G,
+/// Each sample makes one side-pick draw and one positional
+/// closed-neighbourhood draw, so graphs with identical slot orders consume
+/// identical random bits.
+pub fn intersection_fraction_estimate<R: Rng + ?Sized>(
+    graph: &DynGraph,
     u: VertexId,
     v: VertexId,
     samples: usize,
@@ -84,8 +85,8 @@ pub fn intersection_fraction_estimate<G: NeighbourhoodView, R: Rng + ?Sized>(
 /// For cosine the degree-ratio prefilter of Lemma 8.2 applies first: if
 /// `|N_min| < ε² · |N_max|` the similarity is certainly below `ε`, so the
 /// function returns `0.0` without sampling.
-pub fn estimate_similarity<G: NeighbourhoodView, R: Rng + ?Sized>(
-    graph: &G,
+pub fn estimate_similarity<R: Rng + ?Sized>(
+    graph: &DynGraph,
     u: VertexId,
     v: VertexId,
     measure: SimilarityMeasure,
@@ -116,7 +117,6 @@ pub fn estimate_similarity<G: NeighbourhoodView, R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::exact::exact_similarity;
-    use dynscan_graph::DynGraph;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

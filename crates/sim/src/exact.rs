@@ -1,7 +1,7 @@
 //! Exact structural similarity.
 
 use crate::SimilarityMeasure;
-use dynscan_graph::{NeighbourhoodView, VertexId};
+use dynscan_graph::{DynGraph, VertexId};
 
 /// Exact structural similarity between `u` and `v` under `measure`.
 ///
@@ -19,8 +19,8 @@ use dynscan_graph::{NeighbourhoodView, VertexId};
 /// Cost: O(min(d\[u\], d\[v\])) membership probes.  The engines, the
 /// static SCAN baseline and the quality metrics all call it on the live
 /// `DynGraph`.
-pub fn exact_similarity<G: NeighbourhoodView>(
-    graph: &G,
+pub fn exact_similarity(
+    graph: &DynGraph,
     u: VertexId,
     v: VertexId,
     measure: SimilarityMeasure,
@@ -46,7 +46,6 @@ pub fn exact_similarity<G: NeighbourhoodView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynscan_graph::DynGraph;
     use proptest::prelude::*;
 
     fn v(i: u32) -> VertexId {

@@ -3,20 +3,20 @@
 //! The batch update engine re-estimates many edges concurrently.  Sharing
 //! one sequential RNG across workers would make results depend on thread
 //! scheduling; instead every (edge, invocation) pair gets its own stream,
-//! derived by mixing the algorithm seed with the edge key and the edge's
-//! per-edge invocation number:
+//! derived by mixing the algorithm seed with the edge key and the
+//! invocation's number in the run:
 //!
 //! ```text
-//! stream(e, k) = SplitMix64(seed ⊕ mix(lo(e), hi(e)) ⊕ mix(k))
+//! stream(e, i) = SplitMix64(seed ⊕ mix(lo(e), hi(e)) ⊕ mix(i))
 //! ```
 //!
 //! Two properties follow directly:
 //!
 //! * **Schedule independence** — the bits an estimator invocation consumes
-//!   are a pure function of `(seed, edge, k)`, so a batched parallel
+//!   are a pure function of `(seed, edge, i)`, so a batched parallel
 //!   re-estimation draws exactly the same samples as any sequential
 //!   execution of the same invocations.
-//! * **Stream disjointness (statistical)** — distinct `(edge, k)` pairs map
+//! * **Stream disjointness (statistical)** — distinct `(edge, i)` pairs map
 //!   to distinct 64-bit initial states via an avalanche mixer, so streams
 //!   are uncorrelated for all practical purposes.
 
@@ -38,8 +38,8 @@ pub struct EdgeRng {
 }
 
 impl EdgeRng {
-    /// The stream for invocation `invocation` of edge `edge` under the
-    /// given algorithm seed.
+    /// The stream for invocation number `invocation`, which labels edge
+    /// `edge`, under the given algorithm seed.
     pub fn for_edge(seed: u64, edge: EdgeKey, invocation: u64) -> Self {
         let (lo, hi) = edge.endpoints();
         let edge_bits = (u64::from(lo.raw()) << 32) | u64::from(hi.raw());

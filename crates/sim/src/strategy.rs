@@ -1,14 +1,13 @@
-//! The (Δ, δ)-labelling strategy with a per-edge δ schedule.
+//! The (Δ, δ)-labelling strategy with the paper's global δ schedule.
 //!
-//! DynELM labels edges with the (½ρε, δₖ)-strategy.  The paper numbers
-//! invocations globally: the `i`-th overall uses `δᵢ = δ*/(i·(i+1))`,
-//! and the δᵢ telescope to at most δ*, so by a union bound *every* label
-//! ever produced is ρ-approximately valid with probability at least
-//! 1 − δ* (Section 6.1, third bullet of Theorem 6.1).  This crate numbers
-//! them per edge instead ([`LabellingStrategy::label_deterministic`]):
-//! the same schedule over an edge's own invocation count `k`, which keeps
-//! a parallel batch bit-identical to any sequential order and bounds the
-//! failure probability by δ* per edge.
+//! DynELM labels edges with the (½ρε, δᵢ)-strategy.  Invocations are
+//! numbered over the whole run: the `i`-th overall uses
+//! `δᵢ = δ*/(i·(i+1))`, and the δᵢ telescope to at most δ*, so by a union
+//! bound *every* label ever produced is ρ-approximately valid with
+//! probability at least 1 − δ* (Section 6.1, third bullet of
+//! Theorem 6.1).  The caller assigns the numbers
+//! ([`LabellingStrategy::label_deterministic`]) from the count of
+//! invocations recorded so far ([`LabellingStrategy::invocations`]).
 
 use crate::affordability::tracking_threshold;
 use crate::estimator::{estimate_similarity, sample_size};
@@ -16,7 +15,7 @@ use crate::exact::exact_similarity;
 use crate::label::EdgeLabel;
 use crate::rng::EdgeRng;
 use crate::SimilarityMeasure;
-use dynscan_graph::{EdgeKey, NeighbourhoodView, VertexId};
+use dynscan_graph::{DynGraph, EdgeKey, VertexId};
 
 /// The result of one deterministic labelling-strategy invocation
 /// (see [`LabellingStrategy::label_deterministic`]).
@@ -38,8 +37,9 @@ pub struct LabellingStrategy {
     eps: f64,
     rho: f64,
     delta_star: f64,
-    /// Invocations recorded so far (diagnostic, folded in by
-    /// [`Self::record_invocations`]).
+    /// Invocations recorded so far, folded in by
+    /// [`Self::record_invocations`]: the number of the run's last
+    /// labelling.
     invocations: u64,
     /// Total similarity samples drawn (diagnostic; drives the cost model).
     samples_drawn: u64,
@@ -128,44 +128,42 @@ impl LabellingStrategy {
         0.5 * self.rho * self.eps
     }
 
-    /// The failure probability `δₖ = δ*/(k·(k+1))` of an edge's `k`-th
+    /// The failure probability `δᵢ = δ*/(i·(i+1))` of the run's `i`-th
     /// invocation.
     fn delta_at(&self, invocation: u64) -> f64 {
-        let k = invocation as f64;
-        self.delta_star / (k * (k + 1.0))
+        let i = invocation as f64;
+        self.delta_star / (i * (i + 1.0))
     }
 
-    /// Label the edge with the (½ρε, δₖ)-strategy **deterministically and
-    /// without mutating the strategy**, using the per-edge δ schedule
-    /// `δₖ = δ*/(k·(k+1))` where `k ≥ 1` is the edge's own invocation
-    /// number, and a random stream derived from `(stream_seed, edge, k)`.
+    /// Label the edge with the (½ρε, δᵢ)-strategy **deterministically and
+    /// without mutating the strategy**, where `i ≥ 1` is the invocation's
+    /// number in the run, `δᵢ = δ*/(i·(i+1))`, and the random stream is
+    /// derived from `(stream_seed, edge, i)`.
     ///
-    /// This is the labelling primitive of the batch update engine: because
-    /// neither the sample count nor the random bits depend on global
-    /// invocation order, a parallel re-estimation of a deduplicated edge
-    /// set produces bit-identical results to any sequential execution of
-    /// the same invocations.  Per edge the δₖ still telescope to at most
-    /// δ*, so every label an edge ever receives is ρ-approximately valid
-    /// with probability ≥ 1 − δ*; across M distinct edges the failure
-    /// probability is at most M·δ* by a union bound (the paper's default
-    /// δ* = 1/n keeps that at average-degree scale, and callers needing the
-    /// global bound can divide δ* by an edge-count estimate).
+    /// This is the labelling primitive of the batch update engine, which
+    /// numbers a batch's sorted jobs before it maps them in parallel: the
+    /// sample count and the random bits are then fixed per job, so a
+    /// parallel re-estimation produces bit-identical results to any
+    /// sequential execution of the same numbered invocations.  Numbers
+    /// that never repeat make the δᵢ telescope to at most δ* over the run,
+    /// so every label the run produces is ρ-approximately valid with
+    /// probability ≥ 1 − δ*.
     ///
-    /// When the prescribed sample size `Lₖ` is at least as large as the
+    /// When the prescribed sample size `Lᵢ` is at least as large as the
     /// smaller closed neighbourhood, sampling cannot be cheaper than the
     /// exact O(min-degree) computation, so the similarity is computed
     /// exactly instead.  The exact value trivially satisfies the (Δ, δ)
     /// accuracy requirement, so every guarantee of the strategy is
-    /// preserved; and the shortcut depends only on `(k, degrees)`, so it
+    /// preserved; and the shortcut depends only on `(i, degrees)`, so it
     /// is itself deterministic.
-    pub fn label_deterministic<G: NeighbourhoodView>(
+    pub fn label_deterministic(
         &self,
-        graph: &G,
+        graph: &DynGraph,
         edge: EdgeKey,
         invocation: u64,
         stream_seed: u64,
     ) -> LabelOutcome {
-        assert!(invocation >= 1, "per-edge invocation numbers start at 1");
+        assert!(invocation >= 1, "invocation numbers start at 1");
         let (u, v) = edge.endpoints();
         let (sigma, samples_drawn) = if self.exact_mode || self.rho == 0.0 {
             (exact_similarity(graph, u, v, self.measure), 0)
@@ -203,7 +201,7 @@ impl LabellingStrategy {
     }
 
     /// The DT tracking threshold for `(u, v)` at its current degrees.
-    pub fn threshold<G: NeighbourhoodView>(&self, graph: &G, u: VertexId, v: VertexId) -> u64 {
+    pub fn threshold(&self, graph: &DynGraph, u: VertexId, v: VertexId) -> u64 {
         tracking_threshold(
             self.measure,
             self.eps,
@@ -217,7 +215,6 @@ impl LabellingStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynscan_graph::DynGraph;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -270,17 +267,17 @@ mod tests {
     #[test]
     fn sample_size_grows_with_invocations() {
         let s = LabellingStrategy::new(SimilarityMeasure::Jaccard, 0.2, 0.1, 0.01);
-        let size = |k| sample_size(s.measure(), s.eps(), s.delta_cap(), s.delta_at(k));
+        let size = |i| sample_size(s.measure(), s.eps(), s.delta_cap(), s.delta_at(i));
         assert!(
             size(2) >= size(1) && size(100) > size(1),
-            "later invocations use smaller δₖ, hence more samples"
+            "later invocations use smaller δᵢ, hence more samples"
         );
         // On this tiny graph the exact shortcut applies at every
         // invocation, so no samples are drawn even as the schedule
         // advances.
         let g = clique_pair(5);
-        for k in 1..=3 {
-            let outcome = s.label_deterministic(&g, EdgeKey::new(v(0), v(1)), k, 1);
+        for i in 1..=3 {
+            let outcome = s.label_deterministic(&g, EdgeKey::new(v(0), v(1)), i, 1);
             assert_eq!(outcome.samples_drawn, 0);
         }
     }
@@ -307,7 +304,7 @@ mod tests {
         // first invocation samples instead of taking the exact shortcut.
         // Clique-internal edges have Jaccard ≥ 0.99 ≥ (1 + ρ)ε and the
         // bridge 1/100 < (1 − ρ)ε, so every sampled label must agree with
-        // the exact one; the per-edge streams make each seed
+        // the exact one; the (edge, invocation) streams make each seed
         // deterministic.
         let g = clique_pair(100);
         let (eps, rho) = (0.5, 0.9);

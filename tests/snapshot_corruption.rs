@@ -1,5 +1,5 @@
 //! Decoder robustness: arbitrary truncations and single-byte corruptions
-//! of valid snapshot documents — v1 to v4, full and delta — must
+//! of valid snapshot documents — v1 to v5, full and delta — must
 //! always yield an `Err`, never a panic and never a silently-wrong
 //! restore.
 //!
@@ -21,11 +21,12 @@ fn v(i: u32) -> VertexId {
     VertexId(i)
 }
 
-/// The pristine documents every case corrupts: a v4 (current-format)
-/// full snapshot, a v4 delta on top of it, the committed legacy v3, v2
-/// and v1 golden fixtures, the committed v2 delta on top of the v2
+/// The pristine documents every case corrupts: a v5 (current-format)
+/// full snapshot, a v5 delta on top of it, the committed legacy v4, v3,
+/// v2 and v1 golden fixtures, the committed v2 delta on top of the v2
 /// fixture, and the canonical re-encode of each document's state.
 struct Fixture {
+    base_v5: Vec<u8>,
     base_v4: Vec<u8>,
     base_v3: Vec<u8>,
     base_v2: Vec<u8>,
@@ -36,7 +37,7 @@ struct Fixture {
     base_state: Vec<u8>,
     /// `checkpoint_bytes` of the state after the delta.
     delta_state: Vec<u8>,
-    /// The state every legacy fixture holds: the v4 golden fixture.
+    /// The state every legacy fixture holds: the v5 golden fixture.
     legacy_state: Vec<u8>,
     /// `checkpoint_bytes` of the v2 base after the v2 delta.
     delta_v2_state: Vec<u8>,
@@ -66,7 +67,7 @@ fn fixture() -> &'static Fixture {
             GraphUpdate::Delete(v(1), v(2)),
             GraphUpdate::Insert(v(0), v(9)),
         ]);
-        let base_v4 = live.capture_checkpoint(false, 0).to_bytes();
+        let base_v5 = live.capture_checkpoint(false, 0).to_bytes();
         let base_state = live.checkpoint_bytes();
         // A delta with graph churn, label flips and tombstones.
         live.apply_batch(&[
@@ -76,14 +77,15 @@ fn fixture() -> &'static Fixture {
         ]);
         let delta = live.capture_checkpoint(true, 0).to_bytes();
         let delta_state = live.checkpoint_bytes();
-        // The legacy documents: no writer produces v1–v3 any more, so the
+        // The legacy documents: no writer produces v1–v4 any more, so the
         // committed fixtures are the pristine inputs.
         let base_v2 = golden("golden_snapshot_v2.bin");
         let delta_v2 = golden("golden_delta_v2.bin");
         let mut replayed = DynStrClu::restore(&base_v2[..]).unwrap();
         replayed.apply_delta_bytes(&delta_v2).unwrap();
         Fixture {
-            base_v4,
+            base_v5,
+            base_v4: golden("golden_snapshot_v4.bin"),
             base_v3: golden("golden_snapshot_v3.bin"),
             base_v2,
             base_v1: golden("golden_snapshot_v1.bin"),
@@ -91,7 +93,7 @@ fn fixture() -> &'static Fixture {
             delta_v2,
             base_state,
             delta_state,
-            legacy_state: golden("golden_snapshot_v4.bin"),
+            legacy_state: golden("golden_snapshot_v5.bin"),
             delta_v2_state: replayed.checkpoint_bytes(),
         }
     })
@@ -137,29 +139,40 @@ proptest! {
     #[test]
     fn truncations_never_panic_and_never_restore(scale in 0u32..10_000) {
         let fx = fixture();
-        for doc in [&fx.base_v4, &fx.base_v3, &fx.base_v2, &fx.base_v1] {
+        for doc in [&fx.base_v5, &fx.base_v4, &fx.base_v3, &fx.base_v2, &fx.base_v1] {
             let cut = doc.len() * scale as usize / 10_000;
             prop_assert!(DynStrClu::restore(&doc[..cut]).is_err());
             prop_assert!(restore_any(&doc[..cut]).is_err());
         }
         let cut = fx.delta.len() * scale as usize / 10_000;
-        let mut base = DynStrClu::restore(&fx.base_v4[..]).unwrap();
+        let mut base = DynStrClu::restore(&fx.base_v5[..]).unwrap();
         prop_assert!(base.apply_delta_bytes(&fx.delta[..cut]).is_err());
         let cut = fx.delta_v2.len() * scale as usize / 10_000;
         let mut base = DynStrClu::restore(&fx.base_v2[..]).unwrap();
         prop_assert!(base.apply_delta_bytes(&fx.delta_v2[..cut]).is_err());
     }
 
-    /// Single-byte corruption at every offset of the v4 full document
+    /// Single-byte corruption at every offset of the v5 full document
     /// — the compact codec's varint/delta/bit-packed decoders must
     /// reject every flip the checksum lets through to them.
+    #[test]
+    fn v5_full_bit_flips_are_caught(index in 0usize..8192, flip in 1u8..=255) {
+        let fx = fixture();
+        let mut bad = fx.base_v5.clone();
+        let index = index % bad.len();
+        bad[index] ^= flip;
+        check_full_document(&bad, &fx.base_state);
+    }
+
+    /// Single-byte corruption of the legacy v4 document, whose per-edge
+    /// invocation counters restore reads past without using.
     #[test]
     fn v4_full_bit_flips_are_caught(index in 0usize..8192, flip in 1u8..=255) {
         let fx = fixture();
         let mut bad = fx.base_v4.clone();
         let index = index % bad.len();
         bad[index] ^= flip;
-        check_full_document(&bad, &fx.base_state);
+        check_full_document(&bad, &fx.legacy_state);
     }
 
     /// Single-byte corruption of the legacy v3 document, whose AUX
@@ -193,7 +206,7 @@ proptest! {
         check_full_document(&bad, &fx.legacy_state);
     }
 
-    /// Single-byte corruption of a v4 delta document, applied to a
+    /// Single-byte corruption of a v5 delta document, applied to a
     /// pristine base: errors (base mismatch, checksum, kind, sequence,
     /// payload validation) or restores faithfully (header stamp bytes
     /// only).
@@ -203,7 +216,7 @@ proptest! {
         let mut bad = fx.delta.clone();
         let index = index % bad.len();
         bad[index] ^= flip;
-        check_delta_document(&bad, &fx.base_v4, &fx.delta_state);
+        check_delta_document(&bad, &fx.base_v5, &fx.delta_state);
     }
 
     /// Single-byte corruption of the committed v2 delta document,
@@ -225,20 +238,21 @@ proptest! {
         doc.extend_from_slice(&bytes);
         prop_assert!(DynStrClu::restore(&doc[..]).is_err());
         prop_assert!(restore_any(&doc).is_err());
-        let mut base = DynStrClu::restore(&fixture().base_v4[..]).unwrap();
+        let mut base = DynStrClu::restore(&fixture().base_v5[..]).unwrap();
         prop_assert!(base.apply_delta_bytes(&doc).is_err());
     }
 }
 
-/// Deterministic sweep of every header byte of the v4, v3 and v2
+/// Deterministic sweep of every header byte of the v5, v4, v3 and v2
 /// documents (the proptests above sample; this nails the fixed-size
-/// header — the same 60-byte layout in all three versions — completely).
+/// header — the same 60-byte layout in all four versions — completely).
 #[test]
 fn every_header_byte_flip_is_handled() {
     let fx = fixture();
     for index in 0..HEADER_LEN_V2 {
         for (doc, state) in [
-            (&fx.base_v4, &fx.base_state),
+            (&fx.base_v5, &fx.base_state),
+            (&fx.base_v4, &fx.legacy_state),
             (&fx.base_v3, &fx.legacy_state),
             (&fx.base_v2, &fx.legacy_state),
         ] {
@@ -247,7 +261,7 @@ fn every_header_byte_flip_is_handled() {
             check_full_document(&bad, state);
         }
         for (delta, base, state) in [
-            (&fx.delta, &fx.base_v4, &fx.delta_state),
+            (&fx.delta, &fx.base_v5, &fx.delta_state),
             (&fx.delta_v2, &fx.base_v2, &fx.delta_v2_state),
         ] {
             let mut bad = delta.clone();

@@ -5,9 +5,11 @@
 //! random point, checkpoint the live instance there, restore a second
 //! instance from the bytes, then feed the identical continuation to both.
 //! Every batch must return byte-identical flip sets, and the final
-//! checkpoints must be byte-identical — in exact mode *and* in sampled
-//! mode (where the continuation consumes estimator random streams, so any
-//! drift in RNG counters, adjacency slot order or DT state would show).
+//! checkpoints must be byte-identical — in exact mode *and* with sampled-
+//! mode parameters (where any drift in the labelling counter, the batch
+//! epoch, adjacency slot order or DT state would show; these small graphs
+//! take the exact shortcut, and `tests/sampled_labelling.rs` resumes runs
+//! that draw samples).
 //!
 //! A committed golden fixture pins the on-disk format: if the encoding
 //! changes, the fixture test fails and `FORMAT_VERSION` must be bumped.
@@ -130,9 +132,9 @@ proptest! {
         assert_strclu_derives_live_modules(exact_params(), &stream, cut, batch);
     }
 
-    /// Sampled mode (the real algorithm): the continuation draws estimator
-    /// randomness, so this property additionally covers the per-edge
-    /// invocation counters, the batch epoch and the adjacency slot order.
+    /// Sampled mode (the real algorithm): this property additionally
+    /// covers the labelling counter, the batch epoch and the adjacency
+    /// slot order.
     #[test]
     fn strclu_sampled_mode_resumes_bit_identically(
         ops in prop::collection::vec((any::<bool>(), 0u32..14, 0u32..14), 1..100),
@@ -224,37 +226,39 @@ fn group_by_partitions_agree_after_restore() {
 
 /// The committed golden fixtures pin the format story across versions:
 ///
-/// * `golden_snapshot_v4.bin` (current format) restores to a fixed point
+/// * `golden_snapshot_v5.bin` (current format) restores to a fixed point
 ///   of checkpoint∘restore — any accidental change to the encoding *or*
 ///   to the serialised algorithm state breaks this; intentional changes
 ///   regenerate it (`snapshot_ci golden write
-///   tests/fixtures/golden_snapshot_v4.bin`) and bump `FORMAT_VERSION`
+///   tests/fixtures/golden_snapshot_v5.bin`) and bump `FORMAT_VERSION`
 ///   if the wire layout itself changed.
-/// * `golden_snapshot_v3.bin`, `golden_snapshot_v2.bin` and
-///   `golden_snapshot_v1.bin` (legacy formats, never regenerated — no
-///   writer produces any of them any more) are the backward-compat decode
-///   gates: each must keep restoring, and re-encoding it under the current
-///   format must reproduce the v4 fixture byte for byte — proof that all
-///   four fixtures hold the same semantic state.  The v1–v3 documents
-///   still carry the AUX section that v4 dropped.
-/// * The v4 document must be **at least 3× smaller** than the v2
+/// * `golden_snapshot_v4.bin`, `golden_snapshot_v3.bin`,
+///   `golden_snapshot_v2.bin` and `golden_snapshot_v1.bin` (legacy
+///   formats, never regenerated — no writer produces any of them any
+///   more) are the backward-compat decode gates: each must keep
+///   restoring, and re-encoding it under the current format must
+///   reproduce the v5 fixture byte for byte — proof that all five
+///   fixtures hold the same semantic state.  The v1–v3 documents still
+///   carry the AUX section that v4 dropped, and the v1–v4 documents the
+///   per-edge invocation counters that v5 dropped.
+/// * The v5 document must be **at least 3× smaller** than the v2
 ///   document of the identical state — the compression floor the codec
 ///   migration promised.
 #[test]
 fn golden_snapshot_fixtures_are_stable() {
-    let committed_v4 = fixture("golden_snapshot_v4.bin");
+    let committed_v5 = fixture("golden_snapshot_v5.bin");
     assert_eq!(
-        dynscan_graph::snapshot::peek_header(&committed_v4)
-            .expect("v4 header peeks")
+        dynscan_graph::snapshot::peek_header(&committed_v5)
+            .expect("v5 header peeks")
             .format_version,
         dynscan_graph::snapshot::FORMAT_VERSION
     );
-    let restored = DynStrClu::restore(&committed_v4[..])
-        .expect("committed v4 fixture must restore under the current format");
+    let restored = DynStrClu::restore(&committed_v5[..])
+        .expect("committed v5 fixture must restore under the current format");
     assert_eq!(
         restored.checkpoint_bytes(),
-        committed_v4,
-        "v4 fixture must be a fixed point of checkpoint∘restore"
+        committed_v5,
+        "v5 fixture must be a fixed point of checkpoint∘restore"
     );
     // Pin a few semantic facts so the fixture is more than opaque bytes.
     assert_eq!(restored.graph().num_vertices(), 11);
@@ -266,12 +270,16 @@ fn golden_snapshot_fixtures_are_stable() {
     for batch in golden_updates().chunks(7) {
         rebuilt.apply_batch(batch);
     }
-    assert_eq!(rebuilt.checkpoint_bytes(), committed_v4);
+    assert_eq!(rebuilt.checkpoint_bytes(), committed_v5);
     assert_eq!(aux_sets(&restored), aux_sets(&rebuilt));
 
     // Backward compatibility: every legacy document still decodes and
-    // holds exactly the same state as the v4 fixture.
+    // holds exactly the same state as the v5 fixture.
     for (name, version) in [
+        (
+            "golden_snapshot_v4.bin",
+            dynscan_graph::snapshot::FORMAT_VERSION_V4,
+        ),
         (
             "golden_snapshot_v3.bin",
             dynscan_graph::snapshot::FORMAT_VERSION_V3,
@@ -296,16 +304,16 @@ fn golden_snapshot_fixtures_are_stable() {
             .unwrap_or_else(|e| panic!("legacy {name} must keep restoring: {e}"));
         assert_eq!(
             legacy.checkpoint_bytes(),
-            committed_v4,
-            "re-encoding {name} must reproduce the v4 fixture"
+            committed_v5,
+            "re-encoding {name} must reproduce the v5 fixture"
         );
         assert_eq!(aux_sets(&legacy), aux_sets(&rebuilt));
     }
     let committed_v2 = fixture("golden_snapshot_v2.bin");
     assert!(
-        committed_v4.len() * 3 <= committed_v2.len(),
-        "v4 document ({} B) must be at least 3x smaller than v2 ({} B)",
-        committed_v4.len(),
+        committed_v5.len() * 3 <= committed_v2.len(),
+        "v5 document ({} B) must be at least 3x smaller than v2 ({} B)",
+        committed_v5.len(),
         committed_v2.len()
     );
 }
@@ -360,7 +368,7 @@ fn golden_v2_pscan_fixture_restores_to_the_rebuilt_state() {
 
 /// `golden_delta_v2.bin` — a DynStrClu delta written by the retired v2
 /// writer on top of `golden_snapshot_v2.bin` after three updates —
-/// applies to the restored v2 base and lands on the state the v4 fixture
+/// applies to the restored v2 base and lands on the state the v5 fixture
 /// reaches through the same three updates.
 #[test]
 fn golden_v2_delta_applies_to_the_v2_base() {
@@ -375,7 +383,7 @@ fn golden_v2_delta_applies_to_the_v2_base() {
     replayed
         .apply_delta_bytes(&delta)
         .expect("v2 delta applies");
-    let mut expected = DynStrClu::restore(&fixture("golden_snapshot_v4.bin")[..]).unwrap();
+    let mut expected = DynStrClu::restore(&fixture("golden_snapshot_v5.bin")[..]).unwrap();
     for update in [
         GraphUpdate::Insert(v(5), v(9)),
         GraphUpdate::Delete(v(0), v(10)),
@@ -385,9 +393,9 @@ fn golden_v2_delta_applies_to_the_v2_base() {
     }
     assert_eq!(replayed.checkpoint_bytes(), expected.checkpoint_bytes());
     assert_eq!(aux_sets(&replayed), aux_sets(&expected));
-    // The v4 base sits at a different chain position, so the v2 delta
+    // The v5 base sits at a different chain position, so the v2 delta
     // refuses it.
-    let mut wrong_base = DynStrClu::restore(&fixture("golden_snapshot_v4.bin")[..]).unwrap();
+    let mut wrong_base = DynStrClu::restore(&fixture("golden_snapshot_v5.bin")[..]).unwrap();
     assert!(matches!(
         wrong_base.apply_delta_bytes(&delta),
         Err(SnapshotError::DeltaBaseMismatch { .. })

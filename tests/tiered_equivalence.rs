@@ -10,7 +10,7 @@
 //! checked on three observables:
 //!
 //! * the coalesced net flip set of every batch,
-//! * the erased checkpoint bytes (canonical v4: equal state ⇔ equal
+//! * the erased checkpoint bytes (canonical v5: equal state ⇔ equal
 //!   bytes),
 //! * the canonical cluster-group-by answer over the full vertex range.
 //!
