@@ -3,7 +3,7 @@
 use crate::snapshot::write_exact_payload;
 use dynscan_core::snapshot::{finish_full_capture, CheckpointCapture};
 use dynscan_core::{
-    extract_clustering, group_by_from_clustering, Clusterer, FlippedEdge, StrCluResult, UpdateError,
+    extract_clustering, group_by_from_clustering, Clusterer, FlippedEdge, StrCluResult,
 };
 use dynscan_graph::snapshot::write_document;
 use dynscan_graph::{
@@ -11,24 +11,6 @@ use dynscan_graph::{
 };
 use dynscan_sim::{EdgeLabel, SimilarityMeasure};
 use std::collections::HashMap;
-
-/// Validate a single update against the current graph, mapping the three
-/// rejection causes onto [`UpdateError`] exactly as the DynELM-based
-/// algorithms do.  Shared by both baselines' `try_apply`, so their
-/// rejection semantics cannot drift apart.
-pub(crate) fn validate_update(graph: &DynGraph, update: GraphUpdate) -> Result<(), UpdateError> {
-    let (u, w) = update.endpoints();
-    if u == w {
-        return Err(UpdateError::InvalidVertex { v: u });
-    }
-    if update.is_insert() && graph.has_edge(u, w) {
-        return Err(UpdateError::DuplicateInsert { u, v: w });
-    }
-    if update.is_delete() && !graph.has_edge(u, w) {
-        return Err(UpdateError::MissingDelete { u, v: w });
-    }
-    Ok(())
-}
 
 /// Exact dynamic structural clustering à la pSCAN.
 ///
@@ -113,20 +95,11 @@ impl ExactDynScan {
         self.probes
     }
 
-    fn relabel(&mut self, key: EdgeKey) {
-        let sigma = self.similarity(key).expect("edge has a maintained count");
-        self.labels
-            .insert(key, EdgeLabel::from_similarity(sigma, self.eps));
-    }
-
     /// Adjust the exact intersection counts for the insertion of `(u, w)`
     /// and return the affected edges, without relabelling them yet (the
     /// batch path defers relabelling to the end of the batch).
     fn insert_counts(&mut self, u: VertexId, w: VertexId) -> Option<Vec<EdgeKey>> {
-        if u == w || self.graph.has_edge(u, w) {
-            return None;
-        }
-        self.graph.insert_edge(u, w).expect("checked above");
+        self.graph.insert_edge(u, w).ok()?;
         self.updates += 1;
         let mut affected = Vec::with_capacity(self.graph.degree(u) + self.graph.degree(w));
         // Exact count for the new edge, from scratch.
@@ -168,10 +141,7 @@ impl ExactDynScan {
     /// Adjust the exact intersection counts for the deletion of `(u, w)`
     /// and return the affected (surviving) edges, without relabelling.
     fn delete_counts(&mut self, u: VertexId, w: VertexId) -> Option<Vec<EdgeKey>> {
-        if u == w || !self.graph.has_edge(u, w) {
-            return None;
-        }
-        self.graph.delete_edge(u, w).expect("checked above");
+        self.graph.delete_edge(u, w).ok()?;
         self.updates += 1;
         let key = EdgeKey::new(u, w);
         self.intersections.remove(&key);
@@ -200,24 +170,23 @@ impl ExactDynScan {
         Some(affected)
     }
 
-    /// Insert an edge; returns the affected edges (the new one plus every
-    /// edge incident on either endpoint) or `None` if the edge existed.
+    /// Insert an edge as a batch of one; returns the affected edges (the
+    /// new one plus every edge incident on either endpoint, sorted) or
+    /// `None` if the update is invalid.
     pub fn insert_edge(&mut self, u: VertexId, w: VertexId) -> Option<Vec<EdgeKey>> {
-        let affected = self.insert_counts(u, w)?;
-        for &key in &affected {
-            self.relabel(key);
-        }
-        Some(affected)
+        self.apply_one(GraphUpdate::Insert(u, w))
     }
 
-    /// Delete an edge; returns the affected edges (every surviving edge
-    /// incident on either endpoint) or `None` if the edge was missing.
+    /// Delete an edge as a batch of one; returns the affected edges (every
+    /// surviving edge incident on either endpoint, sorted) or `None` if the
+    /// update is invalid.
     pub fn delete_edge(&mut self, u: VertexId, w: VertexId) -> Option<Vec<EdgeKey>> {
-        let affected = self.delete_counts(u, w)?;
-        for &edge in &affected {
-            self.relabel(edge);
-        }
-        Some(affected)
+        self.apply_one(GraphUpdate::Delete(u, w))
+    }
+
+    fn apply_one(&mut self, update: GraphUpdate) -> Option<Vec<EdgeKey>> {
+        self.graph.check_update(update).ok()?;
+        Some(self.apply_batch_tracked(&[update]).1)
     }
 
     /// Batch path shared with [`crate::IndexedDynScan`]: apply every
@@ -324,14 +293,8 @@ impl Clusterer for ExactDynScan {
         "pSCAN-like"
     }
 
-    /// The historical behaviour silently skipped invalid updates; the
-    /// typed path reports the same three causes as the DynELM-based
-    /// algorithms, so a harness can treat all four backends uniformly.
-    fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError> {
-        validate_update(&self.graph, update)?;
-        // A valid single update is the batch-size-1 case of the shared
-        // batch path (identical relabelling against the final counts).
-        Ok(self.apply_batch_tracked(&[update]).0)
+    fn graph(&self) -> &DynGraph {
+        &self.graph
     }
 
     fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
@@ -350,14 +313,6 @@ impl Clusterer for ExactDynScan {
 
     fn updates_applied(&self) -> u64 {
         self.updates
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.graph.num_edges()
     }
 
     fn algo_tag(&self) -> u32 {

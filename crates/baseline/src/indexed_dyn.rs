@@ -4,7 +4,7 @@ use crate::exact_dyn::ExactDynScan;
 use crate::snapshot::{rebuild_index, write_indexed_payload};
 use dynscan_core::snapshot::{finish_full_capture, CheckpointCapture};
 use dynscan_core::{
-    extract_clustering, group_by_from_clustering, Clusterer, FlippedEdge, StrCluResult, UpdateError,
+    extract_clustering, group_by_from_clustering, Clusterer, FlippedEdge, StrCluResult,
 };
 use dynscan_graph::snapshot::write_document;
 use dynscan_graph::{DynGraph, EdgeKey, GraphUpdate, SnapWriter, SnapshotError, VertexId};
@@ -71,59 +71,16 @@ impl IndexedDynScan {
         }
     }
 
-    /// Bring the ordered neighbour sets in line with the affected edges of
-    /// one update.
-    fn refresh(&mut self, affected: &[EdgeKey], removed: Option<EdgeKey>) {
-        if let Some(key) = removed {
-            if let Some(old) = self.current.remove(&key) {
-                let (a, b) = key.endpoints();
-                self.order[a.index()].remove(&(old, b));
-                self.order[b.index()].remove(&(old, a));
-            }
-        }
-        for &key in affected {
-            let (a, b) = key.endpoints();
-            self.ensure_vertex(a);
-            self.ensure_vertex(b);
-            let sigma = self
-                .inner
-                .similarity(key)
-                .expect("affected edge exists with a maintained similarity");
-            let new_q = quantise(sigma);
-            if let Some(old) = self.current.insert(key, new_q) {
-                if old != new_q {
-                    self.order[a.index()].remove(&(old, b));
-                    self.order[b.index()].remove(&(old, a));
-                    self.order[a.index()].insert((new_q, b));
-                    self.order[b.index()].insert((new_q, a));
-                }
-            } else {
-                self.order[a.index()].insert((new_q, b));
-                self.order[b.index()].insert((new_q, a));
-            }
-        }
-    }
-
-    /// Insert an edge.  Returns `false` for duplicates/self-loops.
+    /// Insert an edge as a batch of one.  Returns `false` for
+    /// duplicates/self-loops.
     pub fn insert_edge(&mut self, u: VertexId, w: VertexId) -> bool {
-        match self.inner.insert_edge(u, w) {
-            Some(affected) => {
-                self.refresh(&affected, None);
-                true
-            }
-            None => false,
-        }
+        self.try_apply(GraphUpdate::Insert(u, w)).is_ok()
     }
 
-    /// Delete an edge.  Returns `false` if the edge was missing.
+    /// Delete an edge as a batch of one.  Returns `false` if the edge was
+    /// missing.
     pub fn delete_edge(&mut self, u: VertexId, w: VertexId) -> bool {
-        match self.inner.delete_edge(u, w) {
-            Some(affected) => {
-                self.refresh(&affected, Some(EdgeKey::new(u, w)));
-                true
-            }
-            None => false,
-        }
+        self.try_apply(GraphUpdate::Delete(u, w)).is_ok()
     }
 
     /// Apply a batch of updates: the inner exact counts are maintained in
@@ -188,11 +145,8 @@ impl Clusterer for IndexedDynScan {
         "hSCAN-like"
     }
 
-    /// Typed single-update path; the same three rejection causes as every
-    /// other backend, evaluated against the inner exact structure.
-    fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError> {
-        crate::exact_dyn::validate_update(self.graph(), update)?;
-        Ok(IndexedDynScan::apply_batch(self, &[update]))
+    fn graph(&self) -> &DynGraph {
+        &self.inner.graph
     }
 
     fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
@@ -216,14 +170,6 @@ impl Clusterer for IndexedDynScan {
 
     fn updates_applied(&self) -> u64 {
         self.inner.updates_applied()
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.graph().num_vertices()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.graph().num_edges()
     }
 
     fn algo_tag(&self) -> u32 {

@@ -40,7 +40,12 @@
 //! `BENCH_batch.json` as the control that shows the speedup comes from
 //! deduplicated estimation, not from measurement artefacts.
 //!
-//! Both dynamic baselines implement the object-safe
+//! Each dynamic baseline has one update path: a single update is a batch
+//! of one through its batch path (count maintenance in stream order, then
+//! one relabel pass over the deduplicated affected edges, and for
+//! [`IndexedDynScan`] one index refresh), whether it arrives through
+//! `insert_edge` / `delete_edge` or through the trait's shared
+//! `try_apply`.  Both implement the object-safe
 //! [`dynscan_core::Clusterer`] trait, so the `Session` facade can drive
 //! them exactly like DynELM / DynStrClu.  Because the crate dependency
 //! points from here to `dynscan-core`, the facade reaches them through

@@ -67,7 +67,7 @@ fn main() {
             row.mode,
             row.churn_fraction * 100.0
         );
-        if row.algorithm == "DynStrClu" && row.mode == "sampled" {
+        if row.algorithm == "DynStrClu" && row.mode == "rho0.25" {
             if quick {
                 // At smoke scale the hotspot burst touches ~30% of the DT
                 // state (tiny τ thresholds on a 600-vertex graph), so the

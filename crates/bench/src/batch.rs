@@ -222,8 +222,10 @@ fn exact_params(seed: u64) -> Params {
         .with_seed(seed)
 }
 
-/// Parameters for the sampled configuration (the real algorithm): the
-/// batch engine's win here is deduplicated + parallel re-estimation.
+/// Parameters for the "sampled" configuration: the estimator is on, but
+/// at ε = 0.3, ρ = 0.25 and δ* = 10⁻⁶ every labelling takes its exact
+/// shortcut, so no sample is drawn.  The batch engine's win here is
+/// deduplicated + parallel re-estimation.
 fn sampled_params(seed: u64) -> Params {
     Params::jaccard(0.3, 4).with_rho(0.25).with_seed(seed)
 }

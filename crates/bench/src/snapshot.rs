@@ -13,8 +13,13 @@
 //! 4. replays an identical continuation stream into the live and the
 //!    restored instance and checks they finish in **byte-identical**
 //!    state (their post-continuation checkpoints are compared bytewise,
-//!    which covers labels, DT counters and — in sampled mode — every
-//!    future random draw).
+//!    which covers labels, DT counters, the labelling counter and the
+//!    batch epoch every future random draw derives from).
+//!
+//! Modes name the parameters, not the code path: `rho0.25` is ε = 0.3,
+//! ρ = 0.25 and δ* = 10⁻⁶, where every labelling takes the estimator's
+//! exact shortcut (the sample size L ≥ 20,600 exceeds every closed
+//! degree), so each row reports the `samples_drawn` it actually made.
 //!
 //! The rows are exported as `BENCH_checkpoint.json`; the bench binary
 //! asserts the ≥ 5× restore-vs-rebuild bar for the DynStrClu rows.
@@ -77,10 +82,13 @@ impl CheckpointBenchConfig {
 pub struct CheckpointBenchRow {
     /// Algorithm name.
     pub algorithm: &'static str,
-    /// Labelling mode: `"exact-rho0"`, `"sampled"` or `"exact"`.
+    /// Labelling mode: `"exact-rho0"`, `"rho0.25"` or `"exact"`.
     pub mode: &'static str,
     /// Edges in the graph at checkpoint time.
     pub edges: usize,
+    /// Similarity samples the live instance drew up to checkpoint time
+    /// (0 for the exact baseline).
+    pub samples_drawn: u64,
     /// Snapshot size in bytes.
     pub snapshot_bytes: usize,
     /// Wall-clock seconds to checkpoint.
@@ -196,6 +204,7 @@ where
         drop(rebuilt);
     }
     let edges = restored.num_edges();
+    let samples_drawn = samples_drawn(&live);
 
     // Bit-identity: live and restored must agree flip-for-flip on the
     // continuation and end in byte-identical checkpoints.
@@ -213,6 +222,7 @@ where
         algorithm,
         mode,
         edges,
+        samples_drawn,
         snapshot_bytes: bytes.len(),
         checkpoint_secs: median_secs(checkpoint_runs),
         restore_secs,
@@ -233,6 +243,8 @@ pub struct DeltaBenchRow {
     pub mode: &'static str,
     /// Edges in the graph at the measurement point.
     pub edges: usize,
+    /// Similarity samples the live instance drew up to the delta.
+    pub samples_drawn: u64,
     /// Updates applied between the base checkpoint and the delta.
     pub churn_updates: usize,
     /// `churn_updates / edges` — how small a slice of the state the burst
@@ -344,6 +356,7 @@ where
         algorithm,
         mode,
         edges,
+        samples_drawn: samples_drawn(&live),
         churn_updates: churn.len(),
         churn_fraction: churn.len() as f64 / edges.max(1) as f64,
         full_bytes: full_bytes.len(),
@@ -359,16 +372,16 @@ where
 /// Run the delta-vs-full comparison for all four backends.
 pub fn run_delta_vs_full(config: &CheckpointBenchConfig) -> Vec<DeltaBenchRow> {
     vec![
-        // Headline: DynStrClu in sampled mode — the ≥ 5× size / ≥ 3×
-        // time delta bars apply to this row.
-        compare_delta(config, "DynStrClu", "sampled", || {
-            DynStrClu::new(sampled_params(config.seed))
+        // Headline: DynStrClu at ρ = 0.25 — the ≥ 3× size / ≥ 1.5× time
+        // delta bars apply to this row.
+        compare_delta(config, "DynStrClu", "rho0.25", || {
+            DynStrClu::new(rho025_params(config.seed))
         }),
         compare_delta(config, "DynStrClu", "exact-rho0", || {
             DynStrClu::new(exact_params(config.seed))
         }),
-        compare_delta(config, "DynELM", "sampled", || {
-            DynElm::new(sampled_params(config.seed))
+        compare_delta(config, "DynELM", "rho0.25", || {
+            DynElm::new(rho025_params(config.seed))
         }),
         compare_delta(config, "pSCAN-like", "exact", || {
             ExactDynScan::jaccard(0.3, 4)
@@ -381,10 +394,11 @@ pub fn delta_rows_to_table(rows: &[DeltaBenchRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<11} {:<10} {:>7} {:>6} {:>10} {:>10} {:>7} {:>9} {:>9} {:>7} {:>9}",
+        "{:<11} {:<10} {:>7} {:>8} {:>6} {:>10} {:>10} {:>7} {:>9} {:>9} {:>7} {:>9}",
         "algorithm",
         "mode",
         "edges",
+        "samples",
         "churn",
         "full KiB",
         "delta KiB",
@@ -397,10 +411,11 @@ pub fn delta_rows_to_table(rows: &[DeltaBenchRow]) -> String {
     for row in rows {
         let _ = writeln!(
             out,
-            "{:<11} {:<10} {:>7} {:>6} {:>10.1} {:>10.1} {:>6.1}x {:>9.2} {:>9.2} {:>6.1}x {:>9}",
+            "{:<11} {:<10} {:>7} {:>8} {:>6} {:>10.1} {:>10.1} {:>6.1}x {:>9.2} {:>9.2} {:>6.1}x {:>9}",
             row.algorithm,
             row.mode,
             row.edges,
+            row.samples_drawn,
             row.churn_updates,
             row.full_bytes as f64 / 1024.0,
             row.delta_bytes as f64 / 1024.0,
@@ -414,8 +429,15 @@ pub fn delta_rows_to_table(rows: &[DeltaBenchRow]) -> String {
     out
 }
 
-fn sampled_params(seed: u64) -> Params {
+/// ε = 0.3, ρ = 0.25, default δ* = 10⁻⁶: the estimator's parameters,
+/// but every labelling here takes its exact shortcut (module docs).
+fn rho025_params(seed: u64) -> Params {
     Params::jaccard(0.3, 4).with_rho(0.25).with_seed(seed)
+}
+
+/// Similarity samples `algo` has drawn (0 without labelling counters).
+fn samples_drawn(algo: &impl Clusterer) -> u64 {
+    algo.elm_stats().map_or(0, |s| s.samples_drawn)
 }
 
 fn exact_params(seed: u64) -> Params {
@@ -428,16 +450,16 @@ fn exact_params(seed: u64) -> Params {
 /// Run the full checkpoint-vs-rebuild comparison matrix.
 pub fn run_checkpoint_vs_rebuild(config: &CheckpointBenchConfig) -> Vec<CheckpointBenchRow> {
     vec![
-        // Headline: DynStrClu in sampled mode (the real algorithm) — this
-        // is the row the ≥ 5× acceptance bar applies to.
-        compare(config, "DynStrClu", "sampled", || {
-            DynStrClu::new(sampled_params(config.seed))
+        // Headline: DynStrClu at ρ = 0.25 with the estimator on — the
+        // ≥ 5× acceptance bar applies to every DynStrClu row.
+        compare(config, "DynStrClu", "rho0.25", || {
+            DynStrClu::new(rho025_params(config.seed))
         }),
         compare(config, "DynStrClu", "exact-rho0", || {
             DynStrClu::new(exact_params(config.seed))
         }),
-        compare(config, "DynELM", "sampled", || {
-            DynElm::new(sampled_params(config.seed))
+        compare(config, "DynELM", "rho0.25", || {
+            DynElm::new(rho025_params(config.seed))
         }),
         compare(config, "pSCAN-like", "exact", || {
             ExactDynScan::jaccard(0.3, 4)
@@ -470,7 +492,7 @@ pub struct TieredMemoryRow {
     pub bytes_identical: bool,
 }
 
-/// Replay the bench workload on DynStrClu (sampled) at three budget
+/// Replay the bench workload on DynStrClu (ρ = 0.25) at three budget
 /// settings — unbudgeted, ample (never demotes) and tiny (heavily
 /// cold) — and report residency, tier traffic and byte-identity.  The
 /// bench binary gates: tiny stays under its budget with real cold
@@ -491,7 +513,7 @@ pub fn run_tiered_memory(config: &CheckpointBenchConfig) -> Vec<TieredMemoryRow>
     let mut reference_bytes: Option<Vec<u8>> = None;
     let mut rows = Vec::new();
     for (label, budget) in settings {
-        let mut live = DynStrClu::new(sampled_params(config.seed));
+        let mut live = DynStrClu::new(rho025_params(config.seed));
         live.set_memory_budget(budget);
         let (replay_secs, ()) = time(|| {
             for chunk in initial_inserts.chunks(1024) {
@@ -590,11 +612,13 @@ pub fn checkpoint_rows_to_json(
         let _ = write!(
             out,
             "    {{\"algorithm\": \"{}\", \"mode\": \"{}\", \"edges\": {}, \
-             \"snapshot_bytes\": {}, \"checkpoint_secs\": {:.6}, \"restore_secs\": {:.6}, \
-             \"rebuild_secs\": {:.6}, \"restore_speedup\": {:.2}, \"bit_identical\": {}}}",
+             \"samples_drawn\": {}, \"snapshot_bytes\": {}, \"checkpoint_secs\": {:.6}, \
+             \"restore_secs\": {:.6}, \"rebuild_secs\": {:.6}, \"restore_speedup\": {:.2}, \
+             \"bit_identical\": {}}}",
             row.algorithm,
             row.mode,
             row.edges,
+            row.samples_drawn,
             row.snapshot_bytes,
             row.checkpoint_secs,
             row.restore_secs,
@@ -610,12 +634,14 @@ pub fn checkpoint_rows_to_json(
         let _ = write!(
             out,
             "    {{\"algorithm\": \"{}\", \"mode\": \"{}\", \"edges\": {}, \
-             \"churn_updates\": {}, \"churn_fraction\": {:.4}, \"full_bytes\": {}, \
-             \"delta_bytes\": {}, \"size_ratio\": {:.2}, \"full_secs\": {:.6}, \
-             \"delta_secs\": {:.6}, \"time_ratio\": {:.2}, \"chain_identical\": {}}}",
+             \"samples_drawn\": {}, \"churn_updates\": {}, \"churn_fraction\": {:.4}, \
+             \"full_bytes\": {}, \"delta_bytes\": {}, \"size_ratio\": {:.2}, \
+             \"full_secs\": {:.6}, \"delta_secs\": {:.6}, \"time_ratio\": {:.2}, \
+             \"chain_identical\": {}}}",
             row.algorithm,
             row.mode,
             row.edges,
+            row.samples_drawn,
             row.churn_updates,
             row.churn_fraction,
             row.full_bytes,
@@ -665,10 +691,11 @@ pub fn checkpoint_rows_to_table(rows: &[CheckpointBenchRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<11} {:<10} {:>7} {:>10} {:>10} {:>10} {:>10} {:>9} {:>9}",
+        "{:<11} {:<10} {:>7} {:>8} {:>10} {:>10} {:>10} {:>10} {:>9} {:>9}",
         "algorithm",
         "mode",
         "edges",
+        "samples",
         "snap KiB",
         "ckpt ms",
         "restore ms",
@@ -679,10 +706,11 @@ pub fn checkpoint_rows_to_table(rows: &[CheckpointBenchRow]) -> String {
     for row in rows {
         let _ = writeln!(
             out,
-            "{:<11} {:<10} {:>7} {:>10.1} {:>10.2} {:>10.2} {:>10.2} {:>8.1}x {:>9}",
+            "{:<11} {:<10} {:>7} {:>8} {:>10.1} {:>10.2} {:>10.2} {:>10.2} {:>8.1}x {:>9}",
             row.algorithm,
             row.mode,
             row.edges,
+            row.samples_drawn,
             row.snapshot_bytes as f64 / 1024.0,
             row.checkpoint_secs * 1e3,
             row.restore_secs * 1e3,
@@ -701,8 +729,8 @@ mod tests {
     #[test]
     fn quick_comparison_is_bit_identical_and_fast_to_restore() {
         let config = CheckpointBenchConfig::quick();
-        let row = compare(&config, "DynStrClu", "sampled", || {
-            DynStrClu::new(sampled_params(config.seed))
+        let row = compare(&config, "DynStrClu", "rho0.25", || {
+            DynStrClu::new(rho025_params(config.seed))
         });
         assert!(
             row.bit_identical,
@@ -728,21 +756,24 @@ mod tests {
             ExactDynScan::jaccard(0.3, 4)
         });
         assert!(row.bit_identical);
+        assert_eq!(row.samples_drawn, 0);
     }
 
     #[test]
     fn json_export_shape() {
         let config = CheckpointBenchConfig::quick();
-        let rows = vec![compare(&config, "DynELM", "sampled", || {
-            DynElm::new(sampled_params(config.seed))
+        let rows = vec![compare(&config, "DynELM", "rho0.25", || {
+            DynElm::new(rho025_params(config.seed))
         })];
-        let delta_rows = vec![compare_delta(&config, "DynELM", "sampled", || {
-            DynElm::new(sampled_params(config.seed))
+        let delta_rows = vec![compare_delta(&config, "DynELM", "rho0.25", || {
+            DynElm::new(rho025_params(config.seed))
         })];
         let tiered_rows = run_tiered_memory(&config);
         let json = checkpoint_rows_to_json(&config, &rows, &delta_rows, &tiered_rows);
         assert!(json.contains("\"benchmark\": \"checkpoint_vs_rebuild\""));
         assert!(json.contains("\"restore_speedup\""));
+        assert!(json.contains("\"mode\": \"rho0.25\""));
+        assert!(json.contains("\"samples_drawn\": "));
         assert!(json.contains("\"delta_rows\""));
         assert!(json.contains("\"chain_identical\": true"));
         assert!(json.contains("\"tiered_memory\""));
@@ -759,8 +790,8 @@ mod tests {
     #[test]
     fn quick_delta_chain_is_identical_and_smaller() {
         let config = CheckpointBenchConfig::quick();
-        let row = compare_delta(&config, "DynStrClu", "sampled", || {
-            DynStrClu::new(sampled_params(config.seed))
+        let row = compare_delta(&config, "DynStrClu", "rho0.25", || {
+            DynStrClu::new(rho025_params(config.seed))
         });
         assert!(
             row.chain_identical,

@@ -12,7 +12,14 @@
 //!    touched vertices are drained **once per endpoint across the whole
 //!    batch** ([`dynscan_dt::DtRegistry::drain_ready_batch`]), so an edge
 //!    incident to a busy vertex is re-estimated once per batch instead of
-//!    once per update.
+//!    once per update.  Once a checkpoint has been taken, the dirty
+//!    tracker marks every edge the drain signalled and every edge to be
+//!    relabelled, and marks vertices only in phase 1: a delta writes a
+//!    vertex only for its adjacency and DT counter, which only topology
+//!    updates change.  A signal or a relabel rewrites the edge's label,
+//!    coordinator and both participant heap entries, and all of those
+//!    ride on the edge's record in the delta, so marking the edge alone
+//!    captures it.
 //! 3. **Parallel re-estimation** — the deduplicated affected set (matured
 //!    edges ∪ surviving new edges) is sorted and relabelled in parallel
 //!    against the post-batch topology.  Labellings are numbered over the
@@ -221,35 +228,11 @@ impl DynElm {
         }
     }
 
-    /// Drain the DT maturities pending at `touched`, feeding the dirty
-    /// tracker while marks are being collected: the tracked drain also
-    /// reports every signalled edge and the round restarts that moved
-    /// heap entries at the *far* endpoint.  The untracked path stays
-    /// log-free (all-dirty instances pay nothing).
-    fn drain_touched_tracked(&mut self, touched: &[VertexId]) -> Vec<EdgeKey> {
-        if self.dirty.is_tracking() {
-            let mut drain_log = (Vec::new(), Vec::new());
-            let matured = self
-                .dt
-                .drain_ready_batch_tracked(touched.iter().copied(), &mut drain_log);
-            for v in drain_log.0 {
-                self.dirty.mark_vertex(v);
-            }
-            for key in drain_log.1 {
-                self.dirty.mark_edge(key);
-            }
-            matured
-        } else {
-            self.dt.drain_ready_batch(touched.iter().copied())
-        }
-    }
-
-    /// Apply a single update.
+    /// Apply a single update as a batch of one, or report why it is
+    /// invalid ([`DynGraph::check_update`]) and change nothing.
     pub fn apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, GraphError> {
-        match update {
-            GraphUpdate::Insert(u, v) => self.insert_edge(u, v),
-            GraphUpdate::Delete(u, v) => self.delete_edge(u, v),
-        }
+        self.graph.check_update(update)?;
+        Ok(self.apply_batch(&[update]))
     }
 
     /// Insert the edge `(u, w)`, returning the set of edges whose labels
@@ -259,13 +242,7 @@ impl DynElm {
         u: VertexId,
         w: VertexId,
     ) -> Result<Vec<FlippedEdge>, GraphError> {
-        if u == w {
-            return Err(GraphError::SelfLoop { v: u });
-        }
-        if self.graph.has_edge(u, w) {
-            return Err(GraphError::EdgeExists { u, v: w });
-        }
-        Ok(self.apply_batch(&[GraphUpdate::Insert(u, w)]))
+        self.apply(GraphUpdate::Insert(u, w))
     }
 
     /// Delete the edge `(u, w)`, returning the set of edges whose labels
@@ -276,13 +253,7 @@ impl DynElm {
         u: VertexId,
         w: VertexId,
     ) -> Result<Vec<FlippedEdge>, GraphError> {
-        if u == w {
-            return Err(GraphError::SelfLoop { v: u });
-        }
-        if !self.graph.has_edge(u, w) {
-            return Err(GraphError::EdgeMissing { u, v: w });
-        }
-        Ok(self.apply_batch(&[GraphUpdate::Delete(u, w)]))
+        self.apply(GraphUpdate::Delete(u, w))
     }
 
     /// Apply a whole batch of updates, returning the **net** flipped-edge
@@ -310,15 +281,10 @@ impl DynElm {
 
         // Phase 1 — topology and DT counters, in stream order.
         for &update in updates {
+            if self.graph.check_update(update).is_err() {
+                continue;
+            }
             let (u, w) = update.endpoints();
-            if u == w {
-                continue;
-            }
-            let is_insert = update.is_insert();
-            if is_insert == self.graph.has_edge(u, w) {
-                // Duplicate insertion or deletion of an absent edge.
-                continue;
-            }
             self.dt.increment(u);
             self.dt.increment(w);
             let key = EdgeKey::new(u, w);
@@ -327,7 +293,7 @@ impl DynElm {
             // while all-dirty, i.e. before the first checkpoint).
             self.dirty.mark_update(u, w, key);
             pre_labels.push((key, self.labels.get(&key).copied()));
-            if is_insert {
+            if update.is_insert() {
                 self.graph.insert_edge(u, w).expect("existence checked");
                 new_edges.push(key);
             } else {
@@ -346,8 +312,17 @@ impl DynElm {
         }
 
         // Phase 2 — deduplicated cross-batch drain: each touched endpoint
-        // is drained once, however many updates hit it.
-        let matured = self.drain_touched_tracked(&touched);
+        // is drained once, however many updates hit it.  Signalled edges
+        // are logged only while marks are collected (all-dirty instances
+        // pay nothing).
+        let mut signalled = Vec::new();
+        let matured = self.dt.drain_ready_batch(
+            touched.iter().copied(),
+            self.dirty.is_tracking().then_some(&mut signalled),
+        );
+        for key in signalled {
+            self.dirty.mark_edge(key);
+        }
         self.stats.dt_maturities += matured.len() as u64;
         let mut jobs = std::mem::take(&mut self.scratch.jobs);
         jobs.clear();
@@ -359,9 +334,8 @@ impl DynElm {
         let before = self.strategy.invocations();
         for (&key, invocation) in affected.iter().zip(before + 1..) {
             // Re-registration in phase 4 rewrites the edge's label,
-            // coordinator and both endpoints' heap entries.
-            let (a, b) = key.endpoints();
-            self.dirty.mark_update(a, b, key);
+            // coordinator and both heap entries: all on the edge's record.
+            self.dirty.mark_edge(key);
             pre_labels.push((key, self.labels.get(&key).copied()));
             jobs.push((key, invocation));
         }
@@ -579,8 +553,9 @@ mod tests {
 
     #[test]
     fn sampled_mode_maintains_rho_approximate_validity() {
-        // With sampling (the real algorithm), validity holds with high
-        // probability; δ* = 10⁻⁶ and a fixed seed keep this deterministic.
+        // With the estimator on (no exact-label switch), validity holds
+        // with high probability; δ* = 10⁻⁶ and a fixed seed keep this
+        // deterministic.
         let g = two_cliques_with_hub();
         let params = two_cliques_params().with_rho(0.1).with_seed(12345);
         let mut elm = DynElm::new(params);

@@ -1054,7 +1054,7 @@ impl Session {
         if self.checkpoint_every.is_some() {
             self.since_checkpoint += submitted;
             if self.since_checkpoint >= self.checkpoint_every.expect("checked") {
-                self.auto_checkpoint();
+                self.take_checkpoint(false);
             }
         }
         // Publish the new epoch *before* the mutation returns (and hence
@@ -1168,21 +1168,29 @@ impl Session {
         }
     }
 
-    fn auto_checkpoint(&mut self) {
+    /// The one checkpoint path, behind the automatic cadence and
+    /// [`Session::checkpoint_now`].  Wait for the in-flight job (one write
+    /// in flight at most keeps the store's documents in chain order and
+    /// makes its outcome, in particular `force_full`, visible before this
+    /// capture's kind is decided), take the next sequence number, capture
+    /// synchronously, then write: on the pool in background mode, inline
+    /// otherwise.  `full` is `checkpoint_now`'s case: a full snapshot,
+    /// always written inline; without it the cadence picks full or delta.
+    /// Returns the absorbed result of an inline write, or `None` when
+    /// there is no store or the write went to the pool.
+    fn take_checkpoint(&mut self, full: bool) -> Option<Result<SnapshotInfo, String>> {
         self.since_checkpoint = 0;
-        if self.ckpt.is_none() {
-            return;
-        }
-        // One write in flight at most: finishing the previous job first
-        // keeps the store's documents in chain order and makes its
-        // outcome (in particular `force_full`) visible before the kind of
-        // this capture is decided.
+        self.ckpt.as_ref()?;
         self.finish_pending_checkpoint(true);
         let ckpt = self.ckpt.as_mut().expect("checked above");
         let seq = ckpt.next_seq;
         ckpt.next_seq += 1;
-        let prefer_delta =
-            ckpt.full_every > 1 && !seq.is_multiple_of(ckpt.full_every) && !ckpt.force_full;
+        let prefer_delta = !full
+            && ckpt.full_every > 1
+            && !seq.is_multiple_of(ckpt.full_every)
+            && !ckpt.force_full;
+        // A full snapshot starts a fresh chain, so any hole punched by an
+        // earlier failure is healed by this write.
         ckpt.force_full = false;
         // Synchronous part: capture the state (delta-sized in steady
         // state).  Everything after — framing, checksum, sink I/O,
@@ -1195,7 +1203,7 @@ impl Session {
         let ckpt = self.ckpt.as_mut().expect("checked above");
         let keep_last = ckpt.keep_last;
         let shared = Arc::clone(&ckpt.shared);
-        if ckpt.background {
+        if ckpt.background && !full {
             let slot: Arc<CompletionSlot<JobReport>> = ckpt.inflight.launch();
             self.inner.exec_pool_handle().spawn(move || {
                 // A panicking store/sink must still complete the slot —
@@ -1217,10 +1225,12 @@ impl Session {
                 });
                 slot.complete(report);
             });
-        } else {
-            let report = run_checkpoint_job(seq, &capture, updates_applied, keep_last, &shared);
-            self.absorb_checkpoint_report(report);
+            return None;
         }
+        let report = run_checkpoint_job(seq, &capture, updates_applied, keep_last, &shared);
+        let result = report.result.clone();
+        self.absorb_checkpoint_report(report);
+        Some(result)
     }
 
     /// Block until any in-flight background checkpoint has been written
@@ -1248,29 +1258,9 @@ impl Session {
     /// checkpoint's.
     pub fn checkpoint_now(&mut self) -> Result<SnapshotInfo, SessionError> {
         self.flush();
-        if self.ckpt.is_none() {
-            return Err(SessionError::MissingCheckpointSink);
-        }
-        self.finish_pending_checkpoint(true);
-        self.since_checkpoint = 0;
-        let ckpt = self.ckpt.as_mut().expect("checked above");
-        let seq = ckpt.next_seq;
-        ckpt.next_seq += 1;
-        // A full snapshot starts a fresh chain, so any hole punched by an
-        // earlier failure is healed by this write.
-        ckpt.force_full = false;
-        let capture = self.inner.capture_checkpoint(false, wall_clock_millis());
-        let updates_applied = self.inner.updates_applied();
-        let ckpt = self.ckpt.as_mut().expect("checked above");
-        let keep_last = ckpt.keep_last;
-        let shared = Arc::clone(&ckpt.shared);
-        let report = run_checkpoint_job(seq, &capture, updates_applied, keep_last, &shared);
-        let outcome = match &report.result {
-            Ok(info) => Ok(*info),
-            Err(message) => Err(SessionError::CheckpointFailed(message.clone())),
-        };
-        self.absorb_checkpoint_report(report);
-        outcome
+        self.take_checkpoint(true)
+            .ok_or(SessionError::MissingCheckpointSink)?
+            .map_err(SessionError::CheckpointFailed)
     }
 
     /// Drain the session for shutdown: flush every buffered update, wait

@@ -94,9 +94,14 @@ pub struct ChainPosition {
 /// every checkpointable backend in the workspace embeds.
 ///
 /// Between two checkpoints the owning structure marks every vertex whose
-/// per-vertex state (adjacency slots, DT counter/heap) changed and every
-/// edge whose per-edge state (label, DT coordinator, existence) changed.
-/// A delta capture then serialises exactly the marked subset; writing (or
+/// per-vertex record changed and every edge whose per-edge record
+/// changed.  In a DynELM delta a vertex record holds the adjacency slots
+/// and the DT shared counter, so only topology updates mark vertices
+/// (both endpoints).  An edge record holds the edge's existence, label,
+/// DT coordinator and both participant heap entries, so a DT signal or a
+/// relabel marks only its edge: the heap entries it rewrites travel with
+/// the edge.  A delta
+/// capture then serialises exactly the marked subset; writing (or
 /// restoring) a checkpoint clears the marks and records the new
 /// [`ChainPosition`].
 ///
@@ -1248,6 +1253,50 @@ mod tests {
             DynStrClu::restore(&bytes[..bytes.len() / 2]),
             Err(SnapshotError::Truncated)
         ));
+    }
+
+    /// Only topology updates mark vertices: after one batch the dirty
+    /// vertices are exactly the endpoints of its applied updates, every
+    /// relabelled edge is marked on its own record, and base + delta
+    /// restores the live state.  With these parameters τ = 1, so every
+    /// edge at an updated vertex matures and is relabelled.
+    #[test]
+    fn batch_marks_update_endpoints_and_every_relabelled_edge() {
+        let mut live = build_strclu(two_cliques_params().with_exact_labels());
+        let base = live.capture_checkpoint(false, 0).to_bytes();
+        let batch = [
+            GraphUpdate::Delete(v(4), v(5)),
+            GraphUpdate::Insert(v(12), v(8)),
+            GraphUpdate::Insert(v(0), v(1)), // duplicate: skipped
+            GraphUpdate::Insert(v(3), v(3)), // self-loop: skipped
+            GraphUpdate::Delete(v(2), v(9)), // missing: skipped
+        ];
+        let labellings = live.stats().labellings;
+        live.apply_batch(&batch);
+
+        let endpoints = vec![v(4), v(5), v(8), v(12)];
+        let relabelled: Vec<EdgeKey> = live
+            .graph()
+            .edges()
+            .filter(|key| endpoints.contains(&key.lo()) || endpoints.contains(&key.hi()))
+            .collect();
+        assert_eq!(
+            live.stats().labellings - labellings,
+            relabelled.len() as u64,
+            "every edge at an updated vertex is relabelled once"
+        );
+        assert_eq!(live.elm.dirty.vertices_sorted(), endpoints);
+        let dirty_edges = live.elm.dirty.edges_sorted();
+        for key in &relabelled {
+            assert!(dirty_edges.contains(key), "relabelled {key:?} unmarked");
+        }
+        assert!(dirty_edges.contains(&EdgeKey::new(v(4), v(5))), "tombstone");
+
+        let delta = live.capture_checkpoint(true, 0);
+        assert_eq!(delta.kind(), SnapshotKind::Delta);
+        let mut restored = DynStrClu::restore(&base[..]).unwrap();
+        restored.apply_delta_bytes(&delta.to_bytes()).unwrap();
+        assert_eq!(restored.checkpoint_bytes(), live.checkpoint_bytes());
     }
 
     #[test]

@@ -336,12 +336,12 @@ impl DynStrClu {
         }
     }
 
-    /// Apply a single update.
+    /// Apply a single update as a batch of one and maintain all three
+    /// modules, or report why it is invalid
+    /// ([`DynGraph::check_update`]) and change nothing.
     pub fn apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, GraphError> {
-        match update {
-            GraphUpdate::Insert(u, v) => self.insert_edge(u, v),
-            GraphUpdate::Delete(u, v) => self.delete_edge(u, v),
-        }
+        self.graph().check_update(update)?;
+        Ok(self.apply_batch(&[update]))
     }
 
     /// Insert the edge `(u, w)` and maintain all three modules.
@@ -350,11 +350,7 @@ impl DynStrClu {
         u: VertexId,
         w: VertexId,
     ) -> Result<Vec<FlippedEdge>, GraphError> {
-        let flipped = self.elm.insert_edge(u, w)?;
-        self.ensure_aux(u);
-        self.ensure_aux(w);
-        self.apply_flips(&flipped);
-        Ok(flipped)
+        self.apply(GraphUpdate::Insert(u, w))
     }
 
     /// Delete the edge `(u, w)` and maintain all three modules.
@@ -363,9 +359,7 @@ impl DynStrClu {
         u: VertexId,
         w: VertexId,
     ) -> Result<Vec<FlippedEdge>, GraphError> {
-        let flipped = self.elm.delete_edge(u, w)?;
-        self.apply_flips(&flipped);
-        Ok(flipped)
+        self.apply(GraphUpdate::Delete(u, w))
     }
 
     /// Apply a whole batch of updates through the batch update engine and

@@ -6,7 +6,7 @@ use crate::cluster::{group_by_from_clustering, StrCluResult};
 use crate::elm::{DynElm, ElmStats, FlippedEdge};
 use crate::snapshot::{self, CheckpointCapture};
 use crate::strclu::{DynStrClu, LiveView};
-use dynscan_graph::{GraphError, GraphUpdate, MemoryFootprint, SnapshotError, VertexId};
+use dynscan_graph::{DynGraph, GraphError, GraphUpdate, MemoryFootprint, SnapshotError, VertexId};
 use std::fmt;
 
 /// Why a single update was rejected, with its cause.
@@ -79,7 +79,10 @@ impl From<GraphError> for UpdateError {
 /// [`Clusterer::try_apply`] applies one update and reports the net label
 /// flips it caused.  Invalid updates — duplicate insertions, deletions of
 /// missing edges, self-loops — leave the structure completely unchanged
-/// and report their cause as an [`UpdateError`].
+/// and report their cause as an [`UpdateError`].  It is written once, for
+/// every backend: one [`DynGraph::check_update`] against
+/// [`Clusterer::graph`], then the update as a batch of one, so a single
+/// update takes exactly the batch path.
 ///
 /// [`Clusterer::apply_batch`] must leave the structure in a state *valid
 /// for the post-batch graph* — identical topology to one-at-a-time
@@ -138,9 +141,16 @@ pub trait Clusterer: Send {
     /// A short human-readable name (used in experiment output).
     fn algorithm_name(&self) -> &'static str;
 
-    /// Apply one update, reporting the net label flips it caused, or the
-    /// [`UpdateError`] that left the structure unchanged.
-    fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError>;
+    /// The current graph.
+    fn graph(&self) -> &DynGraph;
+
+    /// Apply one update as a batch of one, reporting the net label flips
+    /// it caused, or the [`UpdateError`] that left the structure
+    /// unchanged.
+    fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError> {
+        self.graph().check_update(update)?;
+        Ok(self.apply_batch(&[update]))
+    }
 
     /// Apply a batch of updates; returns the coalesced net flip set
     /// (see the [trait docs](Clusterer)).
@@ -170,10 +180,14 @@ pub trait Clusterer: Send {
     fn updates_applied(&self) -> u64;
 
     /// Number of vertices the structure currently covers.
-    fn num_vertices(&self) -> usize;
+    fn num_vertices(&self) -> usize {
+        self.graph().num_vertices()
+    }
 
     /// Number of edges currently in the graph.
-    fn num_edges(&self) -> usize;
+    fn num_edges(&self) -> usize {
+        self.graph().num_edges()
+    }
 
     /// Optional labelling work counters (only the DynELM-based algorithms
     /// have them).
@@ -282,8 +296,8 @@ impl Clusterer for DynElm {
         "DynELM"
     }
 
-    fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError> {
-        self.apply(update).map_err(UpdateError::from)
+    fn graph(&self) -> &DynGraph {
+        &self.graph
     }
 
     fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
@@ -300,14 +314,6 @@ impl Clusterer for DynElm {
 
     fn updates_applied(&self) -> u64 {
         self.stats().updates
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.graph().num_vertices()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.graph().num_edges()
     }
 
     fn elm_stats(&self) -> Option<ElmStats> {
@@ -358,8 +364,8 @@ impl Clusterer for DynStrClu {
         "DynStrClu"
     }
 
-    fn try_apply(&mut self, update: GraphUpdate) -> Result<Vec<FlippedEdge>, UpdateError> {
-        self.apply(update).map_err(UpdateError::from)
+    fn graph(&self) -> &DynGraph {
+        &self.elm.graph
     }
 
     fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Vec<FlippedEdge> {
@@ -390,14 +396,6 @@ impl Clusterer for DynStrClu {
 
     fn updates_applied(&self) -> u64 {
         self.stats().updates
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.graph().num_vertices()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.graph().num_edges()
     }
 
     fn elm_stats(&self) -> Option<ElmStats> {

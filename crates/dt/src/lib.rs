@@ -24,6 +24,9 @@
 //!   proportional to the number of signals the DT protocol itself sends —
 //!   O(log τ) messages per instance over its lifetime.
 //!
+//! The clustering layer increments the counters of every update in a
+//! batch (a single update is a batch of one), then drains the touched
+//! vertices once with [`DtRegistry::drain_ready_batch`], the one drain.
 //! The module deliberately knows nothing about similarities or labels: it
 //! reports which edges matured and the clustering layer decides what to do.
 

@@ -9,16 +9,17 @@ use std::collections::HashMap;
 /// All DT state of a graph: one shared counter and one [`DtHeap`] per
 /// vertex, one [`Coordinator`] per tracked edge.
 ///
-/// The clustering layer drives it with three calls per graph update
-/// `(u, w)`:
+/// The clustering layer drives it with three calls per batch of graph
+/// updates (a single update is a batch of one):
 ///
-/// 1. [`DtRegistry::increment`] on `u` and on `w` (the affecting update),
-/// 2. [`DtRegistry::register`] / [`DtRegistry::deregister`] for the edge
-///    `(u, w)` itself (fresh label on insertion, drop on deletion),
-/// 3. [`DtRegistry::drain_ready`] on `u` and on `w`, which walks the
-///    checkpoint-ready heap entries, simulates the DT signals, and returns
-///    the edges whose instances matured — exactly the edges that must be
-///    relabelled.
+/// 1. [`DtRegistry::increment`] on both endpoints of every applied update
+///    (the affecting updates),
+/// 2. [`DtRegistry::deregister`] for every deleted edge, and later
+///    [`DtRegistry::register`] for every new or relabelled edge,
+/// 3. one [`DtRegistry::drain_ready_batch`] over all the endpoints, which
+///    walks their checkpoint-ready heap entries once, simulates the DT
+///    signals, and returns the edges whose instances matured — exactly
+///    the edges that must be relabelled.
 #[derive(Clone, Debug, Default)]
 pub struct DtRegistry {
     counters: Vec<u64>,
@@ -114,23 +115,60 @@ impl DtRegistry {
         self.counters[v.index()] += 1;
     }
 
-    /// Process every checkpoint-ready entry in `DtHeap(v)`, simulating the
-    /// DT signals.  Returns the edges whose instances matured; those
-    /// instances are removed and the caller is expected to relabel the edges
-    /// and [`DtRegistry::register`] them again with fresh thresholds.
-    pub fn drain_ready(&mut self, v: VertexId) -> Vec<EdgeKey> {
-        self.drain_ready_inner(v, None)
+    /// Drain: process the checkpoint-ready entries of every given vertex,
+    /// visiting each distinct vertex once, simulating the DT signals, and
+    /// return the sorted set of edges whose instances matured.  Those
+    /// instances are removed; the caller relabels the edges and
+    /// [`DtRegistry::register`]s them again with fresh thresholds.
+    ///
+    /// The caller increments every affecting update first and drains once
+    /// at the end (a single update is a batch of one), so an edge incident
+    /// to a busy vertex is examined once per batch, not once per update.
+    /// Correctness relies on the coordinator protocol being driven purely
+    /// by the shared counters: an instance matures during a deferred drain
+    /// if and only if the accumulated affecting updates crossed its
+    /// threshold, exactly as it would have under per-update drains (the
+    /// simple-mode coordinator replays one signal per pending increment
+    /// inside the drain loop).
+    ///
+    /// `log`, when given, receives every edge that received a signal (its
+    /// coordinator state advanced, matured or not): a signal rewrites only
+    /// that edge's coordinator and its two participant heap entries, so
+    /// the signalled edges are exactly the drain's writes beyond the
+    /// shared counters the caller incremented.
+    pub fn drain_ready_batch<I>(
+        &mut self,
+        vertices: I,
+        mut log: Option<&mut Vec<EdgeKey>>,
+    ) -> Vec<EdgeKey>
+    where
+        I: IntoIterator<Item = VertexId>,
+    {
+        let mut seen: Vec<VertexId> = vertices.into_iter().collect();
+        seen.sort_unstable();
+        seen.dedup();
+        let mut matured = Vec::new();
+        for v in seen {
+            if v.index() >= self.heaps.len() {
+                continue;
+            }
+            self.drain_vertex(v, &mut matured, log.as_deref_mut());
+        }
+        // Maturity removes the coordinator, so an edge can only be
+        // reported by the drain of one endpoint; dedup is defensive.
+        matured.sort_unstable();
+        matured.dedup();
+        matured
     }
 
-    fn drain_ready_inner(
+    /// Walk `DtHeap(v)`'s checkpoint-ready entries, appending matured
+    /// edges to `matured` and signalled edges to `log`.
+    fn drain_vertex(
         &mut self,
         v: VertexId,
-        mut log: Option<&mut (Vec<VertexId>, Vec<EdgeKey>)>,
-    ) -> Vec<EdgeKey> {
-        let mut matured = Vec::new();
-        if v.index() >= self.heaps.len() {
-            return matured;
-        }
+        matured: &mut Vec<EdgeKey>,
+        mut log: Option<&mut Vec<EdgeKey>>,
+    ) {
         loop {
             let s_v = self.counters[v.index()];
             let Some((nb, entry)) = self.heaps[v.index()].pop_ready(s_v) else {
@@ -147,7 +185,7 @@ impl DtRegistry {
                 .expect("tracked edge has a coordinator")
                 .on_signal(|| [s_v - entry.round_start, s_nb - other_entry.round_start]);
             if let Some(log) = log.as_deref_mut() {
-                log.1.push(key);
+                log.push(key);
             }
             match outcome {
                 SignalOutcome::ContinueRound { slack } => {
@@ -176,86 +214,14 @@ impl DtRegistry {
                             checkpoint: s_nb + slack,
                         },
                     );
-                    if let Some(log) = log.as_deref_mut() {
-                        log.0.push(nb);
-                    }
                 }
                 SignalOutcome::Mature => {
                     self.heaps[nb.index()].remove(v);
                     self.coordinators.remove(&key);
                     matured.push(key);
-                    if let Some(log) = log.as_deref_mut() {
-                        log.0.push(nb);
-                    }
                 }
             }
         }
-        matured
-    }
-
-    /// Batch drain: process the checkpoint-ready entries of **every** given
-    /// vertex, visiting each distinct vertex once, and return the deduped
-    /// set of matured edges.
-    ///
-    /// This is the cross-batch drain of the batch update engine: instead of
-    /// draining both endpoints after every single update (which re-examines
-    /// an edge incident to a busy vertex once per update), the engine
-    /// defers all drains to the end of the batch and calls this once with
-    /// all touched vertices.  Correctness relies on the coordinator
-    /// protocol being driven purely by the shared counters: an instance
-    /// matures during a deferred drain if and only if the accumulated
-    /// affecting updates crossed its threshold, exactly as it would have
-    /// under per-update drains (the simple-mode coordinator replays one
-    /// signal per pending increment inside the drain loop).
-    ///
-    /// The result is sorted by edge key, so downstream processing is
-    /// deterministic regardless of the caller's vertex order.
-    pub fn drain_ready_batch<I>(&mut self, vertices: I) -> Vec<EdgeKey>
-    where
-        I: IntoIterator<Item = VertexId>,
-    {
-        self.drain_ready_batch_inner(vertices, None)
-    }
-
-    /// [`DtRegistry::drain_ready_batch`] with a dirty log for the batch
-    /// engine's differential checkpointing: every edge that received a
-    /// signal (its coordinator state advanced, matured or not) is appended
-    /// to `log.1`, and every vertex other than the one being drained
-    /// whose heap entry was modified by a round restart or a maturity
-    /// removal is appended to `log.0`.  The drained vertices themselves
-    /// are the caller's responsibility — the surrounding updates always
-    /// touch their counters and heaps.
-    pub fn drain_ready_batch_tracked<I>(
-        &mut self,
-        vertices: I,
-        log: &mut (Vec<VertexId>, Vec<EdgeKey>),
-    ) -> Vec<EdgeKey>
-    where
-        I: IntoIterator<Item = VertexId>,
-    {
-        self.drain_ready_batch_inner(vertices, Some(log))
-    }
-
-    fn drain_ready_batch_inner<I>(
-        &mut self,
-        vertices: I,
-        mut log: Option<&mut (Vec<VertexId>, Vec<EdgeKey>)>,
-    ) -> Vec<EdgeKey>
-    where
-        I: IntoIterator<Item = VertexId>,
-    {
-        let mut seen: Vec<VertexId> = vertices.into_iter().collect();
-        seen.sort_unstable();
-        seen.dedup();
-        let mut matured = Vec::new();
-        for v in seen {
-            matured.extend(self.drain_ready_inner(v, log.as_deref_mut()));
-        }
-        // Maturity removes the coordinator, so an edge can only be
-        // reported by the drain of one endpoint; dedup is defensive.
-        matured.sort_unstable();
-        matured.dedup();
-        matured
     }
 
     /// One participant-side heap entry, if the edge is tracked: the entry
@@ -533,7 +499,7 @@ mod tests {
         for (i, on_first) in pattern.enumerate() {
             let side = if on_first { v(0) } else { v(1) };
             reg.increment(side);
-            let matured = reg.drain_ready(side);
+            let matured = reg.drain_ready_batch([side], None);
             if matured.contains(&key(0, 1)) {
                 return Some(i + 1);
             }
@@ -582,7 +548,7 @@ mod tests {
         for i in 0..tau {
             let side = if i % 3 == 0 { v(0) } else { v(1) };
             reg.increment(side);
-            if !reg.drain_ready(side).is_empty() {
+            if !reg.drain_ready_batch([side], None).is_empty() {
                 matured_at = Some(i + 1);
                 break;
             }
@@ -605,10 +571,10 @@ mod tests {
         // The remaining instance still matures correctly.
         for _ in 0..9 {
             reg.increment(v(0));
-            assert!(reg.drain_ready(v(0)).is_empty());
+            assert!(reg.drain_ready_batch([v(0)], None).is_empty());
         }
         reg.increment(v(2));
-        assert_eq!(reg.drain_ready(v(2)), vec![key(0, 2)]);
+        assert_eq!(reg.drain_ready_batch([v(2)], None), vec![key(0, 2)]);
     }
 
     #[test]
@@ -620,7 +586,7 @@ mod tests {
         let mut matured = Vec::new();
         for i in 0..10u64 {
             reg.increment(v(0));
-            for e in reg.drain_ready(v(0)) {
+            for e in reg.drain_ready_batch([v(0)], None) {
                 matured.push((i + 1, e));
             }
         }
@@ -633,26 +599,29 @@ mod tests {
         let mut reg = DtRegistry::new(2);
         reg.register(key(0, 1), 2);
         reg.increment(v(0));
-        assert!(reg.drain_ready(v(0)).is_empty());
+        assert!(reg.drain_ready_batch([v(0)], None).is_empty());
         reg.increment(v(1));
-        assert_eq!(reg.drain_ready(v(1)), vec![key(0, 1)]);
+        assert_eq!(reg.drain_ready_batch([v(1)], None), vec![key(0, 1)]);
         assert!(!reg.is_tracked(key(0, 1)));
         // Restart with a new threshold.
         reg.register(key(0, 1), 3);
         reg.increment(v(0));
         reg.increment(v(0));
-        assert!(reg.drain_ready(v(0)).is_empty());
+        assert!(reg.drain_ready_batch([v(0)], None).is_empty());
         reg.increment(v(1));
-        assert_eq!(reg.drain_ready(v(1)), vec![key(0, 1)]);
+        assert_eq!(reg.drain_ready_batch([v(1)], None), vec![key(0, 1)]);
     }
 
     #[test]
     fn drain_without_increment_is_empty() {
         let mut reg = DtRegistry::new(2);
         reg.register(key(0, 1), 4);
-        assert!(reg.drain_ready(v(0)).is_empty());
-        assert!(reg.drain_ready(v(1)).is_empty());
-        assert!(reg.drain_ready(v(5)).is_empty(), "unknown vertex is fine");
+        assert!(reg.drain_ready_batch([v(0)], None).is_empty());
+        assert!(reg.drain_ready_batch([v(1)], None).is_empty());
+        assert!(
+            reg.drain_ready_batch([v(5)], None).is_empty(),
+            "unknown vertex is fine"
+        );
     }
 
     #[test]
@@ -673,12 +642,14 @@ mod tests {
         reg.increment(v(2));
         // (0,1): 2 + 1 = 3 ≥ 3 matured; (0,2): 2 + 3 = 5 ≥ 5 matured;
         // (0,3): 2 < 50 keeps running.
-        let matured = reg.drain_ready_batch([v(0), v(1), v(2), v(2), v(3), v(9)]);
+        let matured = reg.drain_ready_batch([v(0), v(1), v(2), v(2), v(3), v(9)], None);
         assert_eq!(matured, vec![key(0, 1), key(0, 2)]);
         assert!(reg.is_tracked(key(0, 3)));
         assert!(!reg.is_tracked(key(0, 1)));
         // A second batch drain with no new increments finds nothing.
-        assert!(reg.drain_ready_batch([v(0), v(1), v(2), v(3)]).is_empty());
+        assert!(reg
+            .drain_ready_batch([v(0), v(1), v(2), v(3)], None)
+            .is_empty());
     }
 
     #[test]
@@ -696,15 +667,38 @@ mod tests {
         let mut eager_matured = Vec::new();
         for &x in &updates {
             eager.increment(x);
-            eager_matured.extend(eager.drain_ready(x));
+            eager_matured.extend(eager.drain_ready_batch([x], None));
         }
         let mut deferred = build();
         for &x in &updates {
             deferred.increment(x);
         }
-        let deferred_matured = deferred.drain_ready_batch(updates);
+        let deferred_matured = deferred.drain_ready_batch(updates, None);
         eager_matured.sort_unstable();
         assert_eq!(eager_matured, deferred_matured);
+    }
+
+    #[test]
+    fn drain_log_holds_exactly_the_signalled_edges() {
+        // Simple-mode instances signal on every pending increment; the
+        // slack-mode one (τ = 100) stays quiet for a single increment.
+        let mut reg = DtRegistry::new(5);
+        reg.register(key(0, 1), 2);
+        reg.register(key(0, 2), 3);
+        reg.register(key(0, 3), 100);
+        reg.register(key(3, 4), 2);
+        reg.increment(v(0));
+        let mut log = Vec::new();
+        assert!(reg.drain_ready_batch([v(0)], Some(&mut log)).is_empty());
+        log.sort_unstable();
+        assert_eq!(log, vec![key(0, 1), key(0, 2)]);
+        reg.increment(v(1));
+        let mut log = Vec::new();
+        assert_eq!(
+            reg.drain_ready_batch([v(1), v(4)], Some(&mut log)),
+            vec![key(0, 1)]
+        );
+        assert_eq!(log, vec![key(0, 1)], "no vertex and no quiet edge");
     }
 
     fn snapshot_roundtrip(reg: &DtRegistry) -> DtRegistry {
@@ -723,7 +717,10 @@ mod tests {
         for i in 0..40u64 {
             let side = if i % 3 == 0 { v(0) } else { v(1) };
             reg.increment(side);
-            assert!(reg.drain_ready(side).is_empty(), "must not mature before τ");
+            assert!(
+                reg.drain_ready_batch([side], None).is_empty(),
+                "must not mature before τ"
+            );
         }
         let mut restored = snapshot_roundtrip(&reg);
         assert_eq!(restored.num_vertices(), reg.num_vertices());
@@ -738,7 +735,7 @@ mod tests {
                 (&mut restored, &mut matured_restored),
             ] {
                 registry.increment(side);
-                if matured_at.is_none() && !registry.drain_ready(side).is_empty() {
+                if matured_at.is_none() && !registry.drain_ready_batch([side], None).is_empty() {
                     *matured_at = Some(i + 1);
                 }
             }
@@ -842,13 +839,13 @@ mod tests {
                 }
                 let side = if on_first { v(0) } else { v(1) };
                 reg.increment(side);
-                if live_maturity.is_none() && reg.drain_ready(side).contains(&key(0, 1)) {
+                if live_maturity.is_none() && reg.drain_ready_batch([side], None).contains(&key(0, 1)) {
                     live_maturity = Some(i + 1);
                 }
                 if let Some(registry) = restored.as_mut() {
                     registry.increment(side);
                     if restored_maturity.is_none()
-                        && registry.drain_ready(side).contains(&key(0, 1))
+                        && registry.drain_ready_batch([side], None).contains(&key(0, 1))
                     {
                         restored_maturity = Some(i + 1);
                     }
@@ -873,7 +870,7 @@ mod tests {
             for &on_first in &pattern {
                 reg.increment(if on_first { v(0) } else { v(1) });
             }
-            let matured = reg.drain_ready_batch([v(0), v(1)]);
+            let matured = reg.drain_ready_batch([v(0), v(1)], None);
             prop_assert_eq!(!matured.is_empty(), total >= tau);
         }
     }

@@ -5,6 +5,7 @@ use crate::error::GraphError;
 use crate::footprint::{GraphMemoryBreakdown, MemoryFootprint};
 use crate::indexed_set::IndexedSet;
 use crate::snapshot::{SnapReader, SnapWriter};
+use crate::update::GraphUpdate;
 use crate::vertex::VertexId;
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -491,17 +492,41 @@ impl DynGraph {
         }
     }
 
+    /// Whether `update` is valid against the current graph, or the cause
+    /// applying it would report: a self-loop, a duplicate insertion or a
+    /// deletion of a missing edge.  Every single-update path in the
+    /// workspace checks through here, so the backends' rejection causes
+    /// cannot drift apart, and every batch path skips what it rejects.
+    pub fn check_update(&self, update: GraphUpdate) -> Result<(), GraphError> {
+        let (u, v) = update.endpoints();
+        if u == v {
+            return Err(GraphError::SelfLoop { v });
+        }
+        match (update.is_insert(), self.has_edge(u, v)) {
+            (true, true) => Err(GraphError::EdgeExists { u, v }),
+            (false, false) => Err(GraphError::EdgeMissing { u, v }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Apply one update, dispatching on its kind.
+    ///
+    /// Named to match `dynscan_core`'s `Clusterer::try_apply`:
+    /// every typed single-update entry point in the workspace is a
+    /// `try_apply` returning the rejection cause.
+    pub fn try_apply(&mut self, update: GraphUpdate) -> Result<(), GraphError> {
+        match update {
+            GraphUpdate::Insert(u, v) => self.insert_edge(u, v),
+            GraphUpdate::Delete(u, v) => self.delete_edge(u, v),
+        }
+    }
+
     /// Insert the edge `(u, v)`.
     ///
     /// Grows the vertex set if needed.  Returns an error (and changes
     /// nothing) if the edge already exists or is a self-loop.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), GraphError> {
-        if u == v {
-            return Err(GraphError::SelfLoop { v });
-        }
-        if self.has_edge(u, v) {
-            return Err(GraphError::EdgeExists { u, v });
-        }
+        self.check_update(GraphUpdate::Insert(u, v))?;
         self.ensure_vertex(u);
         self.ensure_vertex(v);
         self.promote(u);
@@ -523,12 +548,7 @@ impl DynGraph {
     ///
     /// Returns an error (and changes nothing) if the edge does not exist.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), GraphError> {
-        if u == v {
-            return Err(GraphError::SelfLoop { v });
-        }
-        if !self.has_edge(u, v) {
-            return Err(GraphError::EdgeMissing { u, v });
-        }
+        self.check_update(GraphUpdate::Delete(u, v))?;
         self.promote(u);
         self.promote(v);
         if let Some(Slot::Hot { set, .. }) = self.slots.get_mut(u.index()) {
@@ -769,6 +789,35 @@ mod tests {
         g.delete_edge(v(5), v(0)).unwrap();
         assert_eq!(g.num_edges(), 0);
         assert!(!g.has_edge(v(0), v(5)));
+    }
+
+    #[test]
+    fn check_update_predicts_try_apply() {
+        let updates = [
+            GraphUpdate::Insert(v(0), v(1)),
+            GraphUpdate::Insert(v(1), v(2)),
+            GraphUpdate::Insert(v(1), v(0)), // duplicate
+            GraphUpdate::Delete(v(0), v(1)),
+            GraphUpdate::Delete(v(0), v(1)), // missing
+            GraphUpdate::Delete(v(7), v(9)), // missing, outside the vertex space
+            GraphUpdate::Insert(v(3), v(3)), // self-loop
+        ];
+        let mut g = DynGraph::new();
+        let mut rejected = 0;
+        for update in updates {
+            let checked = g.check_update(update);
+            let edges = g.num_edges();
+            assert_eq!(g.try_apply(update), checked, "{update:?}");
+            if checked.is_err() {
+                rejected += 1;
+                assert_eq!(g.num_edges(), edges, "a rejected update changes nothing");
+            }
+        }
+        assert_eq!(rejected, 4);
+        assert_eq!(
+            g.edges().collect::<Vec<_>>(),
+            vec![EdgeKey::new(v(1), v(2))]
+        );
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //!   queries in O(1).  Every consumer walks it directly, the O(n + m)
 //!   clustering-result extraction, the static SCAN baseline and the
 //!   similarity estimator included.
-//! * [`batch`] — batch application of update slices ([`BatchApplication`],
-//!   [`touched_vertices`]) for graph-only consumers, mirroring the
-//!   topology semantics of the batch update engine in `dynscan-core`
-//!   (which fuses its own per-update label/DT hooks into the loop).
+//! * [`GraphUpdate`] — one edge insertion or deletion;
+//!   [`DynGraph::check_update`] is the one validity check every backend's
+//!   single-update path and batch engine share.
 //! * [`snapshot`] — the length-prefixed, checksummed binary snapshot codec
 //!   ([`SnapWriter`] / [`SnapReader`] / [`SnapshotError`]) every
 //!   checkpointable structure in the workspace serialises through,
@@ -35,7 +34,6 @@
 // No unsafe anywhere in this crate — enforced, not aspirational.
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod dynamic_graph;
 pub mod edge;
 pub mod error;
@@ -46,7 +44,6 @@ pub mod snapshot;
 pub mod update;
 pub mod vertex;
 
-pub use batch::{touched_vertices, BatchApplication};
 pub use dynamic_graph::{default_memory_budget, DynGraph, NeighbourIter, NeighbourhoodRef};
 pub use edge::EdgeKey;
 pub use error::GraphError;

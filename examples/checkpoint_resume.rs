@@ -30,8 +30,9 @@ fn update_log() -> Vec<GraphUpdate> {
 }
 
 fn main() {
-    // Sampled mode (the real algorithm): future label decisions draw
-    // randomness, which is exactly what a checkpoint must preserve.
+    // The estimator is on (no exact-label switch): a future label
+    // decision that samples draws randomness from the labelling counter
+    // and batch epoch, which is exactly what a checkpoint must preserve.
     // An in-memory checkpoint store; a production service would use a
     // `DirCheckpointStore` (one file per document) or its own
     // `CheckpointStore` over an object store.  Clones share the

@@ -132,7 +132,7 @@ proptest! {
         assert_strclu_derives_live_modules(exact_params(), &stream, cut, batch);
     }
 
-    /// Sampled mode (the real algorithm): this property additionally
+    /// Estimator on (no exact-label switch): this property additionally
     /// covers the labelling counter, the batch epoch and the adjacency
     /// slot order.
     #[test]
